@@ -3,32 +3,17 @@
  * Reproduces Table IV: architecture-aware compilation (Tetris-lite:
  * greedy layout + SWAP routing) of the electronic-structure circuits
  * onto Manhattan (65q), Sycamore (54q) and Montreal (27q), JW vs HATT.
- * Reports CNOT / U3 / depth after routing and peephole optimization.
+ * Reports CNOT / U3 / depth after routing and peephole optimization,
+ * through the library's one routed-cost pipeline
+ * (device::evaluateHardwareCost).
  */
 
 #include "bench_common.hpp"
 #include "chem/molecule.hpp"
-#include "route/router.hpp"
+#include "device/cost.hpp"
 
 using namespace hatt;
 using namespace hatt::bench;
-
-namespace {
-
-GateCounts
-routeAndCount(const MajoranaPolynomial &poly,
-              const FermionQubitMapping &map, const CouplingMap &device)
-{
-    PauliSum hq = mapToQubits(poly, map);
-    PauliSum ordered = scheduleTerms(hq, ScheduleKind::Lexicographic);
-    Circuit c = evolutionCircuit(ordered);
-    optimizeCircuit(c);
-    RoutedCircuit routed = routeCircuit(c, device);
-    optimizeCircuit(routed.circuit);
-    return routed.circuit.basisCounts();
-}
-
-} // namespace
 
 int
 main()
@@ -73,19 +58,31 @@ main()
             // (device, case, mapping) — routing is the dominant cost.
             auto timed = [&](const char *kind) {
                 Timer timer;
-                GateCounts counts =
-                    routeAndCount(poly, buildMapping(kind, poly), device);
+                StatusOr<device::HardwareCost> cost =
+                    device::evaluateHardwareCost(
+                        poly, buildMapping(kind, poly), device);
                 json.add(recordName(device.name()) + "/" +
                              recordName(c.label) + "/" + kind,
                          timer.seconds());
-                return counts;
+                return cost;
             };
-            GateCounts jw = timed("JW");
-            GateCounts hatt = timed("HATT");
+            StatusOr<device::HardwareCost> jw_cost = timed("JW");
+            StatusOr<device::HardwareCost> hatt_cost = timed("HATT");
+            if (!jw_cost.ok() || !hatt_cost.ok()) {
+                std::cerr << "FAIL " << device.name() << "/" << c.label
+                          << ": "
+                          << (jw_cost.ok() ? hatt_cost : jw_cost)
+                                 .status()
+                                 .message()
+                          << "\n";
+                return 1;
+            }
+            const device::HardwareCost &jw = jw_cost.value();
+            const device::HardwareCost &hatt = hatt_cost.value();
             table.addRow(
                 {c.label, std::to_string(poly.numModes()),
-                 TablePrinter::num(static_cast<long long>(jw.cnot)),
-                 TablePrinter::num(static_cast<long long>(hatt.cnot)),
+                 TablePrinter::num(static_cast<long long>(jw.cnots)),
+                 TablePrinter::num(static_cast<long long>(hatt.cnots)),
                  TablePrinter::num(static_cast<long long>(jw.u3)),
                  TablePrinter::num(static_cast<long long>(hatt.u3)),
                  TablePrinter::num(static_cast<long long>(jw.depth)),

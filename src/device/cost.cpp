@@ -1,8 +1,6 @@
 #include "device/cost.hpp"
 
-#include <algorithm>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -16,12 +14,9 @@
 namespace hatt::device {
 
 StatusOr<HardwareCost>
-evaluateHardwareCost(const MajoranaPolynomial &poly,
-                     const FermionQubitMapping &map,
-                     const CouplingMap &device)
+evaluateHardwareCost(const PauliSum &hq, const CouplingMap &device)
 {
     try {
-        PauliSum hq = mapToQubits(poly, map);
         PauliSum ordered = scheduleTerms(hq, ScheduleKind::Lexicographic);
         Circuit c = evolutionCircuit(ordered);
         optimizeCircuit(c);
@@ -48,6 +43,14 @@ evaluateHardwareCost(const MajoranaPolynomial &poly,
             (device.name().empty() ? "unnamed" : device.name()) + "': " +
             e.what());
     }
+}
+
+StatusOr<HardwareCost>
+evaluateHardwareCost(const MajoranaPolynomial &poly,
+                     const FermionQubitMapping &map,
+                     const CouplingMap &device)
+{
+    return evaluateHardwareCost(mapToQubits(poly, map), device);
 }
 
 uint64_t
@@ -78,30 +81,8 @@ estimateRoutedCost(const MajoranaPolynomial &poly,
         }
     }
 
-    // Greedy embedding, mirroring greedyLayout: busiest logical qubits
-    // land closest to the device's highest-degree physical qubit.
-    std::vector<int> logical_order(nl);
-    std::iota(logical_order.begin(), logical_order.end(), 0);
-    std::stable_sort(logical_order.begin(), logical_order.end(),
-                     [&](int a, int b) { return degree[a] > degree[b]; });
-    int center = 0;
-    size_t best_degree = 0;
-    for (uint32_t q = 0; q < device.numQubits(); ++q) {
-        if (device.neighbors(static_cast<int>(q)).size() > best_degree) {
-            best_degree = device.neighbors(static_cast<int>(q)).size();
-            center = static_cast<int>(q);
-        }
-    }
-    std::vector<int> physical_order(device.numQubits());
-    std::iota(physical_order.begin(), physical_order.end(), 0);
-    std::stable_sort(physical_order.begin(), physical_order.end(),
-                     [&](int a, int b) {
-                         return device.distance(center, a) <
-                                device.distance(center, b);
-                     });
-    std::vector<int> layout(nl, -1);
-    for (uint32_t i = 0; i < nl; ++i)
-        layout[logical_order[i]] = physical_order[i];
+    // The router's own placement rule over the same interaction degrees.
+    const std::vector<int> layout = degreeOrderedLayout(degree, device);
 
     // Each interaction at hop distance d costs ~3*(d-1) SWAP CNOTs
     // plus the entangling CNOT itself.

@@ -15,11 +15,15 @@
  * numbers are bit-identical across thread counts and suitable for
  * byte-compared reports and committed bench baselines.
  *
+ * The PauliSum overload starts from an already-mapped qubit Hamiltonian,
+ * so a caller that also needs that Hamiltonian (the compile driver
+ * emitting qubit.json) maps it once.
+ *
  * estimateRoutedCost() is the cheap stand-in treespilation uses to
  * score candidate trees without paying for full routing: it embeds the
- * mapped Hamiltonian's interaction graph greedily (mirroring
- * greedyLayout) and charges each two-qubit interaction 3*(d-1)+1 CNOTs
- * for hop distance d.
+ * mapped Hamiltonian's interaction graph with the router's own
+ * degreeOrderedLayout and charges each two-qubit interaction
+ * 3*(d-1)+1 CNOTs for hop distance d.
  */
 
 #include <cstdint>
@@ -27,6 +31,7 @@
 #include "fermion/majorana.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
+#include "pauli/pauli_sum.hpp"
 #include "route/coupling_map.hpp"
 
 namespace hatt::device {
@@ -41,10 +46,14 @@ struct HardwareCost
 };
 
 /**
- * Route one Trotter step of @p poly under @p map onto @p device and
- * count gates. InvalidArgument when the device is too small or
+ * Route one Trotter step of the qubit Hamiltonian @p hq onto @p device
+ * and count gates. InvalidArgument when the device is too small or
  * disconnected (the router's preconditions, surfaced as Status).
  */
+StatusOr<HardwareCost> evaluateHardwareCost(const PauliSum &hq,
+                                            const CouplingMap &device);
+
+/** evaluateHardwareCost(mapToQubits(poly, map), device). */
 StatusOr<HardwareCost> evaluateHardwareCost(const MajoranaPolynomial &poly,
                                             const FermionQubitMapping &map,
                                             const CouplingMap &device);

@@ -42,8 +42,6 @@ class BonsaiMapper final : public Mapper
     BonsaiMapper()
     {
         caps_.needsHamiltonian = false;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = true;
         caps_.vacuumPreserving = true;
         caps_.deviceAware = true;
@@ -85,8 +83,6 @@ class TreespilationMapper final : public Mapper
     TreespilationMapper()
     {
         caps_.needsHamiltonian = true;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = true;
         caps_.vacuumPreserving = true;
         caps_.deviceAware = true;

@@ -6,19 +6,18 @@
 #include <set>
 #include <sstream>
 
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "io/cache.hpp"
+#include "io/driver.hpp"
 #include "io/serialize.hpp"
 
 namespace hatt::io {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string>
+StatusOr<std::vector<std::string>>
 splitKinds(const std::string &list)
 {
     std::vector<std::string> out;
@@ -27,8 +26,8 @@ splitKinds(const std::string &list)
         size_t comma = list.find(',', begin);
         size_t end = comma == std::string::npos ? list.size() : comma;
         if (end == begin)
-            throw std::invalid_argument("empty mapping kind in '" + list +
-                                        "'");
+            return Status::invalidArgument("empty mapping kind in '" +
+                                           list + "'");
         out.push_back(list.substr(begin, end - begin));
         if (comma == std::string::npos)
             break;
@@ -74,28 +73,13 @@ globMatch(const std::string &pattern, const std::string &text)
 
 } // namespace
 
-BatchCompiler::BatchCompiler(BatchOptions options)
-    : options_(std::move(options))
-{
-    // The memory tier only when a disk cache is configured: a cacheless
-    // batch then compiles with no store at all, exactly as it always
-    // has (no cache counters appear in its stats snapshot).
-    ServiceConfig config;
-    config.cacheDir = options_.cacheDir;
-    config.memoryStore = !options_.cacheDir.empty();
-    owned_ = std::make_unique<CompilationService>(std::move(config));
-    service_ = owned_.get();
-}
-
 BatchCompiler::BatchCompiler(BatchOptions options,
                              CompilationService &service)
-    : options_(std::move(options)), service_(&service)
+    : options_(std::move(options)), service_(service)
 {
 }
 
-BatchCompiler::~BatchCompiler() = default;
-
-std::vector<BatchItem>
+StatusOr<std::vector<BatchItem>>
 BatchCompiler::discoverInputs(const std::string &source) const
 {
     std::vector<BatchItem> items;
@@ -114,46 +98,50 @@ BatchCompiler::discoverInputs(const std::string &source) const
     std::error_code ec;
     if (fs::is_directory(source, ec)) {
         const fs::path root(source);
-        try {
-            for (const fs::directory_entry &de :
-                 fs::recursive_directory_iterator(root)) {
-                if (!de.is_regular_file())
+        for (fs::recursive_directory_iterator it(root, ec), end;
+             !ec && it != end; it.increment(ec)) {
+            const fs::directory_entry &de = *it;
+            std::error_code type_ec;
+            if (!de.is_regular_file(type_ec))
+                continue;
+            if (!formatFromExtension(de.path()))
+                continue;
+            // The root-relative path is the item name: the scan is
+            // recursive, so a bare filename would falsely collide
+            // same-named inputs from different subdirectories.
+            const std::string rel =
+                de.path().lexically_relative(root).generic_string();
+            if (!options_.glob.empty()) {
+                // Patterns with '/' address the relative path; plain
+                // patterns just the file name.
+                const std::string target =
+                    options_.glob.find('/') != std::string::npos
+                        ? rel
+                        : de.path().filename().string();
+                if (!globMatch(options_.glob, target))
                     continue;
-                if (!formatFromExtension(de.path()))
-                    continue;
-                // The root-relative path is the item name: the scan is
-                // recursive, so a bare filename would falsely collide
-                // same-named inputs from different subdirectories.
-                const std::string rel =
-                    de.path().lexically_relative(root).generic_string();
-                if (!options_.glob.empty()) {
-                    // Patterns with '/' address the relative path;
-                    // plain patterns just the file name.
-                    const std::string target =
-                        options_.glob.find('/') != std::string::npos
-                            ? rel
-                            : de.path().filename().string();
-                    if (!globMatch(options_.glob, target))
-                        continue;
-                }
-                fan_out(de.path().string(), rel, default_kinds);
             }
-        } catch (const fs::filesystem_error &e) {
-            throw ParseError("cannot scan input directory " + source +
-                             ": " + e.what());
+            fan_out(de.path().string(), rel, default_kinds);
         }
+        if (ec)
+            return Status::invalidArgument("cannot scan input directory " +
+                                           source + ": " + ec.message());
     } else {
         if (!options_.glob.empty())
-            throw ParseError("--glob only applies to directory sources, "
-                             "and " + source + " is a manifest");
+            return Status::invalidArgument(
+                "--glob only applies to directory sources, and " + source +
+                " is a manifest");
         std::ifstream in(source);
         if (!in)
-            throw ParseError("cannot open batch manifest: " + source);
+            return Status::invalidArgument("cannot open batch manifest: " +
+                                           source);
         const fs::path base = fs::path(source).parent_path();
         std::string line;
         size_t lineno = 0;
         while (std::getline(in, line)) {
             ++lineno;
+            const std::string where =
+                source + " line " + std::to_string(lineno) + ": ";
             if (size_t hash = line.find('#'); hash != std::string::npos)
                 line.erase(hash);
             std::istringstream ls(line);
@@ -162,27 +150,23 @@ BatchCompiler::discoverInputs(const std::string &source) const
                 continue; // blank/comment line
             std::vector<std::string> kinds = default_kinds;
             if (ls >> kind_list) {
-                try {
-                    kinds = splitKinds(kind_list);
-                } catch (const std::invalid_argument &e) {
-                    throw ParseError(source + " line " +
-                                     std::to_string(lineno) + ": " +
-                                     e.what());
-                }
+                StatusOr<std::vector<std::string>> split =
+                    splitKinds(kind_list);
+                if (!split.ok())
+                    return Status::invalidArgument(where +
+                                                   split.status().message());
+                kinds = std::move(split).value();
                 for (std::string &kind : kinds) {
                     Status status =
                         MapperRegistry::instance().checkKind(kind);
                     if (!status.ok())
-                        throw ParseError(source + " line " +
-                                         std::to_string(lineno) + ": " +
-                                         status.message());
+                        return Status::invalidArgument(where +
+                                                       status.message());
                     kind = canonicalKind(kind);
                 }
                 if (ls >> extra)
-                    throw ParseError(source + " line " +
-                                     std::to_string(lineno) +
-                                     ": unexpected token '" + extra +
-                                     "'");
+                    return Status::invalidArgument(
+                        where + "unexpected token '" + extra + "'");
             }
             fs::path p(path);
             fan_out(p.is_absolute() ? p.string() : (base / p).string(),
@@ -209,109 +193,61 @@ BatchCompiler::run(std::vector<BatchItem> items) const
     // (results are bit-identical for every cap by the pool contract).
     ScopedParallelThreads thread_scope(options_.jobs);
 
-    MappingStore *store = service_->store();
-    MappingCache *disk = service_->diskCache();
-
-    std::vector<BatchItemResult> results(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-        results[i].item = std::move(items[i]);
-        // Canonicalize case-variant kinds from caller-built item lists
-        // ("HATT" vs "hatt"), so they cannot slip past the duplicate
-        // guard below as distinct keys racing on one output directory.
-        results[i].item.mapping = canonicalKind(results[i].item.mapping);
-    }
-
     // Report keys (name:mapping) key the per-item output directories,
     // so they must be unique even when a caller passes an unsorted item
     // list: two workers compiling the same key would race on the same
     // artifact files. The first occurrence compiles, later ones fail.
+    // Case-variant kinds from caller-built lists ("HATT" vs "hatt") are
+    // canonicalized first so they cannot slip past as distinct keys.
+    std::vector<BatchItemResult> results(items.size());
+    std::vector<char> duplicate(items.size(), 0);
     std::set<std::string> seen;
-    for (BatchItemResult &r : results)
-        if (!seen.insert(r.item.key()).second)
-            r.error = "duplicate work item '" + r.item.key() +
-                      "' in batch";
-
-    CompileConfig config;
-    config.limits = options_.limits;
-    config.timeoutSeconds = options_.timeoutSeconds;
-    config.fallback = options_.fallback;
-    config.device = options_.device;
+    for (size_t i = 0; i < items.size(); ++i) {
+        BatchItemResult &r = results[i];
+        r.item = std::move(items[i]);
+        r.item.mapping = canonicalKind(r.item.mapping);
+        if (!seen.insert(r.item.key()).second) {
+            duplicate[i] = 1;
+            r.result = Status::alreadyExists(
+                "duplicate work item '" + r.item.key() + "' in batch");
+        }
+    }
 
     // One work item per chunk: items are the coarse parallel grain, and
     // each item's own stages (sharded preprocessing, candidate scans,
     // qubit mapping) dispatch nested and run inline on this worker.
     metrics::add("batch.work_items", results.size());
     parallelFor(results.size(), 1, [&](size_t i) {
-        BatchItemResult &r = results[i];
-        if (!r.error.empty())
+        if (duplicate[i])
             return;
+        BatchItemResult &r = results[i];
         trace::Span item_span("batch", "item:" + r.item.key());
+        CompileRequest req = options_.request;
+        req.path = r.item.path;
+        req.mapping = r.item.mapping;
+        req.outDir = (fs::path(options_.outDir) / r.item.key()).string();
+        // A recognized extension always wins over a forced format: auto
+        // resolves by extension first, so only extension-less inputs
+        // see the template's format.
+        if (formatFromExtension(r.item.path))
+            req.format = "auto";
         Timer timer;
-        try {
-            const std::string out_dir =
-                (fs::path(options_.outDir) / r.item.key()).string();
-            // A recognized extension always wins over a forced format:
-            // one --format must not misparse a mixed .ops/.fcidump
-            // corpus — it only covers extension-less inputs.
-            InputFormat format =
-                formatFromExtension(r.item.path)
-                    .value_or(options_.format);
-            CompileOutcome res =
-                compileInput(r.item.path, format, r.item.mapping,
-                             out_dir, store, true, config);
-            r.format = res.problem.format;
-            r.numModes = res.problem.numModes;
-            r.fermionTerms = res.problem.fermionTerms;
-            r.monomials = res.problem.poly.size();
-            r.contentHash = res.problem.contentHash;
-            r.numQubits = res.built.mapping.numQubits;
-            r.pauliWeight = res.qubitMetrics->pauliWeight;
-            r.candidates = res.built.metrics.candidates;
-            if (res.hardwareCost) {
-                r.device = config.device;
-                r.routedCnots = res.hardwareCost->cnots;
-                r.routedU3 = res.hardwareCost->u3;
-                r.routedDepth = res.hardwareCost->depth;
-                r.routedSwaps = res.hardwareCost->swaps;
-            }
-            r.cacheHit = res.built.metrics.cacheHit;
-            r.cacheTier = res.built.metrics.cacheTier;
-            r.degraded = res.degraded;
-            if (disk && disk->wasQuarantined(res.problem.contentHash,
-                                             r.item.mapping))
-                r.quarantinedCache = true;
-            r.ok = true;
-        } catch (const DeadlineError &e) {
-            // The item's budget expired (construction without
-            // --fallback, or qubit mapping): isolated, not fatal.
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const DeadlineExceededError &e) {
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const CancelledError &e) {
-            r.timedOut = true;
-            r.error = e.what();
-        } catch (const std::exception &e) {
-            // One bad input must not abort the batch: report and move on.
-            r.error = e.what();
-        }
+        r.result = service_.compile(req);
         r.seconds = timer.seconds();
         metrics::observe("batch.item_seconds", r.seconds);
     });
-
-    if (disk) {
-        try {
-            disk->flushIndex();
-        } catch (const std::exception &) {
-            // The index is advisory: a full disk or revoked permission
-            // on the cache dir must not discard a finished batch — the
-            // report still gets written and the usage log is retained
-            // for a later flush.
-        }
-    }
     return results;
 }
+
+namespace {
+
+JsonValue
+optionalU64(const std::optional<uint64_t> &v)
+{
+    return v ? JsonValue(*v) : JsonValue(nullptr);
+}
+
+} // namespace
 
 JsonValue
 BatchCompiler::reportDocument(const std::vector<BatchItemResult> &results)
@@ -327,51 +263,44 @@ BatchCompiler::reportDocument(const std::vector<BatchItemResult> &results)
         rec.add("key", r.item.key());
         rec.add("name", r.item.name);
         rec.add("mapping", r.item.mapping);
+        if (!r.result.ok()) {
+            rec.add("status", r.timedOut() ? "timeout" : "error");
+            rec.add("error", r.result.status().message());
+            inputs.push(std::move(rec));
+            continue;
+        }
         // v3 status vocabulary: ok | error | timeout | degraded |
         // quarantined_cache. The last two still carry the full outcome
         // fields — they are flavors of success; timeout is a flavor of
         // failure. degraded wins over quarantined_cache when both apply
         // (the fallback changed WHAT was built, the quarantine only how).
-        const char *status = r.ok ? (r.degraded ? "degraded"
-                                     : r.quarantinedCache
-                                         ? "quarantined_cache"
-                                         : "ok")
-                                  : (r.timedOut ? "timeout" : "error");
-        rec.add("status", status);
-        if (!r.ok) {
-            rec.add("error", r.error);
-            inputs.push(std::move(rec));
-            continue;
-        }
+        const CompileResponse &res = r.result.value();
+        rec.add("status", res.degraded           ? "degraded"
+                          : res.quarantinedCache ? "quarantined_cache"
+                                                 : "ok");
         ++ok;
-        if (r.degraded)
+        if (res.degraded)
             ++degraded;
-        total_weight += r.pauliWeight;
-        rec.add("input_format", r.format);
-        rec.add("modes", r.numModes);
-        rec.add("fermion_terms", static_cast<uint64_t>(r.fermionTerms));
-        rec.add("majorana_monomials", static_cast<uint64_t>(r.monomials));
-        rec.add("content_hash", hashToHex(r.contentHash));
-        rec.add("num_qubits", r.numQubits);
-        rec.add("pauli_weight", r.pauliWeight);
-        rec.add("candidates", r.candidates ? JsonValue(*r.candidates)
-                                           : JsonValue(nullptr));
+        const uint64_t weight = res.pauliWeight.value_or(0);
+        total_weight += weight;
+        rec.add("input_format", res.inputFormat);
+        rec.add("modes", res.numModes);
+        rec.add("fermion_terms", res.fermionTerms);
+        rec.add("majorana_monomials", res.monomials);
+        rec.add("content_hash", hashToHex(res.contentHash));
+        rec.add("num_qubits", res.numQubits);
+        rec.add("pauli_weight", weight);
+        rec.add("candidates", optionalU64(res.candidates));
         // Device-aware batches only: the routed-cost block is part of
         // the deterministic report (byte-compared across thread caps),
         // and its absence keeps architecture-agnostic reports
         // byte-identical to earlier versions.
-        if (!r.device.empty()) {
-            rec.add("device", r.device);
-            rec.add("routed_cnots", r.routedCnots ? JsonValue(*r.routedCnots)
-                                                  : JsonValue(nullptr));
-            rec.add("routed_u3", r.routedU3 ? JsonValue(*r.routedU3)
-                                            : JsonValue(nullptr));
-            rec.add("routed_depth", r.routedDepth
-                                        ? JsonValue(*r.routedDepth)
-                                        : JsonValue(nullptr));
-            rec.add("routed_swaps", r.routedSwaps
-                                        ? JsonValue(*r.routedSwaps)
-                                        : JsonValue(nullptr));
+        if (!res.device.empty()) {
+            rec.add("device", res.device);
+            rec.add("routed_cnots", optionalU64(res.routedCnots));
+            rec.add("routed_u3", optionalU64(res.routedU3));
+            rec.add("routed_depth", optionalU64(res.routedDepth));
+            rec.add("routed_swaps", optionalU64(res.routedSwaps));
         }
         inputs.push(std::move(rec));
     }
@@ -403,17 +332,18 @@ BatchCompiler::statsDocument(const std::vector<BatchItemResult> &results)
     double seconds = 0.0;
     JsonValue inputs = JsonValue::array();
     for (const BatchItemResult &r : results) {
+        const bool hit = r.result.ok() && r.result->cacheHit;
+        const std::string tier = r.result.ok() ? r.result->cacheTier : "";
         JsonValue rec = JsonValue::object();
         rec.add("key", r.item.key());
         rec.add("seconds", r.seconds);
-        rec.add("cache_hit", r.cacheHit);
-        rec.add("cache_tier", r.cacheTier.empty()
-                                  ? JsonValue(nullptr)
-                                  : JsonValue(r.cacheTier));
+        rec.add("cache_hit", hit);
+        rec.add("cache_tier",
+                tier.empty() ? JsonValue(nullptr) : JsonValue(tier));
         inputs.push(std::move(rec));
-        if (r.cacheHit)
+        if (hit)
             ++hits;
-        if (r.cacheTier == "memory")
+        if (tier == "memory")
             ++memory_hits;
         seconds += r.seconds;
     }

@@ -4,12 +4,12 @@
 /**
  * @file
  * Corpus compilation over a CompilationService: discover (input,
- * mapping) work items from a directory or manifest, compile them in
- * parallel over the work pool through the service's shared store stack,
- * and render the two batch documents. The work-item/result/option
- * structs live in io/service.hpp (they are part of the service surface:
- * compileBatch returns them); this header adds the engine that runs
- * them.
+ * mapping) work items from a directory or manifest, compile each one
+ * through CompilationService::compile in parallel over the work pool
+ * (sharing the service's store stack), and render the two batch
+ * documents from the per-item StatusOr<CompileResponse>. The
+ * work-item/result/option structs live in io/service.hpp (they are part
+ * of the service surface: compileBatch returns them).
  *
  * Corrupt cache entries are soft misses (quarantined by the disk tier),
  * so a damaged cache file can never abort a batch; a failing input is
@@ -32,7 +32,6 @@
  *    volatile sections).
  */
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,12 +39,9 @@
 
 namespace hatt::io {
 
-/**
- * Split a comma list ("hatt,jw") into kinds.
- * @throws std::invalid_argument on an empty segment ("hatt,,jw"); the
- * CLI and manifest parsers translate it into their own error types.
- */
-std::vector<std::string> splitKinds(const std::string &list);
+/** Split a comma list ("hatt,jw") into kinds; InvalidArgument on an
+    empty segment ("hatt,,jw"). */
+StatusOr<std::vector<std::string>> splitKinds(const std::string &list);
 
 /**
  * Resolve @p kind to its canonical registered spelling ("JW" -> "jw"),
@@ -59,20 +55,9 @@ std::string canonicalKind(const std::string &kind);
 class BatchCompiler
 {
   public:
-    /** Self-contained form: constructs a private CompilationService
-        from BatchOptions::cacheDir (disk tier) with the memory tier in
-        front of it whenever a cache directory is configured. */
-    explicit BatchCompiler(BatchOptions options);
-
-    /** Service-sharing form: compile through @p service's store stack
-        (borrowed; must outlive this object). BatchOptions::cacheDir is
-        ignored — the service already decided the store topology. */
+    /** Compile through @p service's store stack (borrowed; must outlive
+        this object). */
     BatchCompiler(BatchOptions options, CompilationService &service);
-
-    ~BatchCompiler();
-
-    BatchCompiler(const BatchCompiler &) = delete;
-    BatchCompiler &operator=(const BatchCompiler &) = delete;
 
     /**
      * Build the work list from @p source: a directory is scanned
@@ -84,12 +69,15 @@ class BatchCompiler
      * against the MapperRegistry). Every input fans out into one item
      * per mapping kind. Items are sorted by (name, mapping, path); a
      * (name, mapping) collision marks the later item as an error at
-     * run() time.
-     * @throws ParseError on an unreadable source or bad manifest line.
+     * run() time. InvalidArgument on an unreadable source or a bad
+     * manifest line.
      */
-    std::vector<BatchItem> discoverInputs(const std::string &source) const;
+    StatusOr<std::vector<BatchItem>>
+    discoverInputs(const std::string &source) const;
 
-    /** Compile every item; results come back in the items' order. */
+    /** Compile every item through CompilationService::compile; results
+        come back in the items' order. A (name, mapping) key already
+        seen earlier in @p items fails as AlreadyExists uncompiled. */
     std::vector<BatchItemResult> run(std::vector<BatchItem> items) const;
 
     /** The deterministic report document for @p results. */
@@ -100,15 +88,9 @@ class BatchCompiler
     static JsonValue statsDocument(
         const std::vector<BatchItemResult> &results);
 
-    const BatchOptions &options() const { return options_; }
-
-    /** The service this batch compiles through (owned or borrowed). */
-    CompilationService &service() const { return *service_; }
-
   private:
     BatchOptions options_;
-    std::unique_ptr<CompilationService> owned_; //!< legacy ctor only
-    CompilationService *service_;
+    CompilationService &service_;
 };
 
 } // namespace hatt::io

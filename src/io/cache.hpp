@@ -87,7 +87,7 @@ struct CacheGcStats
 
 /**
  * Implements hatt::MappingStore, so MapperRegistry::build() layers this
- * cache over any cacheable mapper (the load/save adapters below wrap
+ * cache over every mapper (the load/save adapters below wrap
  * lookup/store).
  */
 class MappingCache : public MappingStore

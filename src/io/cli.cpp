@@ -8,7 +8,6 @@
 #include <ostream>
 
 #include "common/buildinfo.hpp"
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "device/device.hpp"
@@ -338,12 +337,10 @@ parseArgs(const std::vector<std::string> &args_in)
         if (!status.ok())
             throw UsageError(status.message());
     };
-    std::vector<std::string> kinds;
-    try {
-        kinds = splitKinds(opt.mapping);
-    } catch (const std::invalid_argument &e) {
-        throw UsageError(std::string("--mapping has an ") + e.what());
-    }
+    StatusOr<std::vector<std::string>> split = splitKinds(opt.mapping);
+    if (!split.ok())
+        throw UsageError("--mapping has an " + split.status().message());
+    const std::vector<std::string> &kinds = split.value();
     if (opt.command != "batch" && kinds.size() != 1)
         throw UsageError("--mapping takes one kind for " + opt.command +
                          " (a comma list only applies to batch)");
@@ -376,6 +373,25 @@ formatName(InputFormat format)
     }
 }
 
+/** Options -> the compile request both map/compile and every batch
+    item start from. */
+CompileRequest
+compileRequestFor(const Options &opt)
+{
+    CompileRequest req;
+    req.path = opt.input;
+    req.format = formatName(opt.format);
+    req.mapping = opt.mapping;
+    req.outDir = opt.outDir;
+    req.emitQubit = opt.command != "map";
+    req.maxTerms = opt.limits.maxTerms;
+    req.maxModes = opt.limits.maxModes;
+    req.timeoutSeconds = opt.timeoutSeconds;
+    req.fallback = opt.fallback;
+    req.device = opt.device;
+    return req;
+}
+
 /** The CLI's service topology: a disk tier when --cache was given, with
     the in-memory tier in front of it. Cacheless invocations run with no
     store at all — exactly the pre-service behavior, so their metrics
@@ -392,22 +408,8 @@ serviceConfigFor(const Options &opt)
 int
 cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
 {
-    const bool compile = opt.command == "compile";
     CompilationService service(serviceConfigFor(opt));
-
-    CompileRequest req;
-    req.path = opt.input;
-    req.format = formatName(opt.format);
-    req.mapping = opt.mapping;
-    req.outDir = opt.outDir;
-    req.emitQubit = compile;
-    req.maxTerms = opt.limits.maxTerms;
-    req.maxModes = opt.limits.maxModes;
-    req.timeoutSeconds = opt.timeoutSeconds;
-    req.fallback = opt.fallback;
-    req.device = opt.device;
-
-    StatusOr<CompileResponse> result = service.compile(req);
+    StatusOr<CompileResponse> result = service.compile(compileRequestFor(opt));
     if (!result.ok()) {
         err << "hattc: " << result.status().message() << "\n";
         return exitCodeForStatus(result.status().code());
@@ -447,15 +449,10 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
 
     BatchOptions bopt;
     bopt.outDir = opt.outDir;
-    bopt.cacheDir = opt.cacheDir;
-    bopt.mappings = splitKinds(opt.mapping);
-    bopt.format = opt.format;
+    bopt.mappings = splitKinds(opt.mapping).value(); // validated by parseArgs
     bopt.glob = opt.glob;
     bopt.jobs = opt.jobs;
-    bopt.limits = opt.limits;
-    bopt.timeoutSeconds = opt.timeoutSeconds;
-    bopt.fallback = opt.fallback;
-    bopt.device = opt.device;
+    bopt.request = compileRequestFor(opt);
 
     StatusOr<BatchOutcome> outcome =
         service.compileBatch(opt.input, bopt);
@@ -472,23 +469,25 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
 
     out << "batch:        " << results.size() << " work item(s) from "
         << opt.input << "\n";
-    size_t failed = 0, degraded = 0;
+    size_t degraded = 0;
     for (const BatchItemResult &r : results) {
-        if (r.ok) {
-            if (r.degraded)
+        if (r.result.ok()) {
+            const CompileResponse &res = r.result.value();
+            if (res.degraded)
                 ++degraded;
-            out << "  ok    " << r.item.key() << " -> " << r.numQubits
-                << " qubits, weight " << r.pauliWeight
-                << (r.cacheHit ? "  [cache hit]" : "")
-                << (r.degraded ? "  [degraded]" : "")
-                << (r.quarantinedCache ? "  [cache quarantined]" : "")
+            out << "  ok    " << r.item.key() << " -> " << res.numQubits
+                << " qubits, weight " << res.pauliWeight.value_or(0)
+                << (res.cacheHit ? "  [cache hit]" : "")
+                << (res.degraded ? "  [degraded]" : "")
+                << (res.quarantinedCache ? "  [cache quarantined]" : "")
                 << "\n";
         } else {
-            ++failed;
-            out << "  " << (r.timedOut ? "TIME " : "FAIL ") << " "
-                << r.item.key() << "  " << r.error << "\n";
+            out << "  " << (r.timedOut() ? "TIME " : "FAIL ") << " "
+                << r.item.key() << "  " << r.result.status().message()
+                << "\n";
         }
     }
+    const size_t failed = outcome->failed;
     out << "summary:      " << results.size() - failed << " ok, " << failed
         << " failed";
     if (degraded)
@@ -511,8 +510,6 @@ cmdMappings(const Options &opt, std::ostream &out)
             JsonValue rec = JsonValue::object();
             rec.add("name", m->name());
             rec.add("needs_hamiltonian", caps.needsHamiltonian);
-            rec.add("deterministic", caps.deterministic);
-            rec.add("cacheable", caps.cacheable);
             rec.add("produces_tree", caps.producesTree);
             rec.add("vacuum_preserving", caps.vacuumPreserving);
             rec.add("device_aware", caps.deviceAware);
@@ -530,8 +527,6 @@ cmdMappings(const Options &opt, std::ostream &out)
         out << m->name() << "\n    " << caps.summary << "\n    "
             << (caps.needsHamiltonian ? "hamiltonian-adaptive"
                                       : "modes-only")
-            << (caps.deterministic ? ", deterministic" : ", randomized")
-            << (caps.cacheable ? ", cacheable" : "")
             << (caps.producesTree ? ", produces tree" : "")
             << (caps.vacuumPreserving ? ", vacuum-preserving" : "")
             << (caps.deviceAware ? ", device-aware" : "")
@@ -803,15 +798,6 @@ runHattc(const std::vector<std::string> &args, std::ostream &out,
     } catch (const UsageError &e) {
         err << "hattc: " << e.what() << "\n\n" << kUsage;
         return kExitUsage;
-    } catch (const DeadlineError &e) {
-        err << "hattc: " << e.what() << "\n";
-        return exitCodeForStatus(Status::Code::DeadlineExceeded);
-    } catch (const DeadlineExceededError &e) {
-        err << "hattc: " << e.what() << "\n";
-        return exitCodeForStatus(Status::Code::DeadlineExceeded);
-    } catch (const CancelledError &e) {
-        err << "hattc: " << e.what() << "\n";
-        return exitCodeForStatus(Status::Code::Cancelled);
     } catch (const ParseError &e) {
         err << "hattc: " << e.what() << "\n";
         return exitCodeForStatus(Status::Code::InvalidArgument);

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <new>
 
 #include "common/buildinfo.hpp"
 #include "common/timer.hpp"
@@ -120,38 +121,6 @@ loadProblem(const std::string &path, InputFormat format,
     return problem;
 }
 
-MappingResult
-buildRequestedMapping(const std::string &kind, const LoadedProblem &problem,
-                      MappingStore *store, const RunLimits &limits,
-                      const std::string &device)
-{
-    MappingRequest req;
-    req.kind = kind;
-    req.poly = &problem.poly;
-    req.contentHash = problem.contentHash;
-    req.limits = limits;
-    if (!device.empty()) {
-        const Mapper *mapper = MapperRegistry::instance().find(kind);
-        if (mapper && mapper->capabilities().deviceAware)
-            req.options["device"] = device;
-    }
-    StatusOr<MappingResult> built =
-        MapperRegistry::instance().build(req, store);
-    if (!built.ok()) {
-        const Status &status = built.status();
-        switch (status.code()) {
-          case Status::Code::DeadlineExceeded:
-          case Status::Code::Cancelled:
-            throw DeadlineError(status.message());
-          case Status::Code::Internal:
-          case Status::Code::ResourceExhausted:
-            throw InternalError(status.message());
-          default: throw ParseError(status.message());
-        }
-    }
-    return std::move(built).value();
-}
-
 JsonValue
 buildInfoDocument()
 {
@@ -231,100 +200,135 @@ ensureOutDir(const std::string &dir)
                          ec.message());
 }
 
-CompileOutcome
+namespace {
+
+/** Build @p kind over @p problem through the MapperRegistry. @p device
+    becomes the request's "device" option only for deviceAware mappers,
+    so device-independent kinds (jw, btt, ...) keep device-independent
+    cache keys under `--device`. */
+StatusOr<MappingResult>
+requestMapping(const std::string &kind, const LoadedProblem &problem,
+               MappingStore *store, const RunLimits &limits,
+               const std::string &device)
+{
+    MappingRequest req;
+    req.kind = kind;
+    req.poly = &problem.poly;
+    req.contentHash = problem.contentHash;
+    req.limits = limits;
+    if (!device.empty()) {
+        const Mapper *mapper = MapperRegistry::instance().find(kind);
+        if (mapper && mapper->capabilities().deviceAware)
+            req.options["device"] = device;
+    }
+    return MapperRegistry::instance().build(req, store);
+}
+
+} // namespace
+
+StatusOr<CompileOutcome>
 compileInput(const std::string &path, InputFormat format,
              const std::string &kind, const std::string &out_dir,
              MappingStore *store, bool emit_qubit,
              const CompileConfig &config)
 {
-    CompileOutcome res;
-    res.problem = loadProblem(path, format, config.limits);
-
-    RunLimits run;
-    if (config.timeoutSeconds > 0.0)
-        run.deadline = Deadline::after(config.timeoutSeconds);
+    Timer timer;
     try {
-        res.built = buildRequestedMapping(kind, res.problem, store, run,
-                                          config.device);
-    } catch (const DeadlineError &) {
-        if (!config.fallback)
-            throw;
-        // The fallback kind is device-independent by design, so no
-        // device option is threaded through.
-        res.built =
-            buildRequestedMapping("btt", res.problem, store, RunLimits{});
-        res.degraded = true;
-    }
+        CompileOutcome res;
+        res.problem = loadProblem(path, format, config.limits);
 
-    if (!config.device.empty()) {
-        // Routed hardware cost of whatever was built (any kind) on the
-        // requested device — the Table IV metric, surfaced per compile.
-        StatusOr<CouplingMap> dev = device::resolveDevice(config.device);
-        if (!dev.ok())
-            throw ParseError(dev.status().message());
-        trace::Span route_span("driver", "route");
-        metrics::ScopedTimer route_timer("route.seconds");
-        StatusOr<device::HardwareCost> cost = device::evaluateHardwareCost(
-            res.problem.poly, res.built.mapping, dev.value());
-        if (!cost.ok())
-            throw ParseError(cost.status().message());
-        res.hardwareCost = cost.value();
-    }
+        RunLimits run;
+        if (config.timeoutSeconds > 0.0)
+            run.deadline = Deadline::after(config.timeoutSeconds);
+        StatusOr<MappingResult> built =
+            requestMapping(kind, res.problem, store, run, config.device);
+        const Status::Code code = built.status().code();
+        if (!built.ok() && config.fallback &&
+            (code == Status::Code::DeadlineExceeded ||
+             code == Status::Code::Cancelled)) {
+            // The fallback kind is device-independent by design, so no
+            // device option is threaded through.
+            built = requestMapping("btt", res.problem, store, RunLimits{},
+                                   "");
+            res.degraded = true;
+        }
+        if (!built.ok())
+            return built.status();
+        res.built = std::move(built).value();
 
-    ensureOutDir(out_dir);
-    const fs::path dir(out_dir);
-    const std::string stem = res.problem.stem;
-    {
+        // The qubit Hamiltonian is mapped once: emit and the routed cost
+        // both read it.
+        std::optional<PauliSum> hq;
+        if (emit_qubit || !config.device.empty()) {
+            Timer map_timer;
+            {
+                trace::Span map_span("driver", "map");
+                // Engine batch entry point over the accumulator's
+                // deduplicated monomials (mapToQubits wraps exactly
+                // this; spelled out here so the shipped driver
+                // exercises — and the hattc tests pin — the engine API
+                // itself). A degraded build runs unbounded: its budget
+                // is already spent, and the degradation contract is
+                // "always produces output".
+                QubitMappingEngine engine(res.built.mapping);
+                engine.setLimits(res.degraded ? RunLimits{} : run);
+                engine.addBatch(res.problem.poly.terms());
+                hq = engine.finish();
+            }
+            metrics::observe("map.seconds", map_timer.seconds());
+        }
+
+        if (!config.device.empty()) {
+            // Routed hardware cost of whatever was built (any kind) on
+            // the requested device — the Table IV metric, per compile.
+            StatusOr<CouplingMap> dev = device::resolveDevice(config.device);
+            if (!dev.ok())
+                return dev.status();
+            trace::Span route_span("driver", "route");
+            metrics::ScopedTimer route_timer("route.seconds");
+            StatusOr<device::HardwareCost> cost =
+                device::evaluateHardwareCost(*hq, dev.value());
+            if (!cost.ok())
+                return cost.status();
+            res.hardwareCost = cost.value();
+        }
+
+        ensureOutDir(out_dir);
+        const fs::path dir(out_dir);
+        const std::string &stem = res.problem.stem;
         trace::Span emit_span("driver", "emit");
         saveJsonFile((dir / (stem + ".mapping.json")).string(),
                      mappingToJson(res.built.mapping));
         if (res.built.tree)
             saveJsonFile((dir / (stem + ".tree.json")).string(),
                          treeToJson(*res.built.tree));
-    }
-
-    std::optional<uint64_t> pauli_weight;
-    std::optional<uint64_t> candidates = res.built.metrics.candidates;
-
-    double map_seconds = 0.0;
-    if (emit_qubit) {
-        Timer timer;
-        std::optional<PauliSum> hq;
-        {
-            trace::Span map_span("driver", "map");
-            // Engine batch entry point over the accumulator's
-            // deduplicated monomials (mapToQubits wraps exactly this;
-            // spelled out here so the shipped driver exercises — and the
-            // hattc tests pin — the engine API itself). A degraded build
-            // runs unbounded: its budget is already spent, and the
-            // degradation contract is "always produces output".
-            QubitMappingEngine engine(res.built.mapping);
-            engine.setLimits(res.degraded ? RunLimits{} : run);
-            engine.addBatch(res.problem.poly.terms());
-            hq = engine.finish();
+        std::optional<uint64_t> pauli_weight;
+        if (emit_qubit) {
+            res.qubitMetrics = hamiltonianMetrics(*hq);
+            pauli_weight = res.qubitMetrics->pauliWeight;
+            saveJsonFile((dir / (stem + ".qubit.json")).string(),
+                         pauliSumToJson(*hq));
         }
-        map_seconds = timer.seconds();
-        metrics::observe("map.seconds", map_seconds);
-        res.qubitMetrics = hamiltonianMetrics(*hq);
-        pauli_weight = res.qubitMetrics->pauliWeight;
-        trace::Span emit_span("driver", "emit");
-        saveJsonFile((dir / (stem + ".qubit.json")).string(),
-                     pauliSumToJson(*hq));
+        res.totalSeconds = timer.seconds();
+        saveJsonFile((dir / (stem + ".metrics.json")).string(),
+                     metricsDocument(stem + "/" + kind, res.totalSeconds,
+                                     pauli_weight,
+                                     res.built.metrics.candidates,
+                                     res.built.metrics.cacheHit,
+                                     res.degraded,
+                                     res.built.metrics.cacheSeconds));
+        return res;
+    } catch (const ParseError &e) {
+        return Status::invalidArgument(e.what());
+    } catch (const DeadlineExceededError &e) {
+        return Status::deadlineExceeded(e.what());
+    } catch (const CancelledError &e) {
+        return Status::cancelled(e.what());
+    } catch (const std::bad_alloc &) {
+        return Status::resourceExhausted("out of memory");
+    } catch (const std::exception &e) {
+        return Status::internal(e.what());
     }
-
-    // Cache lookup time is part of what this compile actually cost —
-    // without it a cache hit reports ~0 s and the hit path's real cost
-    // (open, parse, validate the entry) silently vanishes.
-    res.totalSeconds = res.built.metrics.seconds +
-                       res.built.metrics.cacheSeconds + map_seconds;
-    trace::Span emit_span("driver", "emit");
-    saveJsonFile((dir / (stem + ".metrics.json")).string(),
-                 metricsDocument(stem + "/" + kind, res.totalSeconds,
-                                 pauli_weight, candidates,
-                                 res.built.metrics.cacheHit,
-                                 res.degraded,
-                                 res.built.metrics.cacheSeconds));
-    return res;
 }
 
 } // namespace hatt::io

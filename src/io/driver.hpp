@@ -5,21 +5,20 @@
  * @file
  * Single-input compile orchestration: parse a Hamiltonian file,
  * stream-preprocess it into Majorana form, build the requested mapping
- * through the MapperRegistry, map the qubit Hamiltonian, and write
- * every artifact. These are pure functions over explicit inputs — no
- * argv, no process state beyond the metrics/trace instrumentation — so
- * the CompilationService (io/service), the batch engine (io/batch) and
- * the CLI front end (io/cli) all drive exactly one pipeline.
+ * through the MapperRegistry, map the qubit Hamiltonian, route it onto
+ * a device when one is requested, and write every artifact. These are
+ * pure functions over explicit inputs — no argv, no process state
+ * beyond the metrics/trace instrumentation.
  *
- * Layering: cli -> service -> driver/batch -> MapperRegistry -> stores.
- * This header is the bottom of the io compile stack; it knows nothing
- * about requests, reports or command lines.
+ * Layering: cli / hattd / batch -> CompilationService::compile ->
+ * compileInput -> MapperRegistry -> stores. compileInput is the only
+ * code that runs a compile, and it reports failure as a Status; it
+ * knows nothing about requests, reports or command lines.
  */
 
 #include <cstdint>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "common/deadline.hpp"
@@ -69,43 +68,7 @@ InputFormat detectFormat(const std::string &path);
 std::optional<InputFormat>
 formatFromExtension(const std::filesystem::path &path);
 
-/** The compile budget expired or the run was cancelled; the CLI maps
-    this to exit 75 (EX_TEMPFAIL). */
-struct DeadlineError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/** Invariant/resource failure inside the library; exit 70. */
-struct InternalError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Build @p kind over @p problem through the MapperRegistry — the one
- * construction path every hattc command and the batch service share.
- * The store (when given) plugs in as the registry's MappingStore, so
- * cache keying, tier attribution and hit/miss accounting live behind
- * the registry.
- *
- * A non-ok Status becomes the exception matching its exit code:
- * DeadlineExceeded/Cancelled -> DeadlineError (75), Internal/
- * ResourceExhausted -> InternalError (70), everything else (unknown
- * kind, bad request, over-ceiling input) -> ParseError (65).
- *
- * @p device (canonical DeviceRegistry name, may be empty) becomes the
- * request's "device" option — but only when the mapper declares the
- * deviceAware capability, so device-independent kinds (jw, btt, ...)
- * keep device-independent cache keys under `--device`.
- */
-MappingResult buildRequestedMapping(const std::string &kind,
-                                    const LoadedProblem &problem,
-                                    MappingStore *store,
-                                    const RunLimits &limits,
-                                    const std::string &device = "");
-
-/** Budget/guard knobs shared by every compile entry point. */
+/** Budget/guard knobs of one compile. */
 struct CompileConfig
 {
     ParseLimits limits;
@@ -125,7 +88,7 @@ struct CompileOutcome
     std::optional<HamiltonianMetrics> qubitMetrics;
     /** Routed cost on CompileConfig::device (set iff a device was). */
     std::optional<device::HardwareCost> hardwareCost;
-    double totalSeconds = 0.0;
+    double totalSeconds = 0.0; //!< wall clock from compile entry to emit
     /** Construction hit its deadline and fell back to btt. */
     bool degraded = false;
 };
@@ -133,20 +96,29 @@ struct CompileOutcome
 /**
  * The full compile pipeline for one input: parse, preprocess, build the
  * mapping (consulting @p store when given), map the qubit Hamiltonian
- * (when @p emit_qubit), and write every artifact into @p out_dir.
- * Shared by the single-input commands and every batch item.
+ * once (when @p emit_qubit or a device is set), route it onto the
+ * device, and write every artifact into @p out_dir.
  *
  * The deadline (when set) covers construction AND qubit mapping; with
  * fallback a construction deadline degrades to the deterministic FH
  * ternary-tree construction (btt) — the fallback build itself runs
  * unbounded, since degradation must complete to be useful. A deadline
- * during qubit mapping always propagates (there is no cheaper way to
- * map the same Hamiltonian).
+ * during qubit mapping always fails the compile (there is no cheaper
+ * way to map the same Hamiltonian).
+ *
+ * Never throws. Registry and device statuses pass through unchanged;
+ * this is the one place on the compile path that turns what the
+ * parsers, the qubit-mapping engine and artifact I/O throw into a
+ * Status (ParseError -> InvalidArgument, DeadlineExceededError ->
+ * DeadlineExceeded, CancelledError -> Cancelled, bad_alloc ->
+ * ResourceExhausted, anything else -> Internal).
  */
-CompileOutcome compileInput(const std::string &path, InputFormat format,
-                            const std::string &kind,
-                            const std::string &out_dir, MappingStore *store,
-                            bool emit_qubit, const CompileConfig &config);
+StatusOr<CompileOutcome> compileInput(const std::string &path,
+                                      InputFormat format,
+                                      const std::string &kind,
+                                      const std::string &out_dir,
+                                      MappingStore *store, bool emit_qubit,
+                                      const CompileConfig &config);
 
 /** Create @p dir (and parents). @throws ParseError on failure. */
 void ensureOutDir(const std::string &dir);

@@ -1,8 +1,5 @@
 #include "io/service.hpp"
 
-#include <new>
-
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "device/device.hpp"
@@ -232,55 +229,41 @@ CompilationService::compile(const CompileRequest &req)
     // contract; only wall clock changes.
     ScopedParallelThreads jobs_gate(req.jobs);
 
-    try {
-        CompileOutcome res =
-            compileInput(req.path, format, req.mapping, req.outDir,
-                         store(), req.emitQubit, config);
-        CompileResponse resp;
-        resp.stem = res.problem.stem;
-        resp.inputFormat = res.problem.format;
-        resp.numModes = res.problem.numModes;
-        resp.fermionTerms = res.problem.fermionTerms;
-        resp.monomials = res.problem.poly.size();
-        resp.contentHash = res.problem.contentHash;
-        resp.numQubits = res.built.mapping.numQubits;
-        if (res.qubitMetrics) {
-            resp.pauliWeight = res.qubitMetrics->pauliWeight;
-            resp.qubitTerms = res.qubitMetrics->numTerms;
-            resp.maxImagCoeff = res.qubitMetrics->maxImagCoeff;
-        }
-        resp.candidates = res.built.metrics.candidates;
-        if (res.hardwareCost) {
-            resp.device = config.device;
-            resp.routedCnots = res.hardwareCost->cnots;
-            resp.routedU3 = res.hardwareCost->u3;
-            resp.routedDepth = res.hardwareCost->depth;
-            resp.routedSwaps = res.hardwareCost->swaps;
-        }
-        resp.cacheHit = res.built.metrics.cacheHit;
-        resp.cacheTier = res.built.metrics.cacheTier;
-        resp.degraded = res.degraded;
-        if (disk_ && disk_->wasQuarantined(res.problem.contentHash,
-                                           req.mapping))
-            resp.quarantinedCache = true;
-        resp.seconds = res.totalSeconds;
-        resp.cacheSeconds = res.built.metrics.cacheSeconds;
-        return resp;
-    } catch (const DeadlineError &e) {
-        return Status::deadlineExceeded(e.what());
-    } catch (const DeadlineExceededError &e) {
-        return Status::deadlineExceeded(e.what());
-    } catch (const CancelledError &e) {
-        return Status::cancelled(e.what());
-    } catch (const InternalError &e) {
-        return Status::internal(e.what());
-    } catch (const ParseError &e) {
-        return Status::invalidArgument(e.what());
-    } catch (const std::bad_alloc &) {
-        return Status::resourceExhausted("out of memory");
-    } catch (const std::exception &e) {
-        return Status::internal(e.what());
+    StatusOr<CompileOutcome> outcome =
+        compileInput(req.path, format, req.mapping, req.outDir, store(),
+                     req.emitQubit, config);
+    if (!outcome.ok())
+        return outcome.status();
+    const CompileOutcome &res = outcome.value();
+    CompileResponse resp;
+    resp.stem = res.problem.stem;
+    resp.inputFormat = res.problem.format;
+    resp.numModes = res.problem.numModes;
+    resp.fermionTerms = res.problem.fermionTerms;
+    resp.monomials = res.problem.poly.size();
+    resp.contentHash = res.problem.contentHash;
+    resp.numQubits = res.built.mapping.numQubits;
+    if (res.qubitMetrics) {
+        resp.pauliWeight = res.qubitMetrics->pauliWeight;
+        resp.qubitTerms = res.qubitMetrics->numTerms;
+        resp.maxImagCoeff = res.qubitMetrics->maxImagCoeff;
     }
+    resp.candidates = res.built.metrics.candidates;
+    if (res.hardwareCost) {
+        resp.device = config.device;
+        resp.routedCnots = res.hardwareCost->cnots;
+        resp.routedU3 = res.hardwareCost->u3;
+        resp.routedDepth = res.hardwareCost->depth;
+        resp.routedSwaps = res.hardwareCost->swaps;
+    }
+    resp.cacheHit = res.built.metrics.cacheHit;
+    resp.cacheTier = res.built.metrics.cacheTier;
+    resp.degraded = res.degraded;
+    resp.quarantinedCache =
+        disk_ && disk_->wasQuarantined(res.problem.contentHash, req.mapping);
+    resp.seconds = res.totalSeconds;
+    resp.cacheSeconds = res.built.metrics.cacheSeconds;
+    return resp;
 }
 
 StatusOr<BatchOutcome>
@@ -292,22 +275,27 @@ CompilationService::compileBatch(const std::string &source,
     // direct service call emits byte-identical reports to the CLI path.
     metrics::reset();
     BatchCompiler compiler(options, *this);
-    std::vector<BatchItem> items;
-    try {
-        items = compiler.discoverInputs(source);
-    } catch (const ParseError &e) {
-        return Status::invalidArgument(e.what());
-    } catch (const std::exception &e) {
-        return Status::internal(e.what());
-    }
-    if (items.empty())
+    StatusOr<std::vector<BatchItem>> items = compiler.discoverInputs(source);
+    if (!items.ok())
+        return items.status();
+    if (items->empty())
         return Status::invalidArgument(
             "no .ops/.fcidump inputs found in " + source);
 
     BatchOutcome outcome;
-    outcome.results = compiler.run(std::move(items));
+    outcome.results = compiler.run(std::move(items).value());
+    if (disk_) {
+        try {
+            disk_->flushIndex();
+        } catch (const std::exception &) {
+            // The index is advisory: a full disk or revoked permission
+            // on the cache dir must not discard a finished batch — the
+            // report still gets written and the usage log is retained
+            // for a later flush.
+        }
+    }
     for (const BatchItemResult &r : outcome.results)
-        if (!r.ok)
+        if (!r.result.ok())
             ++outcome.failed;
     outcome.report = BatchCompiler::reportDocument(outcome.results);
     outcome.stats = BatchCompiler::statsDocument(outcome.results);

@@ -5,11 +5,11 @@
  * @file
  * The transport-agnostic compilation core: a `CompilationService` owns
  * the shared store stack (in-memory TieredMappingStore over the on-disk
- * MappingCache), dispatches compile work through the MapperRegistry via
- * the io/driver pipeline, and speaks versioned, JSON-round-trippable
- * request/response structs — the intended `hattd` wire protocol v1.
- * Nothing here reads argv or writes diagnostics: the CLI front end
- * (io/cli) and any future daemon are thin shells over this surface.
+ * MappingCache), runs every compile through the io/driver pipeline, and
+ * speaks versioned, JSON-round-trippable request/response structs — the
+ * `hattd` wire protocol v1. `hattc compile`/`map`, every hattd compile
+ * frame and every `hattc batch` item reach the driver through
+ * compile(); nothing here reads argv or writes diagnostics.
  *
  *   CompilationService service({.cacheDir = "cache"});
  *   CompileRequest req;
@@ -21,9 +21,10 @@
  * staying byte-identical to the cold run (the tier memoizes exactly
  * what the build would produce).
  *
- * Errors are Status values, never exceptions: the CLI maps them to
- * sysexits through one table (io/cli's exitCodeForStatus), a daemon
- * would map them to protocol error codes.
+ * Errors are Status values, never exceptions: the driver's Status
+ * passes through unchanged, the CLI maps it to sysexits through one
+ * table (io/cli's exitCodeForStatus), hattd to wire code strings, and
+ * a batch report to its per-item status.
  */
 
 #include <cstdint>
@@ -103,7 +104,7 @@ struct CompileResponse
     std::string cacheTier;   //!< "memory" | "disk" | "" (miss/untiered)
     bool degraded = false;   //!< fell back to btt on deadline
     bool quarantinedCache = false; //!< corrupt disk entry moved aside
-    double seconds = 0.0;      //!< build + cache lookup + qubit map
+    double seconds = 0.0;      //!< wall clock of the whole compile
     double cacheSeconds = 0.0; //!< store lookup cost (serving tier)
 };
 
@@ -132,62 +133,33 @@ struct BatchItem
 struct BatchItemResult
 {
     BatchItem item;
-    bool ok = false;
-    std::string error;   //!< diagnostic when !ok
-    /** The compile budget expired (report status "timeout"; implies
-        !ok — with --fallback construction degrades instead). */
-    bool timedOut = false;
-    /** Built, but the requested kind's search ran out of budget and
-        the deterministic fallback construction was used instead
-        (report status "degraded"; counts as succeeded). */
-    bool degraded = false;
-    /** Built, but a corrupt cache entry for this item's key was moved
-        to quarantine along the way (report status "quarantined_cache";
-        counts as succeeded — the mapping was recomputed cleanly). */
-    bool quarantinedCache = false;
+    /** What CompilationService::compile returned for this item (the
+        placeholder status is overwritten by BatchCompiler::run). A
+        response with degraded set is report status "degraded", with
+        quarantinedCache "quarantined_cache"; an error is "timeout"
+        when timedOut(), else "error". */
+    StatusOr<CompileResponse> result = Status::internal("not compiled");
+    double seconds = 0.0; //!< the item's wall clock, failed items too
 
-    // Deterministic fields (batch_report.json).
-    std::string format;  //!< "ops" | "fcidump"
-    uint32_t numModes = 0;
-    size_t fermionTerms = 0;
-    size_t monomials = 0;
-    uint64_t contentHash = 0;
-    uint32_t numQubits = 0;
-    uint64_t pauliWeight = 0;
-    std::optional<uint64_t> candidates;
-    /** Canonical device name; empty = architecture-agnostic item. The
-        routed fields are set iff device is non-empty (deterministic —
-        they ride in batch_report.json, not the stats). */
-    std::string device;
-    std::optional<uint64_t> routedCnots;
-    std::optional<uint64_t> routedU3;
-    std::optional<uint64_t> routedDepth;
-    std::optional<uint64_t> routedSwaps;
-
-    // Volatile fields (batch_stats.json only — they differ between a
-    // cold and a warm run, or between machines).
-    bool cacheHit = false;
-    std::string cacheTier; //!< "memory" | "disk" | "" on a miss
-    double seconds = 0.0;
+    /** Failed because its budget expired (DeadlineExceeded or
+        Cancelled). */
+    bool
+    timedOut() const
+    {
+        const Status::Code code = result.status().code();
+        return code == Status::Code::DeadlineExceeded ||
+               code == Status::Code::Cancelled;
+    }
 };
 
 /** Batch-wide configuration. */
 struct BatchOptions
 {
     std::string outDir = "out";
-    std::string cacheDir; //!< empty = no shared disk cache
 
     /** Default mapping kinds: every discovered input fans out across all
         of them (manifest lines may override per input). */
     std::vector<std::string> mappings = {"hatt"};
-
-    /**
-     * Forced input format. Applies only to inputs without a recognized
-     * extension — a `.ops` / `.fcidump` file always parses as what its
-     * extension says, so one forced format cannot misparse a mixed
-     * corpus. Auto sniffs extension-less inputs.
-     */
-    InputFormat format = InputFormat::Auto;
 
     /** Filename/relative-path glob (`*`, `?`) filtering directory
         discovery; empty = every .ops/.fcidump. Patterns containing '/'
@@ -198,21 +170,17 @@ struct BatchOptions
         ScopedParallelThreads; 0 = inherit the pool configuration. */
     unsigned jobs = 0;
 
-    /** Hard input caps forwarded to every item's parser. */
-    ParseLimits limits;
-
-    /** Per-item compile budget in seconds; 0 = unbounded. Each work
-        item gets its own deadline, so one pathological input cannot
-        starve the rest of the corpus. */
-    double timeoutSeconds = 0.0;
-
-    /** On a construction deadline, degrade to the deterministic FH
-        ternary-tree construction (btt) instead of failing the item. */
-    bool fallback = false;
-
-    /** Canonical device name threaded into every item's compile; empty
-        = architecture-agnostic batch. */
-    std::string device;
+    /**
+     * Template for every item's compile: the format, caps, per-item
+     * budget (each item gets its own deadline, so one pathological
+     * input cannot starve the rest of the corpus), fallback and device
+     * apply to each item; path, mapping and outDir are set per item.
+     * The format applies only to inputs without a recognized
+     * extension — a `.ops` / `.fcidump` file always parses as what its
+     * extension says, so one forced format cannot misparse a mixed
+     * corpus.
+     */
+    CompileRequest request;
 };
 
 /** Everything one batch run produced: per-item results plus the two

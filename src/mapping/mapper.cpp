@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "device/device_mappers.hpp"
@@ -66,8 +65,6 @@ class FormulaMapper final : public Mapper
         : name_(std::move(name)), builder_(builder)
     {
         caps_.needsHamiltonian = false;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = false;
         caps_.vacuumPreserving = true;
         caps_.summary = std::move(summary);
@@ -99,8 +96,6 @@ class BttMapper final : public Mapper
     BttMapper()
     {
         caps_.needsHamiltonian = false;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = false;
         caps_.vacuumPreserving = true; // the default "paired" policy
         caps_.summary = "balanced ternary tree, ceil(log3(2N+1)) weight "
@@ -146,8 +141,6 @@ class HattMapper final : public Mapper
         : name_(std::move(name)), vacuumPairing_(vacuum_pairing)
     {
         caps_.needsHamiltonian = true;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = true;
         caps_.vacuumPreserving = vacuum_pairing;
         caps_.summary = std::move(summary);
@@ -220,8 +213,6 @@ class FhExactMapper final : public Mapper
     FhExactMapper()
     {
         caps_.needsHamiltonian = true;
-        caps_.deterministic = true;
-        caps_.cacheable = true;
         caps_.producesTree = false;
         caps_.vacuumPreserving = false;
         caps_.summary = "exhaustive tree search (FH-optimal stand-in), "
@@ -267,8 +258,6 @@ class FhStochMapper final : public Mapper
     FhStochMapper()
     {
         caps_.needsHamiltonian = true;
-        caps_.deterministic = true; // given the seed, for every thread count
-        caps_.cacheable = true;
         caps_.producesTree = false;
         caps_.vacuumPreserving = false;
         caps_.summary = "stochastic tree search (FH-approximate stand-in), "
@@ -291,10 +280,9 @@ class FhStochMapper final : public Mapper
         if (Status s = parseUnsignedOption(req, "sweeps", 1, 4096, sweeps);
             !s.ok())
             return s;
-        const uint64_t seed = req.seed != 0 ? req.seed : 1234;
         SearchResult res = stochasticTreeSearch(
             *req.poly, static_cast<uint32_t>(restarts),
-            static_cast<uint32_t>(sweeps), seed, req.limits);
+            static_cast<uint32_t>(sweeps), 1234, req.limits);
         MappingResult out;
         out.mapping = std::move(res.mapping);
         out.metrics.candidates = res.evaluated;
@@ -470,8 +458,7 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
     metrics::add("mapping.requests");
     trace::Span span("mapping", "build:" + mapper->name());
 
-    const bool consult_cache = cache && caps.cacheable &&
-                               req.contentHash.has_value();
+    const bool consult_cache = cache && req.contentHash.has_value();
     const uint64_t cache_key =
         consult_cache ? effectiveContentHash(req) : 0;
     double cache_seconds = 0.0;
@@ -496,10 +483,6 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
         }
         metrics::add("mapping.cache_misses");
     }
-
-    std::optional<ScopedParallelThreads> thread_scope;
-    if (req.threads != 0)
-        thread_scope.emplace(req.threads);
 
     Timer timer;
     StatusOr<MappingResult> built = [&]() -> StatusOr<MappingResult> {

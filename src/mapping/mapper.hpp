@@ -14,20 +14,21 @@
  *   StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
  *
  * A `Mapper` is a polymorphic strategy: it names itself, declares its
- * capabilities (needs-Hamiltonian vs. modes-only, deterministic,
- * cacheable, produces a tree, vacuum-preserving), and builds a
- * `MappingResult` from a `MappingRequest`. The process-wide
- * `MapperRegistry` owns one instance per kind, self-registers the five
- * built-ins (jw, bk, btt, hatt, hatt-unopt), dispatches by
- * (case-insensitive) kind string, and layers content-addressed caching
- * over any cacheable mapper through the `MappingStore` hook — so the
- * compiler driver, the batch service and the benchmarks all share one
- * construction, validation and caching path.
+ * capabilities (needs-Hamiltonian vs. modes-only, produces a tree,
+ * vacuum-preserving, device-aware), and builds a `MappingResult` from a
+ * `MappingRequest`. Every mapper is deterministic and cacheable. The
+ * process-wide `MapperRegistry` owns one instance per kind,
+ * self-registers the built-ins, dispatches by (case-insensitive) kind
+ * string, and layers content-addressed caching over every mapper
+ * through the `MappingStore` hook — so the compiler driver, the batch
+ * service and the benchmarks all share one construction, validation
+ * and caching path.
  *
- * Errors are Status/StatusOr values, not exceptions: an unknown kind, a
- * missing Hamiltonian, or a bad option bag comes back as a descriptive
- * non-ok Status the caller can surface (the CLI turns them into exit-2
- * diagnostics; the batch compiler into per-item report rows).
+ * Errors are Status/StatusOr values (common/status.hpp, included here),
+ * not exceptions: an unknown kind, a missing Hamiltonian, or a bad
+ * option bag comes back as a descriptive non-ok Status that travels
+ * unchanged through the compile driver and the CompilationService to
+ * the CLI exit code, the wire frame or the batch report row.
  */
 
 #include <cstdint>
@@ -40,108 +41,12 @@
 #include <vector>
 
 #include "common/deadline.hpp"
+#include "common/status.hpp"
 #include "fermion/majorana.hpp"
 #include "mapping/mapping.hpp"
 #include "tree/ternary_tree.hpp"
 
 namespace hatt {
-
-// ----------------------------------------------------------------- status
-
-/** Expected-style error value for the mapper API (no exceptions). */
-class Status
-{
-  public:
-    enum class Code
-    {
-        Ok,
-        InvalidArgument, //!< bad request field / option bag entry
-        NotFound,        //!< unknown mapper kind
-        AlreadyExists,   //!< duplicate registration
-        Internal,        //!< construction failed unexpectedly
-        DeadlineExceeded,  //!< RunLimits time budget expired mid-build
-        Cancelled,         //!< CancelToken fired mid-build
-        ResourceExhausted, //!< allocation failed / a hard cap was hit
-    };
-
-    Status() = default;
-    Status(Code code, std::string message)
-        : code_(code), message_(std::move(message))
-    {
-    }
-
-    static Status
-    invalidArgument(std::string msg)
-    {
-        return {Code::InvalidArgument, std::move(msg)};
-    }
-    static Status
-    notFound(std::string msg)
-    {
-        return {Code::NotFound, std::move(msg)};
-    }
-    static Status
-    alreadyExists(std::string msg)
-    {
-        return {Code::AlreadyExists, std::move(msg)};
-    }
-    static Status
-    internal(std::string msg)
-    {
-        return {Code::Internal, std::move(msg)};
-    }
-    static Status
-    deadlineExceeded(std::string msg)
-    {
-        return {Code::DeadlineExceeded, std::move(msg)};
-    }
-    static Status
-    cancelled(std::string msg)
-    {
-        return {Code::Cancelled, std::move(msg)};
-    }
-    static Status
-    resourceExhausted(std::string msg)
-    {
-        return {Code::ResourceExhausted, std::move(msg)};
-    }
-
-    bool ok() const { return code_ == Code::Ok; }
-    Code code() const { return code_; }
-    const std::string &message() const { return message_; }
-
-  private:
-    Code code_ = Code::Ok;
-    std::string message_;
-};
-
-/**
- * A Status or a value. Callers check ok() before value(); accessing the
- * value of a non-ok result (or the status of an ok one carrying no
- * message) is a programming error guarded by assertions in debug builds.
- */
-template <typename T> class StatusOr
-{
-  public:
-    StatusOr(Status status) : status_(std::move(status)) {}
-    StatusOr(T value) : value_(std::move(value)) {}
-
-    bool ok() const { return value_.has_value(); }
-    explicit operator bool() const { return ok(); }
-
-    const Status &status() const { return status_; }
-
-    T &value() & { return *value_; }
-    const T &value() const & { return *value_; }
-    T &&value() && { return std::move(*value_); }
-
-    T *operator->() { return &*value_; }
-    const T *operator->() const { return &*value_; }
-
-  private:
-    Status status_ = Status();
-    std::optional<T> value_;
-};
 
 // ---------------------------------------------------------------- request
 
@@ -160,14 +65,6 @@ struct MappingRequest
 
     /** Per-kind option bag; unknown keys are InvalidArgument. */
     std::map<std::string, std::string> options;
-
-    uint64_t seed = 0;       //!< for randomized mappers (unused by built-ins)
-
-    /** Worker-count hint for this build; 0 = inherit the pool config.
-        Best effort (ScopedParallelThreads): skipped when the build is
-        already running inside a parallel region, and not meaningful on
-        concurrent top-level builds with different hints. */
-    unsigned threads = 0;
 
     /**
      * Content hash of the canonical Majorana form (io::majoranaContentHash)
@@ -220,8 +117,6 @@ struct MappingResult
 struct MapperCapabilities
 {
     bool needsHamiltonian = false; //!< requires MappingRequest::poly
-    bool deterministic = true;     //!< same request -> bit-identical result
-    bool cacheable = true;         //!< content-addressed caching is sound
     bool producesTree = false;     //!< MappingResult::tree is populated
     bool vacuumPreserving = true;  //!< a_j|0...0> = 0 for every mode
     /** Consumes the "device" option (a DeviceRegistry name): the tree
@@ -256,9 +151,9 @@ class Mapper
 
 /**
  * Content-addressed persistence hook: implemented by io::MappingCache,
- * or by tests with an in-memory map. The registry consults it for any
- * cacheable mapper when the request carries a content hash, so every
- * such mapper gets caching for free.
+ * or by tests with an in-memory map. The registry consults it whenever
+ * the request carries a content hash, so every mapper gets caching for
+ * free.
  */
 class MappingStore
 {
@@ -323,8 +218,8 @@ class MapperRegistry
 
     /**
      * Validate @p req, dispatch to the mapper, and (when @p cache is
-     * given, the mapper is cacheable and the request carries a content
-     * hash) consult/populate the store. Metrics carry wall clock and
+     * given and the request carries a content hash) consult/populate
+     * the store. Metrics carry wall clock and
      * cache provenance. Never throws: construction failures surface as
      * non-ok Status.
      */

@@ -7,7 +7,7 @@
  * map) layered in front of an optional durable backing store (the
  * on-disk io::MappingCache in the shipped stack). Implements the same
  * `MappingStore` interface the MapperRegistry consults, so every
- * cacheable mapper gets both tiers for free:
+ * mapper gets both tiers for free:
  *
  *   load():  memory first; on a memory miss the backing store is
  *            consulted and a backing hit is PROMOTED into memory, so a

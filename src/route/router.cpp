@@ -7,19 +7,11 @@
 namespace hatt {
 
 std::vector<int>
-greedyLayout(const Circuit &logical, const CouplingMap &device)
+degreeOrderedLayout(const std::vector<uint64_t> &degree,
+                    const CouplingMap &device)
 {
-    const uint32_t nl = logical.numQubits();
+    const uint32_t nl = static_cast<uint32_t>(degree.size());
     const uint32_t np = device.numQubits();
-
-    // Interaction degree per logical qubit.
-    std::vector<uint64_t> degree(nl, 0);
-    for (const auto &g : logical.gates()) {
-        if (g.isTwoQubit()) {
-            ++degree[g.q0];
-            ++degree[g.q1];
-        }
-    }
     std::vector<int> logical_order(nl);
     std::iota(logical_order.begin(), logical_order.end(), 0);
     std::stable_sort(logical_order.begin(), logical_order.end(),
@@ -46,6 +38,19 @@ greedyLayout(const Circuit &logical, const CouplingMap &device)
     for (uint32_t i = 0; i < nl; ++i)
         layout[logical_order[i]] = physical_order[i];
     return layout;
+}
+
+std::vector<int>
+greedyLayout(const Circuit &logical, const CouplingMap &device)
+{
+    std::vector<uint64_t> degree(logical.numQubits(), 0);
+    for (const auto &g : logical.gates()) {
+        if (g.isTwoQubit()) {
+            ++degree[g.q0];
+            ++degree[g.q1];
+        }
+    }
+    return degreeOrderedLayout(degree, device);
 }
 
 RoutedCircuit

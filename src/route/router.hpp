@@ -24,9 +24,16 @@ struct RoutedCircuit
 };
 
 /**
- * Greedy initial layout: logical qubits in decreasing interaction degree
- * are placed BFS-outward from the device's highest-degree qubit.
+ * Degree-ordered layout: logical qubits in decreasing @p degree (stable,
+ * so ties keep index order) are placed BFS-outward from the device's
+ * highest-degree qubit. The one placement rule shared by the router and
+ * the routed-cost estimate. Requires degree.size() <= device qubits.
  */
+std::vector<int> degreeOrderedLayout(const std::vector<uint64_t> &degree,
+                                     const CouplingMap &device);
+
+/** Greedy initial layout: degreeOrderedLayout over each logical qubit's
+    two-qubit gate count in @p logical. */
 std::vector<int> greedyLayout(const Circuit &logical,
                               const CouplingMap &device);
 

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
@@ -629,8 +630,6 @@ TEST(Hattc, MappingsSubcommandListsTheRegistry)
     for (size_t i = 0; i < arr.size(); ++i) {
         const JsonValue &rec = arr.at(i);
         EXPECT_EQ(rec.at("name").asString(), io::hattcMappingKinds()[i]);
-        EXPECT_TRUE(rec.at("deterministic").asBool());
-        EXPECT_TRUE(rec.at("cacheable").asBool());
     }
     // Capability spot checks: hatt is Hamiltonian-adaptive and emits a
     // tree; jw is modes-only.
@@ -703,7 +702,8 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
     // unsorted caller-supplied list must not race on one output dir.
     io::BatchOptions bopt;
     bopt.outDir = (dir / "out3").string();
-    io::BatchCompiler compiler(bopt);
+    io::CompilationService service;
+    io::BatchCompiler compiler(bopt, service);
     auto item = [&](const std::string &p) {
         io::BatchItem it;
         it.path = p;
@@ -715,10 +715,13 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
                                  item(dataFile("h2.ops")),
                                  item(dataFile("eq3.ops"))});
     ASSERT_EQ(results.size(), 3u);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_TRUE(results[1].ok);
-    EXPECT_FALSE(results[2].ok);
-    EXPECT_NE(results[2].error.find("duplicate"), std::string::npos);
+    EXPECT_TRUE(results[0].result.ok());
+    EXPECT_TRUE(results[1].result.ok());
+    ASSERT_FALSE(results[2].result.ok());
+    EXPECT_EQ(results[2].result.status().code(),
+              Status::Code::AlreadyExists);
+    EXPECT_NE(results[2].result.status().message().find("duplicate"),
+              std::string::npos);
     fs::remove_all(dir);
 }
 
@@ -1063,6 +1066,28 @@ TEST(Hattc, DeviceAwareCompileReportsRoutedCost)
                   &text),
               0);
     EXPECT_EQ(text.find("device:"), std::string::npos) << text;
+    fs::remove_all(dir);
+}
+
+TEST(Hattc, DeviceCompileMapsTheQubitHamiltonianOnce)
+{
+    // The routed cost reads the same qubit Hamiltonian the compile
+    // emits, so adding --device must not map it a second time: the
+    // deterministic map.monomials counter matches the agnostic compile.
+    const std::string input = dataFile("eq3.ops");
+    fs::path dir = scratchDir("devicemaponce");
+    auto monomials_mapped = [&](std::vector<std::string> args) {
+        std::string text;
+        EXPECT_EQ(run(args, &text), 0) << text;
+        return metrics::snapshot().counters["map.monomials"];
+    };
+    const uint64_t plain = monomials_mapped(
+        {"compile", input, "--mapping", "jw", "-o", (dir / "p").string()});
+    const uint64_t routed = monomials_mapped(
+        {"compile", input, "--mapping", "jw", "--device", "line:8", "-o",
+         (dir / "d").string()});
+    EXPECT_GT(plain, 0u);
+    EXPECT_EQ(routed, plain);
     fs::remove_all(dir);
 }
 

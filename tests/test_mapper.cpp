@@ -224,19 +224,6 @@ TEST(MapperRegistry, BttAssignmentOptionSelectsPolicy)
     EXPECT_FALSE(preservesVacuum(built->mapping));
 }
 
-TEST(MapperRegistry, ThreadsHintIsScopedToTheBuild)
-{
-    setParallelThreads(3);
-    MajoranaPolynomial poly = testPoly(4);
-    MappingRequest req = requestFor("hatt", poly);
-    req.threads = 1;
-    StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
-    ASSERT_TRUE(built.ok());
-    // The hint must not leak into the process-wide pool config.
-    EXPECT_EQ(parallelThreads(), 3u);
-    setParallelThreads(0);
-}
-
 // ------------------------------------------------------------- the store
 
 /** In-memory MappingStore counting loads/saves. */

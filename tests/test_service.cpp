@@ -23,6 +23,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "fermion/fermion_op.hpp"
 #include "io/batch.hpp"
@@ -382,6 +383,42 @@ TEST(Service, CompileWithoutArgvAndMemoizeInProcess)
     ASSERT_FALSE(fmt.ok());
     EXPECT_EQ(fmt.status().code(), Status::Code::InvalidArgument);
 
+    fs::remove_all(dir);
+}
+
+TEST(Service, SecondsIsTheWallClockOfTheWholeCompile)
+{
+    // A generated input whose parse + preprocess dwarf a JW build:
+    // `seconds` must cover them, not just build + lookup + map.
+    fs::path dir = scratchDir("seconds");
+    const std::string input = (dir / "chain16.ops").string();
+    {
+        std::ofstream os(input);
+        os << "modes 16\n";
+        for (int i = 0; i < 16; ++i)
+            for (int j = 0; j < 16; ++j)
+                os << "0.25 [" << i << "^ " << j << "]\n";
+    }
+    CompilationService service(ServiceConfig{});
+    CompileRequest req;
+    req.path = input;
+    req.mapping = "jw";
+    req.emitQubit = false;
+    req.outDir = (dir / "out").string();
+    metrics::reset();
+    StatusOr<CompileResponse> resp = service.compile(req);
+    ASSERT_TRUE(resp.ok()) << resp.status().message();
+    const metrics::Snapshot snap = metrics::snapshot();
+    const double parse = snap.timings.at("parse.seconds").total;
+    const double preprocess = snap.timings.at("preprocess.seconds").total;
+    EXPECT_GE(resp->seconds, parse + preprocess);
+
+    // The metrics artifact records the same wall clock.
+    JsonValue rec = io::loadJsonFile((dir / "out/chain16.metrics.json")
+                                         .string())
+                        .at("records")
+                        .at(size_t{0});
+    EXPECT_EQ(rec.at("seconds").asNumber(), resp->seconds);
     fs::remove_all(dir);
 }
 
