@@ -15,8 +15,8 @@
  *
  *     point=action[@N[+]][~P]
  *
- *  - point:   dotted site name (cache.write, cache.read, parse.alloc,
- *             pool.dispatch, ...). Unknown names are legal — a rule
+ *  - point:   dotted site name (cache.write, cache.read, emit.write,
+ *             parse.alloc, pool.dispatch, ...). Unknown names are legal — a rule
  *             simply never fires if nothing queries its point.
  *  - action:  "fail" (the site reports a clean failure on its normal
  *             error path) or "throw" (the site throws the exception

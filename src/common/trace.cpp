@@ -2,17 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/buildinfo.hpp"
+#include "common/json_writer.hpp"
 
 namespace hatt::trace {
 
@@ -137,39 +135,6 @@ record(char phase, const char *category, std::string name, double ts_us)
         Event{std::move(name), category, phase, ts_us, buf.tid});
 }
 
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-/** Locale-independent shortest round-trip double (as io/json writes). */
-void
-appendDouble(std::string &out, double value)
-{
-    char buf[64];
-    auto res = std::to_chars(buf, buf + sizeof(buf), value);
-    out.append(buf, res.ptr);
-}
-
 } // namespace
 
 bool
@@ -243,28 +208,6 @@ flush()
                          return a.tsUs < b.tsUs;
                      });
 
-    std::string out;
-    out.reserve(events.size() * 96 + 512);
-    out += "{\n\"traceEvents\": [";
-    bool first = true;
-    for (const Event &e : events) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "{\"name\": \"";
-        appendEscaped(out, e.name);
-        out += "\", \"cat\": \"";
-        appendEscaped(out, e.category);
-        out += "\", \"ph\": \"";
-        out += e.phase;
-        out += "\", \"ts\": ";
-        appendDouble(out, e.tsUs);
-        out += ", \"pid\": 1, \"tid\": ";
-        out += std::to_string(e.tid);
-        if (e.phase == 'i')
-            out += ", \"s\": \"t\"";
-        out += "}";
-    }
-    out += "\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {";
     std::map<std::string, std::string> meta;
     meta["git_sha"] = buildinfo::kGitSha;
     meta["compiler"] = buildinfo::kCompiler;
@@ -272,24 +215,45 @@ flush()
     meta["flags"] = buildinfo::kFlags;
     for (const auto &[key, value] : r.metadata)
         meta[key] = value;
-    first = true;
-    for (const auto &[key, value] : meta) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "\"";
-        appendEscaped(out, key);
-        out += "\": \"";
-        appendEscaped(out, value);
-        out += "\"";
-    }
-    out += "\n}\n}\n";
 
-    std::ofstream file(r.path, std::ios::binary | std::ios::trunc);
-    if (!file)
+    // One event per line: a compact layout of its own, written through
+    // the JsonWriter's top-level values.
+    try {
+        writeJsonFile(r.path, -1, /*durable=*/false, [&](JsonWriter &w) {
+            w.raw("{\n\"traceEvents\": [");
+            bool first = true;
+            for (const Event &e : events) {
+                w.raw(first ? "\n" : ",\n");
+                first = false;
+                w.raw("{\"name\": ");
+                w.string(e.name);
+                w.raw(", \"cat\": ");
+                w.string(e.category);
+                w.raw(", \"ph\": ");
+                w.string(std::string_view(&e.phase, 1));
+                w.raw(", \"ts\": ");
+                w.number(e.tsUs);
+                w.raw(", \"pid\": 1, \"tid\": ");
+                w.number(e.tid);
+                if (e.phase == 'i')
+                    w.raw(", \"s\": \"t\"");
+                w.raw("}");
+            }
+            w.raw("\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {");
+            first = true;
+            for (const auto &[key, value] : meta) {
+                w.raw(first ? "\n" : ",\n");
+                first = false;
+                w.string(key);
+                w.raw(": ");
+                w.string(value);
+            }
+            w.raw("\n}\n}\n");
+        });
+    } catch (const std::exception &) {
         return false;
-    file.write(out.data(), static_cast<std::streamsize>(out.size()));
-    file.flush();
-    return file.good();
+    }
+    return true;
 }
 
 void

@@ -6,11 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <ctime>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -176,35 +175,19 @@ class FileLock
 };
 
 /**
- * Write @p text to @p path and fsync it before returning, so the
+ * Stream @p body into @p path and fsync it before returning, so the
  * subsequent rename can never publish a name pointing at data the disk
- * hasn't seen (the power-loss hole of plain ofstream + rename).
+ * hasn't seen (the power-loss hole of a plain write + rename).
  */
 void
-writeFileDurable(const std::string &path, const std::string &text)
+writeFileDurable(const std::string &path,
+                 const std::function<void(JsonWriter &)> &body)
 {
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-        throw ParseError("cannot open file for writing: " + path);
-    size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n =
-            ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            throw ParseError("write failed: " + path);
-        }
-        off += static_cast<size_t>(n);
+    try {
+        writeJsonFile(path, 2, /*durable=*/true, body);
+    } catch (const std::system_error &e) {
+        throw ParseError(std::string("write failed: ") + e.what());
     }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        throw ParseError("fsync failed: " + path);
-    }
-    if (::close(fd) != 0)
-        throw ParseError("close failed: " + path);
 }
 
 /** Best-effort directory fsync: makes a completed rename durable. */
@@ -377,17 +360,6 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
         throw ParseError("cannot create cache directory " + dir_ + ": " +
                          ec.message());
 
-    JsonValue doc = JsonValue::object();
-    doc.add("format", "hatt-cache");
-    doc.add("version", kCacheVersion);
-    doc.add("content_hash", hashToHex(content_hash));
-    doc.add("kind", kind);
-    doc.add("mapping", mappingToJson(mapping));
-    if (tree)
-        doc.add("tree", treeToJson(*tree));
-    if (candidates)
-        doc.add("candidates", *candidates);
-
     // Serialize concurrent writers (advisory, best-effort on
     // contention — see FileLock).
     FileLock lock((fs::path(dir_) / kLockFile).string());
@@ -398,10 +370,8 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
     // complete file, last rename wins, and a power cut can only leave
     // the old entry or the new one, never a torn file under the live
     // name.
-    static std::atomic<uint64_t> counter{0};
     const std::string path = entryPath(content_hash, kind);
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                            "." + std::to_string(counter.fetch_add(1));
+    const std::string tmp = tmpPathFor(path);
     // Injection point: Throw dies before touching disk; Fail dies
     // between the temp write and the publish rename, leaving exactly
     // the debris an interrupted writer would (gc() cleans it up).
@@ -409,7 +379,28 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
     if (write_fault == fault::Action::Throw)
         throw ParseError("cannot write cache entry " + path +
                          " (fault injected: cache.write)");
-    writeFileDurable(tmp, doc.dump(2));
+    writeFileDurable(tmp, [&](JsonWriter &w) {
+        w.beginObject();
+        w.key("format");
+        w.string("hatt-cache");
+        w.key("version");
+        w.number(kCacheVersion);
+        w.key("content_hash");
+        w.string(hashToHex(content_hash));
+        w.key("kind");
+        w.string(kind);
+        w.key("mapping");
+        writeMappingJson(w, mapping);
+        if (tree) {
+            w.key("tree");
+            writeTreeJson(w, *tree);
+        }
+        if (candidates) {
+            w.key("candidates");
+            w.number(static_cast<double>(*candidates));
+        }
+        w.endObject();
+    });
     if (write_fault == fault::Action::Fail)
         throw ParseError("cannot publish cache entry " + path +
                          " (fault injected: cache.write)");
@@ -578,11 +569,8 @@ writeIndexFile(const std::string &dir, const std::string &index_path,
     // temp, atomic rename (the index is advisory, but a torn index
     // would masquerade as drift to --check).
     FileLock lock((fs::path(dir) / kLockFile).string());
-    static std::atomic<uint64_t> counter{0};
-    const std::string tmp = index_path + ".tmp." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(counter.fetch_add(1));
-    writeFileDurable(tmp, doc.dump(2));
+    const std::string tmp = tmpPathFor(index_path);
+    writeFileDurable(tmp, [&](JsonWriter &w) { doc.writeTo(w); });
     std::error_code ec;
     fs::rename(tmp, index_path, ec);
     if (ec) {

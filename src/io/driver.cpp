@@ -166,30 +166,6 @@ workloadCountersDocument(const metrics::Snapshot &snap)
     return doc;
 }
 
-JsonValue
-metricsDocument(const std::string &name, double seconds,
-                std::optional<uint64_t> pauli_weight,
-                std::optional<uint64_t> candidates, bool cache_hit,
-                bool degraded, double cache_seconds)
-{
-    JsonValue rec = JsonValue::object();
-    rec.add("name", name);
-    rec.add("seconds", seconds);
-    rec.add("cache_seconds", cache_seconds);
-    rec.add("pauli_weight",
-            pauli_weight ? JsonValue(*pauli_weight) : JsonValue(nullptr));
-    rec.add("candidates",
-            candidates ? JsonValue(*candidates) : JsonValue(nullptr));
-    rec.add("cache_hit", cache_hit);
-    rec.add("degraded", degraded);
-    JsonValue records = JsonValue::array();
-    records.push(std::move(rec));
-    JsonValue doc = JsonValue::object();
-    doc.add("benchmark", "hattc");
-    doc.add("records", std::move(records));
-    return doc;
-}
-
 void
 ensureOutDir(const std::string &dir)
 {
@@ -201,6 +177,44 @@ ensureOutDir(const std::string &dir)
 }
 
 namespace {
+
+/** Stream the BENCH_*.json record shape (see bench/README.md). */
+void
+writeMetricsJson(JsonWriter &w, const std::string &name, double seconds,
+                 std::optional<uint64_t> pauli_weight,
+                 std::optional<uint64_t> candidates, bool cache_hit,
+                 bool degraded, double cache_seconds)
+{
+    auto optional = [&](const std::optional<uint64_t> &v) {
+        if (v)
+            w.number(static_cast<double>(*v));
+        else
+            w.null();
+    };
+    w.beginObject();
+    w.key("benchmark");
+    w.string("hattc");
+    w.key("records");
+    w.beginArray();
+    w.beginObject();
+    w.key("name");
+    w.string(name);
+    w.key("seconds");
+    w.number(seconds);
+    w.key("cache_seconds");
+    w.number(cache_seconds);
+    w.key("pauli_weight");
+    optional(pauli_weight);
+    w.key("candidates");
+    optional(candidates);
+    w.key("cache_hit");
+    w.boolean(cache_hit);
+    w.key("degraded");
+    w.boolean(degraded);
+    w.endObject();
+    w.endArray();
+    w.endObject();
+}
 
 /** Build @p kind over @p problem through the MapperRegistry. @p device
     becomes the request's "device" option only for deviceAware mappers,
@@ -296,27 +310,33 @@ compileInput(const std::string &path, InputFormat format,
         ensureOutDir(out_dir);
         const fs::path dir(out_dir);
         const std::string &stem = res.problem.stem;
+        auto artifact = [&](const char *suffix) {
+            return (dir / (stem + suffix)).string();
+        };
         trace::Span emit_span("driver", "emit");
-        saveJsonFile((dir / (stem + ".mapping.json")).string(),
-                     mappingToJson(res.built.mapping));
+        metrics::ScopedTimer emit_timer("emit.seconds");
+        publishJsonFile(artifact(".mapping.json"), [&](JsonWriter &w) {
+            writeMappingJson(w, res.built.mapping);
+        });
         if (res.built.tree)
-            saveJsonFile((dir / (stem + ".tree.json")).string(),
-                         treeToJson(*res.built.tree));
+            publishJsonFile(artifact(".tree.json"), [&](JsonWriter &w) {
+                writeTreeJson(w, *res.built.tree);
+            });
         std::optional<uint64_t> pauli_weight;
         if (emit_qubit) {
             res.qubitMetrics = hamiltonianMetrics(*hq);
             pauli_weight = res.qubitMetrics->pauliWeight;
-            saveJsonFile((dir / (stem + ".qubit.json")).string(),
-                         pauliSumToJson(*hq));
+            publishJsonFile(artifact(".qubit.json"), [&](JsonWriter &w) {
+                writePauliSumJson(w, *hq);
+            });
         }
         res.totalSeconds = timer.seconds();
-        saveJsonFile((dir / (stem + ".metrics.json")).string(),
-                     metricsDocument(stem + "/" + kind, res.totalSeconds,
-                                     pauli_weight,
-                                     res.built.metrics.candidates,
-                                     res.built.metrics.cacheHit,
-                                     res.degraded,
-                                     res.built.metrics.cacheSeconds));
+        publishJsonFile(artifact(".metrics.json"), [&](JsonWriter &w) {
+            writeMetricsJson(w, stem + "/" + kind, res.totalSeconds,
+                             pauli_weight, res.built.metrics.candidates,
+                             res.built.metrics.cacheHit, res.degraded,
+                             res.built.metrics.cacheSeconds);
+        });
         return res;
     } catch (const ParseError &e) {
         return Status::invalidArgument(e.what());

@@ -147,13 +147,6 @@ JsonValue metricsSectionsDocument(const metrics::Snapshot &snap);
  */
 JsonValue workloadCountersDocument(const metrics::Snapshot &snap);
 
-/** BENCH_*.json record shape (see bench/README.md). */
-JsonValue metricsDocument(const std::string &name, double seconds,
-                          std::optional<uint64_t> pauli_weight,
-                          std::optional<uint64_t> candidates,
-                          bool cache_hit, bool degraded,
-                          double cache_seconds);
-
 } // namespace hatt::io
 
 #endif // HATT_IO_DRIVER_HPP

@@ -1,13 +1,15 @@
 #include "io/json.hpp"
 
+#include "common/json_writer.hpp"
+
 #include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
 
 namespace hatt::io {
@@ -300,34 +302,6 @@ class Parser
     size_t pos_ = 0;
 };
 
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out.push_back('"');
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    out.push_back('"');
-}
-
 } // namespace
 
 const char *
@@ -396,21 +370,8 @@ jsonNumberToString(double value)
 {
     if (!std::isfinite(value))
         throw ParseError("cannot serialize non-finite number");
-    // Integral values within the exact-double range print without a
-    // fraction; everything else uses 17 significant digits, which
-    // from_chars round-trips bit-exactly. to_chars always emits the C
-    // locale's '.' — snprintf("%.17g") honors LC_NUMERIC, so under a
-    // comma-decimal locale it would emit invalid JSON.
-    char buf[64];
-    std::to_chars_result r =
-        value == std::floor(value) && std::abs(value) < 1e15
-            ? std::to_chars(buf, buf + sizeof(buf), value,
-                            std::chars_format::fixed, 0)
-            : std::to_chars(buf, buf + sizeof(buf), value,
-                            std::chars_format::general, 17);
-    if (r.ec != std::errc{})
-        throw ParseError("cannot serialize number");
-    return std::string(buf, r.ptr);
+    char buf[kMaxJsonNumberChars];
+    return std::string(buf, formatJsonNumber(buf, value));
 }
 
 bool
@@ -518,58 +479,34 @@ JsonValue::push(JsonValue value)
 }
 
 void
-JsonValue::dumpTo(std::string &out, int indent, int depth) const
+JsonValue::writeTo(JsonWriter &w) const
 {
-    auto newline = [&](int level) {
-        if (indent < 0)
-            return;
-        out.push_back('\n');
-        out.append(static_cast<size_t>(indent) * level, ' ');
-    };
     switch (kind_) {
     case Kind::Null:
-        out += "null";
+        w.null();
         break;
     case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        w.boolean(bool_);
         break;
     case Kind::Number:
-        out += jsonNumberToString(num_);
+        w.number(num_);
         break;
     case Kind::String:
-        appendEscaped(out, str_);
+        w.string(str_);
         break;
     case Kind::Array:
-        if (arr_.empty()) {
-            out += "[]";
-            break;
-        }
-        out.push_back('[');
-        for (size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            newline(depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
-        }
-        newline(depth);
-        out.push_back(']');
+        w.beginArray();
+        for (const JsonValue &v : arr_)
+            v.writeTo(w);
+        w.endArray();
         break;
     case Kind::Object:
-        if (obj_.empty()) {
-            out += "{}";
-            break;
+        w.beginObject();
+        for (const auto &[key, v] : obj_) {
+            w.key(key);
+            v.writeTo(w);
         }
-        out.push_back('{');
-        for (size_t i = 0; i < obj_.size(); ++i) {
-            if (i)
-                out.push_back(',');
-            newline(depth + 1);
-            appendEscaped(out, obj_[i].first);
-            out += indent < 0 ? ":" : ": ";
-            obj_[i].second.dumpTo(out, indent, depth + 1);
-        }
-        newline(depth);
-        out.push_back('}');
+        w.endObject();
         break;
     }
 }
@@ -577,11 +514,14 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
 std::string
 JsonValue::dump(int indent) const
 {
-    std::string out;
-    dumpTo(out, indent, 0);
-    if (indent >= 0)
-        out.push_back('\n');
-    return out;
+    JsonWriter w(indent);
+    try {
+        writeTo(w);
+    } catch (const std::domain_error &e) {
+        throw ParseError(e.what());
+    }
+    w.finish();
+    return w.take();
 }
 
 JsonValue

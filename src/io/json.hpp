@@ -3,10 +3,11 @@
 
 /**
  * @file
- * Minimal self-contained JSON value / parser / writer used by the io
- * subsystem (serialized trees, mappings, qubit Hamiltonians, the mapping
- * cache and the `hattc` driver). No external dependencies; numbers are
- * IEEE doubles written with enough digits (17 significant) to round-trip
+ * Minimal self-contained JSON value / parser used by the io subsystem
+ * (serialized trees, mappings, qubit Hamiltonians, the mapping cache and
+ * the `hattc` driver). No external dependencies; dump() renders through
+ * the one JsonWriter (common/json_writer.hpp), whose numbers are IEEE
+ * doubles written with enough digits (17 significant) to round-trip
  * bit-exactly, which the serialization tests rely on.
  */
 
@@ -18,6 +19,10 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+namespace hatt {
+class JsonWriter;
+}
 
 namespace hatt::io {
 
@@ -115,8 +120,12 @@ class JsonValue
     /**
      * Serialize. @p indent < 0 emits compact one-line JSON; >= 0 pretty
      * prints with that many spaces per level.
+     * @throws ParseError on a non-finite number.
      */
     std::string dump(int indent = -1) const;
+
+    /** Stream this value through @p w (the body of dump()). */
+    void writeTo(JsonWriter &w) const;
 
     /** Parse a complete document; trailing garbage is an error. */
     static JsonValue parse(const std::string &text);
@@ -124,8 +133,6 @@ class JsonValue
 
   private:
     explicit JsonValue(Kind kind) : kind_(kind) {}
-
-    void dumpTo(std::string &out, int indent, int depth) const;
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;

@@ -1,13 +1,20 @@
 #include "io/serialize.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <new>
+
+#include "common/fault.hpp"
 #include "mapping/hatt_counts.hpp" // detail::splitmix64
 
 namespace hatt::io {
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -50,6 +57,31 @@ termToJson(const PauliTerm &term)
     t.add("coeff", complexToJson(term.coeff));
     t.add("pauli", term.string.toString());
     return t;
+}
+
+/** Open the document object with its envelope; the caller closes it. */
+void
+writeEnvelope(JsonWriter &w, const char *format, int version)
+{
+    w.beginObject();
+    w.key("format");
+    w.string(format);
+    w.key("version");
+    w.number(version);
+}
+
+void
+writeTermJson(JsonWriter &w, const PauliTerm &term)
+{
+    w.beginObject();
+    w.key("coeff");
+    w.beginArray();
+    w.number(term.coeff.real());
+    w.number(term.coeff.imag());
+    w.endArray();
+    w.key("pauli");
+    term.string.writeLabel(w.stringSlot(term.string.numQubits()));
+    w.endObject();
 }
 
 PauliTerm
@@ -105,6 +137,27 @@ treeToJson(const TernaryTree &tree)
     }
     doc.add("internal", std::move(internal));
     return doc;
+}
+
+void
+writeTreeJson(JsonWriter &w, const TernaryTree &tree)
+{
+    writeEnvelope(w, "hatt-tree", kTreeVersion);
+    w.key("num_modes");
+    w.number(tree.numModes());
+    w.key("internal");
+    w.beginArray();
+    for (size_t id = tree.numLeaves(); id < tree.numNodes(); ++id) {
+        const TreeNode &n = tree.node(static_cast<int>(id));
+        w.beginArray();
+        w.number(n.qubit);
+        w.number(n.child[BranchX]);
+        w.number(n.child[BranchY]);
+        w.number(n.child[BranchZ]);
+        w.endArray();
+    }
+    w.endArray();
+    w.endObject();
 }
 
 TernaryTree
@@ -163,6 +216,24 @@ mappingToJson(const FermionQubitMapping &map)
     return doc;
 }
 
+void
+writeMappingJson(JsonWriter &w, const FermionQubitMapping &map)
+{
+    writeEnvelope(w, "hatt-mapping", kMappingVersion);
+    w.key("name");
+    w.string(map.name);
+    w.key("num_modes");
+    w.number(map.numModes);
+    w.key("num_qubits");
+    w.number(map.numQubits);
+    w.key("majorana");
+    w.beginArray();
+    for (const PauliTerm &t : map.majorana)
+        writeTermJson(w, t);
+    w.endArray();
+    w.endObject();
+}
+
 FermionQubitMapping
 mappingFromJson(const JsonValue &doc)
 {
@@ -196,6 +267,20 @@ pauliSumToJson(const PauliSum &sum)
         terms.push(termToJson(t));
     doc.add("terms", std::move(terms));
     return doc;
+}
+
+void
+writePauliSumJson(JsonWriter &w, const PauliSum &sum)
+{
+    writeEnvelope(w, "hatt-pauli-sum", kPauliSumVersion);
+    w.key("num_qubits");
+    w.number(sum.numQubits());
+    w.key("terms");
+    w.beginArray();
+    for (const PauliTerm &t : sum.terms())
+        writeTermJson(w, t);
+    w.endArray();
+    w.endObject();
 }
 
 PauliSum
@@ -303,16 +388,50 @@ hashToHex(uint64_t hash)
     return out;
 }
 
+std::string
+tmpPathFor(const std::string &path)
+{
+    static std::atomic<uint64_t> counter{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(counter.fetch_add(1));
+}
+
+void
+publishJsonFile(const std::string &path,
+                const std::function<void(JsonWriter &)> &body)
+{
+    const fault::Action fault = fault::at("emit.write");
+    if (fault == fault::Action::Throw)
+        throw ParseError("cannot write " + path +
+                         " (fault injected: emit.write)");
+    const std::string tmp = tmpPathFor(path);
+    std::error_code ec;
+    try {
+        writeJsonFile(tmp, 2, /*durable=*/false, body);
+        if (fault == fault::Action::Fail)
+            throw ParseError("cannot publish " + path +
+                             " (fault injected: emit.write)");
+        fs::rename(tmp, path, ec);
+        if (ec)
+            throw ParseError("cannot publish " + path + ": " +
+                             ec.message());
+    } catch (const ParseError &) {
+        fs::remove(tmp, ec);
+        throw;
+    } catch (const std::bad_alloc &) {
+        fs::remove(tmp, ec);
+        throw;
+    } catch (const std::exception &e) {
+        // A failed write/close, or a non-finite number.
+        fs::remove(tmp, ec);
+        throw ParseError("cannot write " + path + ": " + e.what());
+    }
+}
+
 void
 saveJsonFile(const std::string &path, const JsonValue &doc)
 {
-    std::ofstream os(path);
-    if (!os)
-        throw ParseError("cannot open file for writing: " + path);
-    os << doc.dump(2);
-    os.flush();
-    if (!os.good())
-        throw ParseError("write failed: " + path);
+    publishJsonFile(path, [&](JsonWriter &w) { doc.writeTo(w); });
 }
 
 JsonValue

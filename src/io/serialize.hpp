@@ -17,14 +17,21 @@
  * unknown formats and newer-than-supported versions up front, so older
  * binaries fail loudly instead of misreading future files.
  *
+ * The xxxToJson() builders return a JsonValue document; the writeXxxJson()
+ * encoders stream the same bytes straight from the object through a
+ * JsonWriter, with no intermediate document. Artifacts and cache entries
+ * use the streaming encoders; the builders are their reference.
+ *
  * majoranaContentHash() fingerprints a Hamiltonian (splitmix64 chained
  * over the canonical, sorted Majorana terms with bit-pattern-exact
  * coefficients); the mapping cache keys on it.
  */
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
+#include "common/json_writer.hpp"
 #include "fermion/majorana.hpp"
 #include "io/json.hpp"
 #include "mapping/mapping.hpp"
@@ -45,6 +52,13 @@ PauliSum pauliSumFromJson(const JsonValue &doc);
 JsonValue majoranaToJson(const MajoranaPolynomial &poly);
 MajoranaPolynomial majoranaFromJson(const JsonValue &doc);
 
+/** Stream treeToJson(tree) through @p w. */
+void writeTreeJson(JsonWriter &w, const TernaryTree &tree);
+/** Stream mappingToJson(map) through @p w. */
+void writeMappingJson(JsonWriter &w, const FermionQubitMapping &map);
+/** Stream pauliSumToJson(sum) through @p w. */
+void writePauliSumJson(JsonWriter &w, const PauliSum &sum);
+
 /**
  * Order-independent content hash of the canonical Majorana form:
  * terms are sorted by index list, each term contributes its indices and
@@ -56,7 +70,23 @@ uint64_t majoranaContentHash(const MajoranaPolynomial &poly);
 /** Render a hash as fixed-width lowercase hex (cache file names). */
 std::string hashToHex(uint64_t hash);
 
-/** Write @p doc pretty-printed to @p path. @throws ParseError on I/O. */
+/** A writer-unique temp name beside @p path: <path>.tmp.<pid>.<n>. */
+std::string tmpPathFor(const std::string &path);
+
+/**
+ * Publish the pretty-printed document @p body writes at @p path
+ * atomically: stream it into tmpPathFor(path), then rename that over
+ * @p path, so readers see the old file or the whole new one, never a
+ * torn one. There is no fsync: artifacts are outputs, not the durable
+ * store. On any failure the temp file is removed and @p path is left as
+ * it was. Fault point `emit.write`: throw fails before the temp file is
+ * created, fail after it is written but before the rename.
+ * @throws ParseError
+ */
+void publishJsonFile(const std::string &path,
+                     const std::function<void(JsonWriter &)> &body);
+
+/** Publish @p doc pretty-printed at @p path (see publishJsonFile). */
 void saveJsonFile(const std::string &path, const JsonValue &doc);
 
 /**

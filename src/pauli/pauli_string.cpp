@@ -1,6 +1,7 @@
 #include "pauli/pauli_string.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -18,6 +19,35 @@ uint32_t
 wordCount(uint32_t num_qubits)
 {
     return (num_qubits + kWordBits - 1) / kWordBits;
+}
+
+/**
+ * Byte b spread over eight byte lanes, lane j (in memory order) holding
+ * bit 7 - j: eight qubits laid out highest first, as the label reads.
+ */
+constexpr std::array<uint64_t, 256> kLabelLanes = [] {
+    std::array<uint64_t, 256> lanes{};
+    for (unsigned b = 0; b < 256; ++b)
+        for (unsigned j = 0; j < 8; ++j)
+            if ((b >> (7 - j)) & 1u) {
+                const unsigned lane =
+                    std::endian::native == std::endian::little ? j : 7 - j;
+                lanes[b] |= uint64_t{1} << (8 * lane);
+            }
+    return lanes;
+}();
+
+/**
+ * Eight label letters from an x byte and a z byte. Per lane (x, z bits
+ * 0/1): 'I' + 0x0F x + 0x11 z - 0x10 xz gives I=0x49, X=0x58, Z=0x5A,
+ * Y=0x59; no lane leaves [0x49, 0x69], so the lanes never carry.
+ */
+uint64_t
+labelLetters(unsigned x_byte, unsigned z_byte)
+{
+    const uint64_t x = kLabelLanes[x_byte];
+    const uint64_t z = kLabelLanes[z_byte];
+    return 0x4949494949494949ULL + x * 0x0F + z * 0x11 - (x & z) * 0x10;
 }
 
 } // namespace
@@ -304,9 +334,33 @@ std::string
 PauliString::toString() const
 {
     std::string s(num_qubits_, 'I');
-    for (uint32_t q = 0; q < num_qubits_; ++q)
-        s[num_qubits_ - 1 - q] = pauliOpChar(op(q));
+    writeLabel(s.data());
     return s;
+}
+
+void
+PauliString::writeLabel(char *out) const
+{
+    static constexpr char kLetter[4] = {'I', 'X', 'Z', 'Y'};
+    const uint64_t *x = xData();
+    const uint64_t *z = zData();
+    // Qubit q is out[n - 1 - q], so each eight-qubit byte of a word
+    // fills eight consecutive letters ending at its lowest qubit.
+    const uint32_t n = num_qubits_;
+    for (uint32_t w = 0; w < words_; ++w) {
+        const uint32_t base = w * kWordBits;
+        const uint32_t width = std::min(kWordBits, n - base);
+        uint32_t bit = 0;
+        for (; bit + 8 <= width; bit += 8) {
+            const uint64_t letters =
+                labelLetters(static_cast<unsigned>((x[w] >> bit) & 0xFF),
+                             static_cast<unsigned>((z[w] >> bit) & 0xFF));
+            std::memcpy(out + n - base - bit - 8, &letters, 8);
+        }
+        for (; bit < width; ++bit)
+            out[n - 1 - base - bit] =
+                kLetter[((x[w] >> bit) & 1) | (((z[w] >> bit) & 1) << 1)];
+    }
 }
 
 std::string

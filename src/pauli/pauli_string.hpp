@@ -121,6 +121,14 @@ class PauliString
     /** N-length string form ("XYIZ"), leftmost char = highest qubit. */
     std::string toString() const;
 
+    /**
+     * Write the toString() form into out[0, numQubits()), with no
+     * terminator. Renders a packed X/Z word pair (64 qubits) at a time,
+     * eight letters per table lookup; artifact emit and toString() share
+     * it.
+     */
+    void writeLabel(char *out) const;
+
     /** Compact form ("X3Y2Z0"); identity renders as "I". */
     std::string toCompactString() const;
 

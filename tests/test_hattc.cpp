@@ -6,10 +6,10 @@
  * parses, maps and serializes, and reloading the serialized tree and
  * re-mapping reproduces the identical total Pauli weight and term
  * hashes as the in-memory pipeline — plus the FCIDUMP path, the
- * content-addressed cache, the `hattc batch` corpus compiler (report
- * determinism across HATT_THREADS ∈ {1, 4}, warm-cache hit rates,
- * manifest handling, failure isolation), `hattc cache gc|list`, and CLI
- * error handling.
+ * content-addressed cache, atomic artifact publication, the `hattc
+ * batch` corpus compiler (report determinism across HATT_THREADS ∈
+ * {1, 4}, warm-cache hit rates, manifest handling, failure isolation),
+ * `hattc cache gc|list`, and CLI error handling.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "fermion/majorana.hpp"
@@ -221,6 +222,46 @@ TEST(Hattc, CacheSkipsReoptimizationAndReproducesOutputsExactly)
     };
     EXPECT_EQ(slurp(dir / "a/hubbard2x2.qubit.json"),
               slurp(dir / "b/hubbard2x2.qubit.json"));
+    fs::remove_all(dir);
+}
+
+TEST(Hattc, FailedEmitLeavesThePreviousArtifactsWhole)
+{
+    // Artifacts are published by temp file + rename: a recompile whose
+    // write fails keeps the previous artifact byte for byte and leaves
+    // no temp file. fail dies after the temp file is written, throw
+    // before it is created.
+    fs::path dir = scratchDir("emitfault");
+    io::CompileRequest req;
+    req.path = dataFile("hubbard2x2.ops");
+    req.mapping = "hatt";
+    req.outDir = dir.string();
+    io::CompilationService service;
+    ASSERT_TRUE(service.compile(req).ok());
+    const fs::path mapping = dir / "hubbard2x2.mapping.json";
+    auto slurp = [](const fs::path &p) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const std::string before = slurp(mapping);
+
+    req.mapping = "jw"; // different bytes, were it published
+    for (const char *spec : {"emit.write=fail", "emit.write=throw"}) {
+        ASSERT_EQ(fault::configure(spec), "");
+        StatusOr<io::CompileResponse> failed = service.compile(req);
+        fault::disable();
+        EXPECT_FALSE(failed.ok()) << spec;
+        EXPECT_EQ(slurp(mapping), before) << spec;
+        for (const fs::directory_entry &de : fs::directory_iterator(dir))
+            EXPECT_EQ(de.path().filename().string().find(".tmp."),
+                      std::string::npos)
+                << spec << ": " << de.path();
+    }
+
+    ASSERT_TRUE(service.compile(req).ok());
+    EXPECT_NE(slurp(mapping), before);
     fs::remove_all(dir);
 }
 

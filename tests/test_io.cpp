@@ -4,8 +4,9 @@
  * malformed-input rejection, streaming Majorana preprocessing (bit-exact
  * parity with the batch path + interface-level memory evidence on a
  * >= 10^5-term Hubbard lattice), versioned serialization round trips
- * pinned against the seed hashes of tests/test_perf_parity.cpp, and the
- * content-addressed mapping cache.
+ * pinned against the seed hashes of tests/test_perf_parity.cpp, the
+ * streaming JSON writer's byte equality with the reference encoders, and
+ * the content-addressed mapping cache.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,14 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <locale>
+#include <numeric>
 #include <sstream>
 
+#include "common/json_writer.hpp"
+#include "common/rng.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
 #include "io/cache.hpp"
@@ -886,6 +892,218 @@ TEST(Serialize, RejectsMalformedDocuments)
             R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
             R"("terms":[{"coeff":[1,0],"indices":[4]}]})")),
         ParseError);
+}
+
+// ------------------------------------------------------- streaming writer
+
+std::string
+slurpFile(const fs::path &p)
+{
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** What @p body writes through an in-memory JsonWriter. */
+std::string
+streamed(int indent, const std::function<void(JsonWriter &)> &body)
+{
+    JsonWriter w(indent);
+    body(w);
+    w.finish();
+    return w.take();
+}
+
+/** A random complete tree over @p n modes: join three random roots
+    until one remains, on shuffled qubits. */
+TernaryTree
+randomTree(uint32_t n, Rng &rng)
+{
+    TernaryTree tree(n);
+    std::vector<int> roots(tree.numLeaves());
+    std::iota(roots.begin(), roots.end(), 0);
+    std::vector<int> qubits(n);
+    std::iota(qubits.begin(), qubits.end(), 0);
+    std::shuffle(qubits.begin(), qubits.end(), rng.engine());
+    for (uint32_t i = 0; i < n; ++i) {
+        int pick[3];
+        for (int &p : pick) {
+            const size_t k = rng.nextInt(roots.size());
+            p = roots[k];
+            roots.erase(roots.begin() + static_cast<ptrdiff_t>(k));
+        }
+        roots.push_back(tree.addInternal(qubits[i], pick[0], pick[1],
+                                         pick[2]));
+    }
+    return tree;
+}
+
+/** Coefficients that stress the number format. */
+constexpr double kEdgeNumbers[] = {
+    -0.0, 0.0, 999999999999999.0, -999999999999999.0, 1e15, -1e15, 1e17,
+    0.1, 1.0 / 3.0, -0.70710678118654757, 4.9406564584124654e-324,
+    1.7976931348623157e308, 123456.5};
+
+PauliSum
+randomPauliSum(uint32_t n, size_t terms, Rng &rng)
+{
+    PauliSum sum(n);
+    for (size_t t = 0; t < terms; ++t) {
+        PauliString s(n);
+        for (uint32_t q = 0; q < n; ++q)
+            s.setOp(q, static_cast<PauliOp>(rng.nextInt(4)));
+        auto pick = [&] {
+            return rng.chance(0.5)
+                       ? kEdgeNumbers[rng.nextInt(std::size(kEdgeNumbers))]
+                       : rng.nextGaussian();
+        };
+        const double re = pick();
+        sum.add(cplx(re, pick()), s);
+    }
+    return sum;
+}
+
+TEST(JsonWriter, NumbersAndEscapesMatchTheDocumentedFormat)
+{
+    const std::pair<double, const char *> numbers[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {999999999999999.0, "999999999999999"},
+        {-999999999999999.0, "-999999999999999"},
+        {1e15, "1000000000000000"},
+        {1e17, "1e+17"},
+        {0.1, "0.10000000000000001"},
+        {1.0 / 3.0, "0.33333333333333331"},
+        {123456.5, "123456.5"},
+        {4.9406564584124654e-324, "4.9406564584124654e-324"},
+        {1.7976931348623157e308, "1.7976931348623157e+308"}};
+    for (const auto &[value, text] : numbers)
+        EXPECT_EQ(streamed(-1, [&](JsonWriter &w) { w.number(value); }),
+                  text);
+    EXPECT_EQ(streamed(-1,
+                       [](JsonWriter &w) {
+                           w.string("q\"b\\c\n\x01\x1f\t\b\f\r\x7f");
+                       }),
+              "\"q\\\"b\\\\c\\n\\u0001\\u001f\\t\\b\\f\\r\x7f\"");
+    EXPECT_THROW(streamed(-1,
+                          [](JsonWriter &w) {
+                              w.number(std::numeric_limits<double>::infinity());
+                          }),
+                 std::domain_error);
+}
+
+TEST(JsonWriter, PinnedLayoutOfASmallDocument)
+{
+    PauliSum sum(2);
+    sum.add(cplx(0.5, -0.0), PauliString::fromLabel("XZ"));
+    EXPECT_EQ(streamed(2,
+                       [&](JsonWriter &w) { io::writePauliSumJson(w, sum); }),
+              "{\n"
+              "  \"format\": \"hatt-pauli-sum\",\n"
+              "  \"version\": 1,\n"
+              "  \"num_qubits\": 2,\n"
+              "  \"terms\": [\n"
+              "    {\n"
+              "      \"coeff\": [\n"
+              "        0.5,\n"
+              "        -0\n"
+              "      ],\n"
+              "      \"pauli\": \"XZ\"\n"
+              "    }\n"
+              "  ]\n"
+              "}\n");
+    EXPECT_EQ(streamed(-1, [&](JsonWriter &w) {
+                  io::writePauliSumJson(w, PauliSum(3));
+              }),
+              R"({"format":"hatt-pauli-sum","version":1,"num_qubits":3,)"
+              R"("terms":[]})");
+}
+
+TEST(JsonWriter, StreamingEncodersEqualTheReferenceDocuments)
+{
+    fs::path dir = scratchDir("writer");
+    Rng rng(2409);
+    for (uint32_t n : {1u, 4u, 63u, 64u, 65u, 968u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const TernaryTree tree = randomTree(n, rng);
+        FermionQubitMapping map =
+            mappingFromTree(tree, "tree \"q\\\" \n\t\x01 name");
+        map.majorana[0].coeff = cplx(kEdgeNumbers[0], kEdgeNumbers[2]);
+        const PauliSum sum = randomPauliSum(n, n < 100 ? 40 : 8, rng);
+
+        const PauliSum empty(n);
+
+        const JsonValue tree_doc = io::treeToJson(tree);
+        const JsonValue map_doc = io::mappingToJson(map);
+        const JsonValue sum_doc = io::pauliSumToJson(sum);
+        for (int indent : {2, -1}) {
+            EXPECT_EQ(streamed(indent,
+                               [&](JsonWriter &w) {
+                                   io::writePauliSumJson(w, empty);
+                               }),
+                      io::pauliSumToJson(empty).dump(indent));
+            EXPECT_EQ(streamed(indent,
+                               [&](JsonWriter &w) {
+                                   io::writeTreeJson(w, tree);
+                               }),
+                      tree_doc.dump(indent));
+            EXPECT_EQ(streamed(indent,
+                               [&](JsonWriter &w) {
+                                   io::writeMappingJson(w, map);
+                               }),
+                      map_doc.dump(indent));
+            EXPECT_EQ(streamed(indent,
+                               [&](JsonWriter &w) {
+                                   io::writePauliSumJson(w, sum);
+                               }),
+                      sum_doc.dump(indent));
+        }
+
+        // Through the fd-backed buffer, which the 968-qubit sum
+        // overflows many times over.
+        const fs::path path = dir / "sum.json";
+        io::publishJsonFile(path.string(), [&](JsonWriter &w) {
+            io::writePauliSumJson(w, sum);
+        });
+        EXPECT_EQ(slurpFile(path), sum_doc.dump(2));
+        io::saveJsonFile(path.string(), map_doc);
+        EXPECT_EQ(slurpFile(path), map_doc.dump(2));
+
+        // The cache entry streams its nested mapping and tree.
+        io::MappingCache cache((dir / "cache").string());
+        cache.store(0xabcdef0123456789ull ^ n, "hatt", map, &tree,
+                    uint64_t{n} * 7);
+        JsonValue entry = JsonValue::object();
+        entry.add("format", "hatt-cache");
+        entry.add("version", 1);
+        entry.add("content_hash", io::hashToHex(0xabcdef0123456789ull ^ n));
+        entry.add("kind", "hatt");
+        entry.add("mapping", map_doc);
+        entry.add("tree", tree_doc);
+        entry.add("candidates", uint64_t{n} * 7);
+        EXPECT_EQ(slurpFile(cache.entryPath(0xabcdef0123456789ull ^ n,
+                                            "hatt")),
+                  entry.dump(2));
+    }
+    fs::remove_all(dir);
+}
+
+TEST(JsonWriter, NonFiniteCoefficientThrowsAndLeavesNoFile)
+{
+    fs::path dir = scratchDir("writer_nan");
+    PauliSum sum(3);
+    sum.add(cplx(1.0, 0.0), PauliString::fromLabel("XYZ"));
+    sum.add(cplx(std::nan(""), 0.0), PauliString::fromLabel("ZZI"));
+    const fs::path path = dir / "bad.qubit.json";
+    EXPECT_THROW(io::publishJsonFile(path.string(),
+                                     [&](JsonWriter &w) {
+                                         io::writePauliSumJson(w, sum);
+                                     }),
+                 ParseError);
+    EXPECT_THROW(io::pauliSumToJson(sum).dump(2), ParseError);
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
 }
 
 // ----------------------------------------------------------------- cache

@@ -91,6 +91,27 @@ TEST(PauliString, LabelRoundTrip)
     EXPECT_THROW(PauliString::fromLabel("AB"), std::invalid_argument);
 }
 
+TEST(PauliString, WordWiseLabelMatchesPerQubitReference)
+{
+    Rng rng(19);
+    for (uint32_t n : {1u, 63u, 64u, 65u, 128u, 968u}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            PauliString s(n);
+            // Trial 0 is all-Y, the one lane value where x and z add up.
+            for (uint32_t q = 0; q < n; ++q)
+                s.setOp(q, trial == 0 ? PauliOp::Y
+                                      : static_cast<PauliOp>(rng.nextInt(4)));
+            std::string reference(n, '?');
+            for (uint32_t q = 0; q < n; ++q)
+                reference[n - 1 - q] = pauliOpChar(s.op(q));
+            EXPECT_EQ(s.toString(), reference) << "n=" << n;
+            std::string written(n + 2, '#');
+            s.writeLabel(written.data() + 1);
+            EXPECT_EQ(written, "#" + reference + "#") << "n=" << n;
+        }
+    }
+}
+
 TEST(PauliString, SetOpOverwrites)
 {
     PauliString s(3);

@@ -411,6 +411,8 @@ TEST(Service, SecondsIsTheWallClockOfTheWholeCompile)
     const metrics::Snapshot snap = metrics::snapshot();
     const double parse = snap.timings.at("parse.seconds").total;
     const double preprocess = snap.timings.at("preprocess.seconds").total;
+    const double emit = snap.timings.at("emit.seconds").total;
+    EXPECT_GT(emit, 0.0);
     EXPECT_GE(resp->seconds, parse + preprocess);
 
     // The metrics artifact records the same wall clock.
