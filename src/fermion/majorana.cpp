@@ -3,28 +3,10 @@
 #include <cassert>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace hatt {
-
-namespace {
-
-/** Hash for ascending index vectors. */
-struct IndexVecHash
-{
-    size_t
-    operator()(const std::vector<uint32_t> &v) const
-    {
-        uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-        for (uint32_t x : v) {
-            h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-            h *= 0xff51afd7ed558ccdULL;
-        }
-        return static_cast<size_t>(h);
-    }
-};
-
-} // namespace
 
 std::string
 MajoranaTerm::toString() const
@@ -78,8 +60,10 @@ MajoranaPolynomial::fromFermion(const FermionHamiltonian &hf)
 
     for (const auto &term : hf.terms()) {
         const size_t k = term.ops.size();
-        if (k > 30)
-            continue; // absurd; guards the 2^k expansion
+        if (k > kMaxLadderOps)
+            throw std::invalid_argument(
+                "MajoranaPolynomial::fromFermion: term with > 30 ladder "
+                "operators");
         const size_t combos = size_t{1} << k;
         // Expand the product over the two Majorana halves of each ladder op:
         //   a†_j = (M_2j - i M_2j+1)/2,  a_j = (M_2j + i M_2j+1)/2.

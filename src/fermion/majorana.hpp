@@ -22,6 +22,24 @@
 
 namespace hatt {
 
+/** Longest ladder product preprocessing expands (2^k Majorana monomials). */
+inline constexpr size_t kMaxLadderOps = 30;
+
+/** Hash for ascending Majorana index vectors (monomial dedup tables). */
+struct IndexVecHash
+{
+    size_t
+    operator()(const std::vector<uint32_t> &v) const
+    {
+        uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
+        for (uint32_t x : v) {
+            h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+            h *= 0xff51afd7ed558ccdULL;
+        }
+        return static_cast<size_t>(h);
+    }
+};
+
 /** A coefficient times a product of distinct Majorana operators. */
 struct MajoranaTerm
 {
@@ -51,6 +69,8 @@ class MajoranaPolynomial
      * Expands every ladder product into Majorana monomials, canonicalizes
      * and combines. The identity monomial (constant energy shift) is kept
      * as a term with empty indices.
+     * @throws std::invalid_argument for a term with more than
+     *         kMaxLadderOps ladder operators.
      */
     static MajoranaPolynomial fromFermion(const FermionHamiltonian &hf);
 

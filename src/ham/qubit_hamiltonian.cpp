@@ -46,42 +46,7 @@ QubitMappingEngine::QubitMappingEngine(const FermionQubitMapping &map)
 }
 
 void
-QubitMappingEngine::add(const MajoranaTerm &term)
-{
-    pending_.push_back(term);
-    if (pending_.size() >= kFlushBatch)
-        flushPending();
-}
-
-void
 QubitMappingEngine::addBatch(const MajoranaTerm *terms, size_t count)
-{
-    // Preserve feed order when add() and addBatch() interleave: buffered
-    // terms must map before this batch.
-    flushPending();
-    mapBatch(terms, count);
-}
-
-void
-QubitMappingEngine::addBatch(const std::vector<MajoranaTerm> &terms)
-{
-    addBatch(terms.data(), terms.size());
-}
-
-void
-QubitMappingEngine::flushPending()
-{
-    if (pending_.empty())
-        return;
-    // Swap first: mapBatch must not read through pending_ while it is
-    // also the buffer being drained.
-    std::vector<MajoranaTerm> buffered;
-    buffered.swap(pending_);
-    mapBatch(buffered.data(), buffered.size());
-}
-
-void
-QubitMappingEngine::mapBatch(const MajoranaTerm *terms, size_t count)
 {
     // Caller-thread checkpoint per dispatch: throws before any of this
     // batch is merged, so mapped_ never holds a partial batch.
@@ -114,10 +79,15 @@ QubitMappingEngine::mapBatch(const MajoranaTerm *terms, size_t count)
     mapped_.append(std::move(batch));
 }
 
+void
+QubitMappingEngine::addBatch(const std::vector<MajoranaTerm> &terms)
+{
+    addBatch(terms.data(), terms.size());
+}
+
 PauliSum
 QubitMappingEngine::finish(double tol)
 {
-    flushPending();
     mapped_.compress(tol);
     PauliSum out = std::move(mapped_);
     mapped_ = PauliSum(map_->numQubits);

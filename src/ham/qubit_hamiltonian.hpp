@@ -25,15 +25,15 @@
 namespace hatt {
 
 /**
- * Streaming/batched qubit-Hamiltonian builder over a fixed mapping.
+ * Batched qubit-Hamiltonian builder over a fixed mapping.
  *
- * Feed Majorana monomials with add() (buffered, flushed through the
- * parallel engine in fixed batches) or addBatch() (mapped immediately);
- * finish() performs the final hash-based compress and returns the sum.
- * Term products are computed in-place (multiplyRight accumulating the
- * phase exponent), so no intermediate PauliString allocations occur.
+ * Feed Majorana monomials with addBatch() (mapped immediately, in feed
+ * order across calls); finish() performs the final hash-based compress
+ * and returns the sum. Term products are computed in-place
+ * (multiplyRight accumulating the phase exponent), so no intermediate
+ * PauliString allocations occur.
  *
- * The hattc driver (io/compiler.cpp) compiles through addBatch() over
+ * The hattc driver (io/driver.cpp) compiles through addBatch() over
  * the streaming accumulator's deduplicated monomials; mapToQubits()
  * below is the one-call wrapper. The engine borrows @p map — it must
  * outlive the engine.
@@ -52,22 +52,16 @@ class QubitMappingEngine
      */
     void setLimits(const RunLimits &limits) { limits_ = limits; }
 
-    /** Buffer one monomial; flushed in batches of kFlushBatch. */
-    void add(const MajoranaTerm &term);
-
     /**
-     * Map @p count terms now, fanned out over the work pool. Buffered
-     * add() terms are flushed first, so the merged order always equals
-     * the feed order however add()/addBatch() calls interleave.
+     * Map @p count terms now, fanned out over the work pool. Successive
+     * batches merge in call order, so the result equals one batch over
+     * the concatenated terms.
      */
     void addBatch(const MajoranaTerm *terms, size_t count);
     void addBatch(const std::vector<MajoranaTerm> &terms);
 
-    /** Mapped (pre-compress) terms accumulated so far, pending included. */
-    size_t termsMapped() const { return mapped_.size() + pending_.size(); }
-
     /**
-     * Flush, merge duplicate strings (|coeff| < tol dropped) and return
+     * Merge duplicate strings (|coeff| < tol dropped) and return
      * the qubit Hamiltonian. The engine is left empty and reusable.
      */
     PauliSum finish(double tol = kCoeffTol);
@@ -75,17 +69,10 @@ class QubitMappingEngine
   private:
     /** Parallel chunk grain (terms per work-pool chunk). */
     static constexpr size_t kStreamBatch = 1024;
-    /** Streaming flush threshold: several chunks per flush, so add()
-        streams fan out instead of degenerating to one inline chunk. */
-    static constexpr size_t kFlushBatch = 8 * kStreamBatch;
-
-    void flushPending();
-    void mapBatch(const MajoranaTerm *terms, size_t count);
 
     const FermionQubitMapping *map_;
-    RunLimits limits_;                  //!< cooperative budget (unbounded)
-    std::vector<MajoranaTerm> pending_; //!< add() buffer, < kStreamBatch
-    PauliSum mapped_;                   //!< chunk-order merged products
+    RunLimits limits_; //!< cooperative budget (unbounded)
+    PauliSum mapped_;  //!< chunk-order merged products
 };
 
 /**

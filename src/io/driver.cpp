@@ -78,7 +78,7 @@ loadProblem(const std::string &path, InputFormat format,
     LoadedProblem problem;
     problem.stem = fs::path(path).stem().string();
 
-    ShardedMajoranaPreprocessor acc;
+    StreamingMajoranaAccumulator acc;
     try {
         trace::Span parse_span("driver", "parse");
         metrics::ScopedTimer parse_timer("parse.seconds");
@@ -89,7 +89,7 @@ loadProblem(const std::string &path, InputFormat format,
                 throw ParseError("cannot open file: " + path);
             FermionTextInfo info =
                 streamFermionText(in, [&](FermionTerm &&term) {
-                    acc.add(std::move(term));
+                    acc.add(term);
                     return true;
                 }, limits);
             acc.ensureModes(info.numModes);
@@ -98,7 +98,7 @@ loadProblem(const std::string &path, InputFormat format,
             problem.format = "fcidump";
             FermionHamiltonian hf = loadFcidumpHamiltonian(path, limits);
             for (const FermionTerm &term : hf.terms())
-                acc.add(FermionTerm(term));
+                acc.add(term);
             acc.ensureModes(hf.numModes());
             problem.fermionTerms = hf.size();
         }
@@ -118,6 +118,7 @@ loadProblem(const std::string &path, InputFormat format,
     // counters invariant under hostile inputs and fault injection.
     metrics::add("parse.files");
     metrics::add("parse.fermion_terms", problem.fermionTerms);
+    metrics::add("preprocess.majorana_monomials", problem.poly.size());
     return problem;
 }
 

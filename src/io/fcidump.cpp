@@ -11,7 +11,6 @@
 
 #include "chem/transform.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 #include "io/json.hpp"
 
 namespace hatt::io {
@@ -230,7 +229,6 @@ loadFcidumpHamiltonian(const std::string &path)
 FermionHamiltonian
 loadFcidumpHamiltonian(const std::string &path, const ParseLimits &limits)
 {
-    trace::Span span("io", "parse:fcidump");
     std::ifstream in(path);
     if (!in)
         throw ParseError("cannot open file: " + path);

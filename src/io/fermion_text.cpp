@@ -14,7 +14,6 @@
 
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
 
 namespace hatt::io {
 
@@ -136,7 +135,6 @@ FermionTextInfo
 streamFermionText(std::istream &in, const FermionTermCallback &callback,
                   const ParseLimits &limits)
 {
-    trace::Span span("io", "parse:ops");
     FermionTextInfo info;
     uint32_t max_mode_seen = 0;
     bool any_op = false;

@@ -4,19 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/metrics.hpp"
-#include "common/parallel.hpp"
-#include "common/trace.hpp"
-
 namespace hatt::io {
-
-StreamingMajoranaAccumulator
-StreamingMajoranaAccumulator::shard(uint32_t num_modes)
-{
-    StreamingMajoranaAccumulator s(num_modes);
-    s.dedup_ = false;
-    return s;
-}
 
 void
 StreamingMajoranaAccumulator::ensureModes(uint32_t modes)
@@ -26,26 +14,10 @@ StreamingMajoranaAccumulator::ensureModes(uint32_t modes)
 }
 
 void
-StreamingMajoranaAccumulator::fold(cplx coeff, std::vector<uint32_t> &&canon)
-{
-    if (!dedup_) {
-        order_.emplace_back(coeff, std::move(canon));
-        return;
-    }
-    auto it = index_.find(canon);
-    if (it != index_.end()) {
-        order_[it->second].coeff += coeff;
-    } else {
-        index_.emplace(canon, order_.size());
-        order_.emplace_back(coeff, std::move(canon));
-    }
-}
-
-void
 StreamingMajoranaAccumulator::add(const FermionTerm &term)
 {
     const size_t k = term.ops.size();
-    if (k > 30)
+    if (k > kMaxLadderOps)
         throw std::invalid_argument(
             "StreamingMajoranaAccumulator: term with > 30 ladder operators");
     for (const FermionOp &op : term.ops)
@@ -54,10 +26,9 @@ StreamingMajoranaAccumulator::add(const FermionTerm &term)
     // Identical expansion to MajoranaPolynomial::fromFermion:
     //   a†_j = (M_2j - i M_2j+1)/2,  a_j = (M_2j + i M_2j+1)/2.
     const size_t combos = size_t{1} << k;
-    std::vector<uint32_t> indices;
     for (size_t mask = 0; mask < combos; ++mask) {
         cplx coeff = term.coeff;
-        indices.clear();
+        std::vector<uint32_t> indices;
         indices.reserve(k);
         for (size_t p = 0; p < k; ++p) {
             const FermionOp &op = term.ops[p];
@@ -70,40 +41,23 @@ StreamingMajoranaAccumulator::add(const FermionTerm &term)
                 indices.push_back(2 * op.mode);
             }
         }
-        auto [sign, canon] = MajoranaPolynomial::canonicalize(indices);
+        auto [sign, canon] =
+            MajoranaPolynomial::canonicalize(std::move(indices));
         coeff *= sign;
-        fold(coeff, std::move(canon));
+        auto it = index_.find(canon);
+        if (it != index_.end()) {
+            order_[it->second].coeff += coeff;
+        } else {
+            index_.emplace(canon, order_.size());
+            order_.emplace_back(coeff, std::move(canon));
+        }
     }
     ++terms_consumed_;
-}
-
-void
-StreamingMajoranaAccumulator::merge(StreamingMajoranaAccumulator &&other)
-{
-    ensureModes(other.num_modes_);
-    terms_consumed_ += other.terms_consumed_;
-    // Replay contribution by contribution — never add pre-summed shard
-    // partials — so the per-monomial coefficient fold has exactly the
-    // association of one accumulator fed the concatenated streams.
-    for (MajoranaTerm &t : other.order_)
-        fold(t.coeff, std::move(t.indices));
-    other.index_.clear();
-    other.order_.clear();
-    other.terms_consumed_ = 0;
-    other.num_modes_ = 0;
 }
 
 MajoranaPolynomial
 StreamingMajoranaAccumulator::finish(double tol)
 {
-    if (!dedup_) {
-        // A shard's log may hold duplicate monomials; combine it through
-        // a fresh accumulator so a single shard finishes to the same
-        // polynomial the serial path produces.
-        StreamingMajoranaAccumulator combined(num_modes_);
-        combined.merge(std::move(*this)); // leaves *this an empty shard
-        return combined.finish(tol);
-    }
     MajoranaPolynomial poly(num_modes_);
     for (MajoranaTerm &t : order_)
         if (std::abs(t.coeff) >= tol)
@@ -112,83 +66,6 @@ StreamingMajoranaAccumulator::finish(double tol)
     order_.clear();
     terms_consumed_ = 0;
     num_modes_ = 0;
-    return poly;
-}
-
-ShardedMajoranaPreprocessor::ShardedMajoranaPreprocessor(uint32_t num_modes,
-                                                         size_t block_terms,
-                                                         size_t flush_terms)
-    : block_terms_(block_terms == 0 ? 1 : block_terms),
-      flush_terms_(flush_terms == 0 ? 1 : flush_terms), acc_(num_modes)
-{
-}
-
-void
-ShardedMajoranaPreprocessor::add(FermionTerm &&term)
-{
-    // Validate HERE, on the caller's thread: flush() expands blocks on
-    // pool workers, where a thrown std::invalid_argument would escape
-    // WorkPool::runChunks and terminate the process instead of reaching
-    // the driver's catch block as a clean diagnostic.
-    if (term.ops.size() > 30)
-        throw std::invalid_argument(
-            "StreamingMajoranaAccumulator: term with > 30 ladder operators");
-    buffer_.push_back(std::move(term));
-    if (buffer_.size() >= flush_terms_)
-        flush();
-}
-
-void
-ShardedMajoranaPreprocessor::ensureModes(uint32_t modes)
-{
-    acc_.ensureModes(modes);
-}
-
-size_t
-ShardedMajoranaPreprocessor::termsConsumed() const
-{
-    return acc_.termsConsumed() + buffer_.size();
-}
-
-void
-ShardedMajoranaPreprocessor::flush()
-{
-    if (buffer_.empty())
-        return;
-    // Flush counts are a pure function of the feed order and the flush
-    // threshold — deterministic even when parsing aborts mid-input.
-    trace::Span span("io", "shard_flush");
-    metrics::add("preprocess.shard_flushes");
-    metrics::add("preprocess.shard_terms", buffer_.size());
-    // Expansion (2^k combos + canonicalization per term) fans out over
-    // fixed-size blocks; the reduce concatenates the shard logs in block
-    // index order, so the contribution sequence reaching acc_ equals the
-    // serial feed order for every thread count.
-    const std::vector<FermionTerm> &terms = buffer_;
-    StreamingMajoranaAccumulator combined = parallelReduceChunks(
-        terms.size(), block_terms_, StreamingMajoranaAccumulator::shard(),
-        [&](size_t lo, size_t hi) {
-            StreamingMajoranaAccumulator block =
-                StreamingMajoranaAccumulator::shard();
-            for (size_t t = lo; t < hi; ++t)
-                block.add(terms[t]);
-            return block;
-        },
-        [](StreamingMajoranaAccumulator out,
-           StreamingMajoranaAccumulator part) {
-            out.merge(std::move(part));
-            return out;
-        });
-    acc_.merge(std::move(combined));
-    buffer_.clear();
-}
-
-MajoranaPolynomial
-ShardedMajoranaPreprocessor::finish(double tol)
-{
-    flush();
-    MajoranaPolynomial poly = acc_.finish(tol);
-    metrics::add("preprocess.majorana_monomials", poly.size());
     return poly;
 }
 

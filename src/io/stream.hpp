@@ -30,17 +30,6 @@ namespace hatt::io {
  * fermionic terms with add(), read the finished polynomial with
  * finish(). The number of modes grows automatically with the largest
  * mode seen unless fixed up front via ensureModes().
- *
- * Sharded preprocessing: shard() builds an accumulator that LOGS each
- * canonical monomial contribution instead of combining it (no hashing —
- * a shard is pure expansion work, safe to run on a worker thread), and
- * merge() replays another accumulator's contributions one at a time
- * through the identical combine step add() uses. Feeding a term stream
- * through per-chunk shards and merging the shards in stream order is
- * therefore bit-identical to feeding every term into one accumulator —
- * each monomial's coefficient is folded contribution by contribution in
- * the same order, never as pre-summed shard partials whose different
- * association could drift in the last ulp.
  */
 class StreamingMajoranaAccumulator
 {
@@ -51,23 +40,11 @@ class StreamingMajoranaAccumulator
     }
 
     /**
-     * A log-only shard: add() appends raw canonical contributions
-     * (duplicates kept, in feed order) for a later merge(). finish() on
-     * a shard first replays the log through a combining accumulator, so
-     * a single shard finishes to the same polynomial as the serial path.
+     * Expand one fermionic term and merge its monomials in place.
+     * @throws std::invalid_argument for a term with more than
+     *         kMaxLadderOps ladder operators.
      */
-    static StreamingMajoranaAccumulator shard(uint32_t num_modes = 0);
-
-    /** Expand one fermionic term and merge its monomials in place. */
     void add(const FermionTerm &term);
-
-    /**
-     * Replay @p other's monomials into this accumulator, in other's
-     * feed order, through the same combine step add() performs; @p other
-     * is left empty. Merging per-chunk shards of a term stream in chunk
-     * order is bit-identical to accumulating the whole stream serially.
-     */
-    void merge(StreamingMajoranaAccumulator &&other);
 
     /** Raise the mode count (no-op if already >= @p modes). */
     void ensureModes(uint32_t modes);
@@ -92,83 +69,17 @@ class StreamingMajoranaAccumulator
     MajoranaPolynomial finish(double tol = kCoeffTol);
 
   private:
-    /** The one combine step: log-append (shards) or hash-fold (default). */
-    void fold(cplx coeff, std::vector<uint32_t> &&canon);
-
-    struct IndexVecHash
-    {
-        size_t
-        operator()(const std::vector<uint32_t> &v) const
-        {
-            uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-            for (uint32_t x : v) {
-                h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-                h *= 0xff51afd7ed558ccdULL;
-            }
-            return static_cast<size_t>(h);
-        }
-    };
-
     uint32_t num_modes_ = 0;
     size_t terms_consumed_ = 0;
-    bool dedup_ = true; //!< false in shard mode: order_ is a raw log
 
     /** Monomial -> slot in order_; coefficients accumulate in place. */
     std::unordered_map<std::vector<uint32_t>, size_t, IndexVecHash> index_;
     std::vector<MajoranaTerm> order_; //!< first-seen order, as compress()
 };
 
-/**
- * Sharded (multi-worker) Majorana preprocessing on top of the streaming
- * accumulator: add() buffers fermionic terms; every kFlushTerms of them
- * the buffer is expanded on the work pool — fixed-size blocks of
- * kBlockTerms terms, one log-only shard per block — and the shards are
- * merged into the combining accumulator in block order.
- *
- * The block decomposition is a pure function of arrival order and the
- * two constants (never of the thread count), blocks are folded in block
- * index order, and merge() replays contributions one at a time, so the
- * finished polynomial is bit-identical to the serial accumulator — and
- * to MajoranaPolynomial::fromFermion — for every HATT_THREADS value
- * (pinned in tests/test_perf_parity.cpp for {1, 2, 8}).
- *
- * Memory adds O(kFlushTerms) buffered fermion terms plus the in-flight
- * shard logs on top of the accumulator's O(distinct monomials).
- */
-class ShardedMajoranaPreprocessor
-{
-  public:
-    static constexpr size_t kBlockTerms = 256;  //!< terms per shard
-    static constexpr size_t kFlushTerms = 8192; //!< buffered before flush
-
-    explicit ShardedMajoranaPreprocessor(uint32_t num_modes = 0,
-                                         size_t block_terms = kBlockTerms,
-                                         size_t flush_terms = kFlushTerms);
-
-    /** Buffer one fermionic term; may trigger a parallel flush. */
-    void add(FermionTerm &&term);
-
-    /** Raise the mode count (no-op if already >= @p modes). */
-    void ensureModes(uint32_t modes);
-
-    /** Fermionic terms fed in so far (buffered or already expanded). */
-    size_t termsConsumed() const;
-
-    /**
-     * Expand the remaining buffer and return the finished polynomial,
-     * bit-identical to the serial StreamingMajoranaAccumulator. The
-     * preprocessor is left empty and reusable.
-     */
-    MajoranaPolynomial finish(double tol = kCoeffTol);
-
-  private:
-    void flush();
-
-    size_t block_terms_;
-    size_t flush_terms_;
-    std::vector<FermionTerm> buffer_;
-    StreamingMajoranaAccumulator acc_;
-};
+/** The former multi-worker preprocessor's name, kept as an alias
+    because e2ebench/probe.cpp still spells it. */
+using ShardedMajoranaPreprocessor = StreamingMajoranaAccumulator;
 
 /** Emits generated fermionic terms one at a time. */
 using FermionTermSink = std::function<void(FermionTerm &&)>;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "fermion/fermion_op.hpp"
 #include "fermion/fock.hpp"
@@ -110,6 +111,20 @@ TEST(Majorana, HermitianConjugatePairsGiveRealPolynomial)
     hf.addWithConjugate(cplx{0.25, 0.5}, {create(0), annihilate(1)});
     FockSpace fock(2);
     EXPECT_TRUE(fock.toMatrix(hf).isHermitian());
+}
+
+TEST(Majorana, RejectsTermBeyondLadderOperatorCap)
+{
+    // A 31-operator product would expand to 2^31 monomials. It must be
+    // rejected, as the streaming preprocessor rejects it, not silently
+    // dropped from the Hamiltonian.
+    std::vector<FermionOp> ops;
+    for (uint32_t i = 0; i < 31; ++i)
+        ops.push_back(i % 2 ? annihilate(i % 4) : create(i % 4));
+    FermionHamiltonian hf(4);
+    hf.add(1.0, {create(0), annihilate(0)});
+    hf.add(0.5, ops);
+    EXPECT_THROW(MajoranaPolynomial::fromFermion(hf), std::invalid_argument);
 }
 
 TEST(Fock, LadderOperatorSigns)

@@ -525,24 +525,67 @@ TEST(Locale, NumberIoSurvivesCommaDecimalLocale)
 
 // ----------------------------------------------- streaming preprocessing
 
+/**
+ * A Hamiltonian whose coefficients are NOT exactly representable sums
+ * (irrational values, many terms expanding to the same monomial), so a
+ * coefficient fold that re-associated any per-monomial sum would drift
+ * in the last ulp and fail the bit-exact comparisons below.
+ */
+FermionHamiltonian
+nonDyadicHamiltonian()
+{
+    FermionHamiltonian hf(6);
+    int k = 0;
+    for (uint32_t p = 0; p < 6; ++p)
+        for (uint32_t q = 0; q < 6; ++q) {
+            ++k;
+            hf.add(FermionTerm{
+                cplx{std::sin(1.0 + k), std::cos(2.0 + k) / 3.0},
+                {FermionOp{p, true}, FermionOp{q, false}}});
+        }
+    for (uint32_t p = 0; p < 4; ++p)
+        hf.add(FermionTerm{cplx{1.0 / 3.0 + 0.1 * p, 0.0},
+                           {FermionOp{p, true}, FermionOp{p + 1, true},
+                            FermionOp{p + 1, false},
+                            FermionOp{p, false}}});
+    return hf;
+}
+
+void
+expectBitIdentical(const MajoranaPolynomial &got,
+                   const MajoranaPolynomial &want)
+{
+    ASSERT_EQ(got.numModes(), want.numModes());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.terms()[i].indices, want.terms()[i].indices)
+            << "term " << i;
+        // operator== on doubles is exact; together with the memcmp this
+        // also rejects a -0.0 vs +0.0 drift.
+        EXPECT_EQ(got.terms()[i].coeff, want.terms()[i].coeff)
+            << "term " << i;
+        EXPECT_EQ(std::memcmp(&got.terms()[i].coeff,
+                              &want.terms()[i].coeff, sizeof(cplx)),
+                  0)
+            << "term " << i;
+    }
+}
+
 TEST(Stream, MatchesBatchPreprocessingBitExactly)
 {
-    FermionHamiltonian hf = hubbardModel({2, 3, 1.0, 4.0});
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
+    for (const FermionHamiltonian &hf :
+         {hubbardModel({2, 3, 1.0, 4.0}), nonDyadicHamiltonian()}) {
+        MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
 
-    io::StreamingMajoranaAccumulator acc(hf.numModes());
-    for (const FermionTerm &t : hf.terms())
-        acc.add(t);
-    MajoranaPolynomial streamed = acc.finish();
+        io::StreamingMajoranaAccumulator acc(hf.numModes());
+        for (const FermionTerm &t : hf.terms())
+            acc.add(t);
+        MajoranaPolynomial streamed = acc.finish();
 
-    ASSERT_EQ(streamed.numModes(), batch.numModes());
-    ASSERT_EQ(streamed.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(streamed.terms()[i].indices, batch.terms()[i].indices);
-        EXPECT_EQ(streamed.terms()[i].coeff, batch.terms()[i].coeff);
+        expectBitIdentical(streamed, batch);
+        EXPECT_EQ(io::majoranaContentHash(streamed),
+                  io::majoranaContentHash(batch));
     }
-    EXPECT_EQ(io::majoranaContentHash(streamed),
-              io::majoranaContentHash(batch));
 }
 
 TEST(Stream, HundredThousandTermHubbardStreamsWithoutTermList)
@@ -585,137 +628,6 @@ TEST(Stream, AgreesWithBatchOnStreamedHubbardLattice)
         EXPECT_EQ(streamed.terms()[i].indices, batch.terms()[i].indices);
         EXPECT_EQ(streamed.terms()[i].coeff, batch.terms()[i].coeff);
     }
-}
-
-/**
- * A Hamiltonian whose coefficients are NOT exactly representable sums
- * (irrational values, many terms expanding to the same monomial), so a
- * shard merge that re-associated the per-monomial coefficient fold —
- * adding pre-summed shard partials instead of replaying contributions —
- * would drift in the last ulp and fail the bit-exact comparisons below.
- */
-FermionHamiltonian
-nonDyadicHamiltonian()
-{
-    FermionHamiltonian hf(6);
-    int k = 0;
-    for (uint32_t p = 0; p < 6; ++p)
-        for (uint32_t q = 0; q < 6; ++q) {
-            ++k;
-            hf.add(FermionTerm{
-                cplx{std::sin(1.0 + k), std::cos(2.0 + k) / 3.0},
-                {FermionOp{p, true}, FermionOp{q, false}}});
-        }
-    for (uint32_t p = 0; p < 4; ++p)
-        hf.add(FermionTerm{cplx{1.0 / 3.0 + 0.1 * p, 0.0},
-                           {FermionOp{p, true}, FermionOp{p + 1, true},
-                            FermionOp{p + 1, false},
-                            FermionOp{p, false}}});
-    return hf;
-}
-
-void
-expectBitIdentical(const MajoranaPolynomial &got,
-                   const MajoranaPolynomial &want)
-{
-    ASSERT_EQ(got.numModes(), want.numModes());
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.terms()[i].indices, want.terms()[i].indices)
-            << "term " << i;
-        // operator== on doubles is exact; together with the memcmp this
-        // also rejects a -0.0 vs +0.0 drift.
-        EXPECT_EQ(got.terms()[i].coeff, want.terms()[i].coeff)
-            << "term " << i;
-        EXPECT_EQ(std::memcmp(&got.terms()[i].coeff,
-                              &want.terms()[i].coeff, sizeof(cplx)),
-                  0)
-            << "term " << i;
-    }
-}
-
-TEST(Stream, ShardMergeBitIdenticalUnderAdversarialSplits)
-{
-    FermionHamiltonian hf = nonDyadicHamiltonian();
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
-    const size_t n = hf.size();
-
-    // Split points partition the term stream into contiguous shards:
-    // all-in-one-shard, empty shards at the front/middle/back, every
-    // term its own shard, and unbalanced splits.
-    std::vector<std::vector<size_t>> splits = {
-        {},                 // single shard holds everything
-        {0},                // empty first shard
-        {n},                // empty last shard
-        {n / 2, n / 2},     // empty middle shard
-        {1},                // single-term first shard
-        {n - 1},            // single-term last shard
-        {1, 2, n / 2},      // unbalanced
-    };
-    std::vector<size_t> each; // every term its own shard
-    for (size_t i = 1; i < n; ++i)
-        each.push_back(i);
-    splits.push_back(each);
-
-    for (const std::vector<size_t> &split : splits) {
-        std::vector<size_t> bounds = {0};
-        bounds.insert(bounds.end(), split.begin(), split.end());
-        bounds.push_back(n);
-
-        io::StreamingMajoranaAccumulator combined(hf.numModes());
-        for (size_t s = 0; s + 1 < bounds.size(); ++s) {
-            io::StreamingMajoranaAccumulator shard =
-                io::StreamingMajoranaAccumulator::shard();
-            for (size_t t = bounds[s]; t < bounds[s + 1]; ++t)
-                shard.add(hf.terms()[t]);
-            combined.merge(std::move(shard));
-        }
-        expectBitIdentical(combined.finish(), batch);
-    }
-}
-
-TEST(Stream, ShardsConcatenateBeforeCombiningExactly)
-{
-    // Chained shard-into-shard merges (the reduce tree of the parallel
-    // preprocessor) followed by one combine must equal the serial path.
-    FermionHamiltonian hf = nonDyadicHamiltonian();
-    MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
-
-    io::StreamingMajoranaAccumulator log =
-        io::StreamingMajoranaAccumulator::shard();
-    const size_t third = hf.size() / 3;
-    for (size_t s = 0; s < 3; ++s) {
-        io::StreamingMajoranaAccumulator shard =
-            io::StreamingMajoranaAccumulator::shard();
-        const size_t hi = s == 2 ? hf.size() : (s + 1) * third;
-        for (size_t t = s * third; t < hi; ++t)
-            shard.add(hf.terms()[t]);
-        log.merge(std::move(shard)); // shard-mode merge = concatenation
-    }
-    EXPECT_EQ(log.termsConsumed(), hf.size());
-
-    // finish() on a shard combines through a fresh accumulator, so even
-    // the log-only path finishes to the canonical polynomial.
-    expectBitIdentical(log.finish(), batch);
-}
-
-TEST(Stream, ShardedPreprocessorMatchesSerialOnHubbardStream)
-{
-    // The paper-scale smoke: the 2x2 Hubbard stream through the parallel
-    // preprocessor with tiny blocks (many shards + multiple flushes)
-    // equals the batch path exactly. The thread-count sweep lives in
-    // tests/test_perf_parity.cpp.
-    HubbardParams params{2, 2, 1.0, 4.0};
-    MajoranaPolynomial batch =
-        MajoranaPolynomial::fromFermion(hubbardModel(params));
-
-    io::ShardedMajoranaPreprocessor pre(0, /*block_terms=*/3,
-                                        /*flush_terms=*/7);
-    streamHubbardTerms(params,
-                       [&](FermionTerm &&t) { pre.add(std::move(t)); });
-    pre.ensureModes(hubbardNumModes(params));
-    EXPECT_EQ(pre.termsConsumed(), hubbardModel(params).size());
-    expectBitIdentical(pre.finish(), batch);
 }
 
 // ----------------------------------------------------------- serializers

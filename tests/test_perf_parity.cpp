@@ -17,13 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <numeric>
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "io/stream.hpp"
 #include "common/rng.hpp"
 #include "ham/qubit_hamiltonian.hpp"
 #include "mapping/balanced_tree.hpp"
@@ -552,68 +550,18 @@ TEST(PerfParity, BatchMappingBitIdenticalAcrossThreadsAndToSerialSeed)
             EXPECT_EQ(sumHash(hq), c.hash)
                 << c.name << " threads=" << threads;
 
-            // The streaming entry point (one term at a time through the
-            // engine) must agree with the one-shot batch exactly.
-            QubitMappingEngine engine(map);
-            for (const MajoranaTerm &t : poly->terms())
-                engine.add(t);
-            EXPECT_EQ(sumHash(engine.finish()), c.hash)
-                << c.name << " threads=" << threads;
-
-            // Interleaving add() and addBatch() must preserve feed
-            // order: buffered terms flush before the batch maps.
-            QubitMappingEngine mixed(map);
+            // Successive addBatch() calls must preserve feed order:
+            // two batches equal the one-shot batch exactly.
+            QubitMappingEngine split(map);
             const auto &terms = poly->terms();
             const size_t head = terms.size() / 3;
-            for (size_t t = 0; t < head; ++t)
-                mixed.add(terms[t]);
-            mixed.addBatch(terms.data() + head, terms.size() - head);
-            EXPECT_EQ(sumHash(mixed.finish()), c.hash)
+            split.addBatch(terms.data(), head);
+            split.addBatch(terms.data() + head, terms.size() - head);
+            EXPECT_EQ(sumHash(split.finish()), c.hash)
                 << c.name << " threads=" << threads;
         }
         setParallelThreads(0);
     }
-}
-
-TEST(PerfParity, ShardedPreprocessingBitIdenticalAcrossThreadsAndToBatch)
-{
-    // Sharded Majorana preprocessing (per-block shard accumulators whose
-    // logs merge in block order) must reproduce the serial
-    // MajoranaPolynomial::fromFermion bits — term order, indices, and
-    // coefficient bit patterns — for every thread count. Tiny block and
-    // flush sizes force many shards and multiple flush rounds on the
-    // 2x2 Hubbard stream (20 fermionic terms).
-    HubbardParams params{2, 2, 1.0, 4.0};
-    MajoranaPolynomial batch =
-        MajoranaPolynomial::fromFermion(hubbardModel(params));
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        setParallelThreads(threads);
-        for (auto [block, flush] :
-             {std::pair<size_t, size_t>{1, 4}, {3, 7}, {256, 8192}}) {
-            io::ShardedMajoranaPreprocessor pre(0, block, flush);
-            streamHubbardTerms(
-                params, [&](FermionTerm &&t) { pre.add(std::move(t)); });
-            pre.ensureModes(hubbardNumModes(params));
-            MajoranaPolynomial sharded = pre.finish();
-
-            ASSERT_EQ(sharded.numModes(), batch.numModes());
-            ASSERT_EQ(sharded.size(), batch.size())
-                << "threads=" << threads << " block=" << block;
-            for (size_t i = 0; i < batch.size(); ++i) {
-                ASSERT_EQ(sharded.terms()[i].indices,
-                          batch.terms()[i].indices)
-                    << "threads=" << threads << " term " << i;
-                ASSERT_EQ(std::memcmp(&sharded.terms()[i].coeff,
-                                      &batch.terms()[i].coeff,
-                                      sizeof(cplx)),
-                          0)
-                    << "threads=" << threads << " block=" << block
-                    << " term " << i;
-            }
-        }
-    }
-    setParallelThreads(0);
 }
 
 TEST(PerfParity, ExhaustiveSearchBitIdenticalAcrossThreadsAndToSerialSeed)

@@ -600,7 +600,7 @@ TEST(TieredStore, RegistryReportsServingTier)
 
     MajoranaPolynomial poly;
     {
-        io::ShardedMajoranaPreprocessor acc;
+        io::StreamingMajoranaAccumulator acc;
         acc.add(FermionTerm({0.5, 0.0},
                             {FermionOp{0, true}, FermionOp{1, false}}));
         acc.ensureModes(2);

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -170,30 +171,65 @@ TEST(Trace, SpanOpenAcrossFlushIsDroppedWhole)
 TEST(Trace, HattcTraceCompileEmitsDriverSpans)
 {
     fs::path dir = scratchDir("hattc");
-    const std::string file = (dir / "trace.json").string();
-    ASSERT_EQ(run({"--trace", file, "compile", dataFile("h2.ops"), "-o",
-                   (dir / "out").string()}),
-              0);
-    trace::configure(""); // do not leak arming into later tests
-
-    JsonValue doc = io::loadJsonFile(file);
-    size_t begins = 0, ends = 0;
-    std::vector<std::string> names;
-    for (const JsonValue &e : doc.at("traceEvents").asArray()) {
-        const std::string ph = e.at("ph").asString();
-        begins += ph == "B";
-        ends += ph == "E";
-        names.push_back(e.at("name").asString());
+    // Besides the sample input, a generated 10-mode input of 10^4
+    // two-body terms: large enough that any buffered preprocessing
+    // would flush (and open spans) while the file is still being read.
+    const fs::path big = dir / "dense10.ops";
+    {
+        std::ofstream out(big);
+        out << "modes 10\n";
+        int k = 0;
+        for (int p = 0; p < 10; ++p)
+            for (int q = 0; q < 10; ++q)
+                for (int r = 0; r < 10; ++r)
+                    for (int t = 0; t < 10; ++t)
+                        out << 0.01 * (1 + (k++ % 7)) << " [" << p << "^ "
+                            << q << "^ " << r << " " << t << "]\n";
     }
-    EXPECT_EQ(begins, ends);
-    // The acceptance spans: parse -> preprocess -> map -> emit.
-    for (const char *want : {"parse", "preprocess", "map", "emit"})
-        EXPECT_NE(std::find(names.begin(), names.end(), want),
-                  names.end())
-            << want;
-    // The command line is recorded for provenance.
-    const std::string cmd = doc.at("otherData").at("command").asString();
-    EXPECT_NE(cmd.find("compile"), std::string::npos);
+
+    for (const std::string &input : {dataFile("h2.ops"), big.string()}) {
+        SCOPED_TRACE(input);
+        const std::string file = (dir / "trace.json").string();
+        ASSERT_EQ(run({"--trace", file, "compile", input, "-o",
+                       (dir / "out").string()}),
+                  0);
+        trace::configure(""); // do not leak arming into later tests
+
+        JsonValue doc = io::loadJsonFile(file);
+        size_t begins = 0, ends = 0;
+        std::vector<std::string> names;
+        std::map<std::string, std::pair<double, double>> driver; // B, E
+        std::vector<double> starts;
+        for (const JsonValue &e : doc.at("traceEvents").asArray()) {
+            const std::string ph = e.at("ph").asString();
+            const std::string name = e.at("name").asString();
+            const double ts = e.at("ts").asNumber();
+            begins += ph == "B";
+            ends += ph == "E";
+            names.push_back(name);
+            if (ph == "B" && name != "parse")
+                starts.push_back(ts);
+            if (e.at("cat").asString() == "driver")
+                (ph == "B" ? driver[name].first : driver[name].second) = ts;
+        }
+        EXPECT_EQ(begins, ends);
+        // The acceptance spans: parse -> preprocess -> map -> emit.
+        for (const char *want : {"parse", "preprocess", "map", "emit"})
+            EXPECT_NE(std::find(names.begin(), names.end(), want),
+                      names.end())
+                << want;
+        // parse is one layer: nothing else starts inside it, and it
+        // closes before preprocess opens.
+        const auto [parse_b, parse_e] = driver["parse"];
+        for (double ts : starts)
+            EXPECT_FALSE(ts > parse_b && ts < parse_e)
+                << "a span starts inside parse at ts=" << ts;
+        EXPECT_LE(parse_e, driver["preprocess"].first);
+        // The command line is recorded for provenance.
+        const std::string cmd =
+            doc.at("otherData").at("command").asString();
+        EXPECT_NE(cmd.find("compile"), std::string::npos);
+    }
     fs::remove_all(dir);
 }
 
@@ -282,7 +318,7 @@ TEST(Metrics, BatchSnapshotColdWarmInvariants)
     EXPECT_EQ(cd.at("mapping.candidates").asInt(),
               wd.at("mapping.candidates").asInt());
     for (const char *key :
-         {"parse.files", "parse.fermion_terms", "preprocess.shard_terms",
+         {"parse.files", "parse.fermion_terms",
           "preprocess.majorana_monomials", "map.monomials"})
         EXPECT_EQ(cd.at(key).asInt(), wd.at(key).asInt()) << key;
     // The volatile section stays out of the deterministic one.
