@@ -33,7 +33,7 @@ namespace hatt {
  * (multiplyRight accumulating the phase exponent), so no intermediate
  * PauliString allocations occur.
  *
- * The hattc driver (io/driver.cpp) compiles through addBatch() over
+ * CompilationService::compile (io/service.cpp) maps through addBatch() over
  * the streaming accumulator's deduplicated monomials; mapToQubits()
  * below is the one-call wrapper. The engine borrows @p map — it must
  * outlive the engine.

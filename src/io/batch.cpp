@@ -214,8 +214,8 @@ BatchCompiler::run(std::vector<BatchItem> items) const
     }
 
     // One work item per chunk: items are the coarse parallel grain, and
-    // each item's own stages (sharded preprocessing, candidate scans,
-    // qubit mapping) dispatch nested and run inline on this worker.
+    // each item's own parallel stages (candidate scans, qubit mapping)
+    // dispatch nested and run inline on this worker.
     metrics::add("batch.work_items", results.size());
     parallelFor(results.size(), 1, [&](size_t i) {
         if (duplicate[i])

@@ -247,8 +247,8 @@ MappingCache::recordUse(const std::string &file) const
     slot = std::max(slot, now);
 }
 
-std::optional<CachedMapping>
-MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
+std::optional<MappingStore::Entry>
+MappingCache::load(uint64_t content_hash, const std::string &kind)
 {
     trace::Span span("cache", "lookup");
     const std::string path = entryPath(content_hash, kind);
@@ -280,7 +280,7 @@ MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
             doc.at("kind").asString() != kind)
             return std::nullopt;
 
-        CachedMapping hit;
+        MappingStore::Entry hit;
         hit.mapping = mappingFromJson(doc.at("mapping"));
         if (const JsonValue *tree = doc.find("tree"))
             hit.tree = treeFromJson(*tree);
@@ -288,6 +288,7 @@ MappingCache::lookup(uint64_t content_hash, const std::string &kind) const
             if (cand->isNumber())
                 hit.candidates = static_cast<uint64_t>(
                     cand->asInt(0, INT64_MAX));
+        hit.tier = "disk";
         recordUse(fs::path(path).filename().string());
         return hit;
     } catch (const std::exception &) {
@@ -414,20 +415,6 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
     recordUse(fs::path(path).filename().string());
 }
 
-std::optional<MappingStore::Entry>
-MappingCache::load(uint64_t content_hash, const std::string &kind)
-{
-    std::optional<CachedMapping> hit = lookup(content_hash, kind);
-    if (!hit)
-        return std::nullopt;
-    MappingStore::Entry entry;
-    entry.mapping = std::move(hit->mapping);
-    entry.tree = std::move(hit->tree);
-    entry.candidates = hit->candidates;
-    entry.tier = "disk";
-    return entry;
-}
-
 void
 MappingCache::save(uint64_t content_hash, const std::string &kind,
                    const MappingStore::Entry &entry)
@@ -500,7 +487,7 @@ MappingCache::scanEntries(const std::vector<CacheIndexEntry> &index) const
     std::map<std::string, int64_t> uses;
     {
         // Copy, then release: the scan does file I/O and must not block
-        // concurrent lookup()/store() usage recording.
+        // concurrent load()/store() usage recording.
         std::lock_guard<std::mutex> lock(uses_mutex_);
         uses = pending_uses_;
     }
@@ -588,7 +575,7 @@ MappingCache::flushIndex()
     std::error_code ec;
     if (!fs::is_directory(dir_, ec))
         return; // nothing stored yet; keep the usage log for later
-    // Snapshot-and-swap: a lookup()/store() racing this flush lands its
+    // Snapshot-and-swap: a load()/store() racing this flush lands its
     // usage record in the (now empty) log for the NEXT flush instead of
     // being silently discarded by a clear-after-write.
     std::map<std::string, int64_t> uses = takeUses();
@@ -635,7 +622,7 @@ MappingCache::gc(const CacheGcOptions &options)
 
     const int64_t now = options.now ? *options.now : wallClockNow();
 
-    // Purge quarantined entries: files lookup() moved aside are kept
+    // Purge quarantined entries: files load() moved aside are kept
     // for post-mortem only until the next gc pass.
     if (fs::is_directory(quarantinePath(), ec)) {
         for (const fs::directory_entry &de :

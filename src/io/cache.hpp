@@ -9,12 +9,12 @@
  * mapping kind string. `hattc` consults it to skip re-optimizing a
  * Hamiltonian it has already seen; batch/service callers share one
  * directory across threads and processes (files are written atomically
- * via rename, and lookup()/store() touch no shared mutable state beyond
+ * via rename, and load()/store() touch no shared mutable state beyond
  * a mutex-guarded usage log).
  *
  * Lifecycle: the directory scheme is O(1) lookup but unbounded growth,
  * so the cache also maintains <dir>/index.json — one record per entry
- * file with its size and last-used time. lookup() hits and store()s are
+ * file with its size and last-used time. load() hits and store()s are
  * logged in memory and folded into the index by flushIndex() (also run
  * by the destructor); gc() evicts by age and/or total size, oldest
  * last-used first, and rewrites the index to exactly the surviving
@@ -25,7 +25,7 @@
  * is fsync'd before the rename, and the directory after), writers take
  * an advisory flock on <dir>/.lock with bounded exponential backoff
  * (proceeding best-effort when contended — rename publication stays
- * atomic either way), and a corrupt entry discovered by lookup() is
+ * atomic either way), and a corrupt entry discovered by load() is
  * moved aside into <dir>/quarantine/ instead of being silently
  * re-read every run; quarantined files are counted in index.json and
  * purged by gc().
@@ -45,16 +45,6 @@
 #include "tree/ternary_tree.hpp"
 
 namespace hatt::io {
-
-/** A cache hit: the stored mapping and, for tree mappings, its tree. */
-struct CachedMapping
-{
-    FermionQubitMapping mapping;
-    std::optional<TernaryTree> tree;
-    /** Construction candidates (HATT kinds), so cache hits report the
-        same determinism witness as the original build. */
-    std::optional<uint64_t> candidates;
-};
 
 /** One index.json record: an entry file with size and last-used time. */
 struct CacheIndexEntry
@@ -87,8 +77,8 @@ struct CacheGcStats
 
 /**
  * Implements hatt::MappingStore, so MapperRegistry::build() layers this
- * cache over every mapper (the load/save adapters below wrap
- * lookup/store).
+ * cache over every mapper: load() is the one read, save() the advisory
+ * wrapper over the throwing store().
  */
 class MappingCache : public MappingStore
 {
@@ -109,26 +99,24 @@ class MappingCache : public MappingStore
                           const std::string &kind) const;
 
     /**
-     * Look up (hash, kind); returns nullopt when absent. A present but
-     * truncated/corrupt entry is also a miss: the damaged file is moved
-     * into <dir>/quarantine/ (see wasQuarantined()), callers recompute,
-     * and the subsequent store() recreates the entry atomically, so one
-     * damaged entry cannot abort a batch run. A key-mismatched entry
-     * (hash collision) is a plain miss and is left in place. Hits are
-     * logged for the index's last-used tracking.
+     * Look up (hash, kind); returns nullopt when absent. A hit is
+     * stamped with tier "disk". A present but truncated/corrupt entry
+     * is also a miss: the damaged file is moved into <dir>/quarantine/
+     * (see wasQuarantined()), callers recompute, and the subsequent
+     * store() recreates the entry atomically, so one damaged entry
+     * cannot abort a batch run. A key-mismatched entry (hash collision)
+     * is a plain miss and is left in place. Hits are logged for the
+     * index's last-used tracking.
      */
-    std::optional<CachedMapping> lookup(uint64_t content_hash,
-                                        const std::string &kind) const;
+    std::optional<MappingStore::Entry>
+    load(uint64_t content_hash, const std::string &kind) override;
 
-    /** Store (hash, kind) -> mapping [+ tree]; overwrites atomically. */
+    /** Store (hash, kind) -> mapping [+ tree]; overwrites atomically.
+        @throws ParseError when the entry cannot be written. */
     void store(uint64_t content_hash, const std::string &kind,
                const FermionQubitMapping &mapping,
                const TernaryTree *tree = nullptr,
                std::optional<uint64_t> candidates = std::nullopt);
-
-    /** MappingStore adapter over lookup() — the registry's cache hook. */
-    std::optional<MappingStore::Entry>
-    load(uint64_t content_hash, const std::string &kind) override;
 
     /** MappingStore adapter over store(). Best-effort: a persist
         failure is swallowed — the cache is advisory, and the mapping

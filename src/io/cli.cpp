@@ -101,12 +101,11 @@ struct Options
     std::string command;
     std::string cacheCommand; //!< gc | list (command == "cache")
     std::string input;
-    std::string mapping = "hatt"; //!< batch: may be a comma list
-    std::string outDir = "out";
+    /** The compile request map/compile run and every batch item starts
+        from (batch: mapping may be a comma list). */
+    CompileRequest request;
     std::string cacheDir; //!< empty = no cache
-    std::string device;   //!< canonical device name; empty = agnostic
     std::string glob;     //!< batch directory-discovery filter
-    InputFormat format = InputFormat::Auto;
     unsigned jobs = 0;    //!< batch worker cap; 0 = pool default
     bool requireVacuum = false;
     bool check = false;
@@ -115,9 +114,6 @@ struct Options
     std::string traceFile; //!< --trace: Chrome trace output ("" = off)
     std::optional<uint64_t> maxBytes;
     std::optional<int64_t> maxAge;
-    ParseLimits limits;   //!< input caps (--max-terms / --max-modes)
-    double timeoutSeconds = 0.0; //!< per-item budget; 0 = unbounded
-    bool fallback = false; //!< degrade to btt on construction deadline
 };
 
 /** Thrown for bad command lines; maps to exit code 64 with usage. */
@@ -197,19 +193,14 @@ parseArgs(const std::vector<std::string> &args_in)
     for (size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--mapping") {
-            opt.mapping = value(i);
+            opt.request.mapping = value(i);
         } else if (a == "--format") {
             const std::string &f = value(i);
-            if (f == "auto")
-                opt.format = InputFormat::Auto;
-            else if (f == "ops")
-                opt.format = InputFormat::Ops;
-            else if (f == "fcidump")
-                opt.format = InputFormat::Fcidump;
-            else
+            if (!parseInputFormat(f))
                 throw UsageError("unknown format '" + f + "'");
+            opt.request.format = f;
         } else if (a == "-o" || a == "--out") {
-            opt.outDir = value(i);
+            opt.request.outDir = value(i);
         } else if (a == "--cache") {
             opt.cacheDir = value(i);
         } else if (a == "--device") {
@@ -222,7 +213,7 @@ parseArgs(const std::vector<std::string> &args_in)
                 device::canonicalDeviceName(name);
             if (!canonical.ok())
                 throw UsageError(canonical.status().message());
-            opt.device = canonical.value();
+            opt.request.device = canonical.value();
         } else if (a == "--glob") {
             if (opt.command != "batch")
                 throw UsageError("--glob only applies to batch");
@@ -249,19 +240,19 @@ parseArgs(const std::vector<std::string> &args_in)
                 throw UsageError("option --timeout needs a positive "
                                  "number of seconds, got '" + text + "'");
             }
-            opt.timeoutSeconds = seconds;
+            opt.request.timeoutSeconds = seconds;
         } else if (a == "--fallback") {
-            opt.fallback = true;
+            opt.request.fallback = true;
         } else if (a == "--max-terms") {
             uint64_t n = parseUnsigned(a, value(i));
             if (n == 0)
                 throw UsageError("--max-terms needs at least 1 term");
-            opt.limits.maxTerms = n;
+            opt.request.maxTerms = n;
         } else if (a == "--max-modes") {
             uint64_t n = parseUnsigned(a, value(i), 1u << 24);
             if (n == 0)
                 throw UsageError("--max-modes needs at least 1 mode");
-            opt.limits.maxModes = static_cast<uint32_t>(n);
+            opt.request.maxModes = static_cast<uint32_t>(n);
         } else if (a == "--json") {
             if (opt.command != "mappings" && opt.command != "devices" &&
                 opt.command != "stats")
@@ -294,15 +285,16 @@ parseArgs(const std::vector<std::string> &args_in)
                               opt.command == "compile" ||
                               opt.command == "batch" ||
                               opt.command == "stats";
-    if ((opt.limits.maxTerms != 0 || opt.limits.maxModes != 0) &&
+    if ((opt.request.maxTerms != 0 || opt.request.maxModes != 0) &&
         !parses_input)
         throw UsageError("--max-terms/--max-modes only apply to "
                          "map/compile/batch/stats");
-    if ((opt.timeoutSeconds > 0.0 || opt.fallback) &&
+    if ((opt.request.timeoutSeconds > 0.0 || opt.request.fallback) &&
         (!parses_input || opt.command == "stats"))
         throw UsageError("--timeout/--fallback only apply to "
                          "map/compile/batch");
-    if (!opt.device.empty() && (!parses_input || opt.command == "stats"))
+    if (!opt.request.device.empty() &&
+        (!parses_input || opt.command == "stats"))
         throw UsageError("--device only applies to map/compile/batch");
     if (opt.command == "cache") {
         if (opt.cacheCommand != "gc" && opt.cacheCommand != "list")
@@ -337,14 +329,15 @@ parseArgs(const std::vector<std::string> &args_in)
         if (!status.ok())
             throw UsageError(status.message());
     };
-    StatusOr<std::vector<std::string>> split = splitKinds(opt.mapping);
+    StatusOr<std::vector<std::string>> split =
+        splitKinds(opt.request.mapping);
     if (!split.ok())
         throw UsageError("--mapping has an " + split.status().message());
     const std::vector<std::string> &kinds = split.value();
     if (opt.command != "batch" && kinds.size() != 1)
         throw UsageError("--mapping takes one kind for " + opt.command +
                          " (a comma list only applies to batch)");
-    opt.mapping.clear();
+    opt.request.mapping.clear();
     for (const std::string &kind : kinds) {
         check_kind(kind);
         const std::string canonical = canonicalKind(kind);
@@ -353,43 +346,16 @@ parseArgs(const std::vector<std::string> &args_in)
         // mapper reject the request downstream (65).
         const Mapper *mapper = MapperRegistry::instance().find(canonical);
         if (mapper && mapper->capabilities().deviceAware &&
-            opt.device.empty() && opt.command != "stats")
+            opt.request.device.empty() && opt.command != "stats")
             throw UsageError("--mapping " + canonical +
                              " is device-aware and needs --device "
                              "(see `hattc devices`)");
-        opt.mapping += (opt.mapping.empty() ? "" : ",") + canonical;
+        opt.request.mapping +=
+            (opt.request.mapping.empty() ? "" : ",") + canonical;
     }
+    opt.request.path = opt.input;
+    opt.request.emitQubit = opt.command != "map";
     return opt;
-}
-
-/** InputFormat -> the wire-schema spelling CompileRequest carries. */
-const char *
-formatName(InputFormat format)
-{
-    switch (format) {
-      case InputFormat::Ops: return "ops";
-      case InputFormat::Fcidump: return "fcidump";
-      default: return "auto";
-    }
-}
-
-/** Options -> the compile request both map/compile and every batch
-    item start from. */
-CompileRequest
-compileRequestFor(const Options &opt)
-{
-    CompileRequest req;
-    req.path = opt.input;
-    req.format = formatName(opt.format);
-    req.mapping = opt.mapping;
-    req.outDir = opt.outDir;
-    req.emitQubit = opt.command != "map";
-    req.maxTerms = opt.limits.maxTerms;
-    req.maxModes = opt.limits.maxModes;
-    req.timeoutSeconds = opt.timeoutSeconds;
-    req.fallback = opt.fallback;
-    req.device = opt.device;
-    return req;
 }
 
 /** The CLI's service topology: a disk tier when --cache was given, with
@@ -409,7 +375,7 @@ int
 cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
 {
     CompilationService service(serviceConfigFor(opt));
-    StatusOr<CompileResponse> result = service.compile(compileRequestFor(opt));
+    StatusOr<CompileResponse> result = service.compile(opt.request);
     if (!result.ok()) {
         err << "hattc: " << result.status().message() << "\n";
         return exitCodeForStatus(result.status().code());
@@ -421,7 +387,7 @@ cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
         << " fermionic terms, " << res.monomials
         << " majorana monomials)\n";
     out << "content hash: " << hashToHex(res.contentHash) << "\n";
-    out << "mapping:      " << opt.mapping << " -> " << res.numQubits
+    out << "mapping:      " << opt.request.mapping << " -> " << res.numQubits
         << " qubits"
         << (res.cacheHit ? " [cache hit]" : "")
         << (res.degraded ? " [degraded to btt: deadline expired]" : "")
@@ -437,7 +403,7 @@ cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
             << (res.routedSwaps ? *res.routedSwaps : 0)
             << " SWAPs inserted\n";
     out << "wrote:        "
-        << (fs::path(opt.outDir) / (res.stem + ".*.json")).string()
+        << (fs::path(opt.request.outDir) / (res.stem + ".*.json")).string()
         << " (" << res.seconds << " s)\n";
     return 0;
 }
@@ -448,11 +414,12 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
     CompilationService service(serviceConfigFor(opt));
 
     BatchOptions bopt;
-    bopt.outDir = opt.outDir;
-    bopt.mappings = splitKinds(opt.mapping).value(); // validated by parseArgs
+    bopt.outDir = opt.request.outDir;
+    // parseArgs already validated the kind list.
+    bopt.mappings = splitKinds(opt.request.mapping).value();
     bopt.glob = opt.glob;
     bopt.jobs = opt.jobs;
-    bopt.request = compileRequestFor(opt);
+    bopt.request = opt.request;
 
     StatusOr<BatchOutcome> outcome =
         service.compileBatch(opt.input, bopt);
@@ -462,8 +429,8 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
     }
     const std::vector<BatchItemResult> &results = outcome->results;
 
-    ensureOutDir(opt.outDir);
-    const fs::path dir(opt.outDir);
+    ensureOutDir(opt.request.outDir);
+    const fs::path dir(opt.request.outDir);
     saveJsonFile((dir / "batch_report.json").string(), outcome->report);
     saveJsonFile((dir / "batch_stats.json").string(), outcome->stats);
 
@@ -571,7 +538,10 @@ cmdDevices(const Options &opt, std::ostream &out)
 int
 cmdStats(const Options &opt, std::ostream &out)
 {
-    LoadedProblem problem = loadProblem(opt.input, opt.format, opt.limits);
+    LoadedProblem problem = loadProblem(
+        opt.input, *parseInputFormat(opt.request.format),
+        ParseLimits{.maxTerms = opt.request.maxTerms,
+                    .maxModes = opt.request.maxModes});
     uint64_t majorana_weight = 0;
     size_t max_degree = 0;
     for (const MajoranaTerm &t : problem.poly.terms()) {

@@ -24,7 +24,7 @@
  * Global options: --trace FILE arms the process-wide trace layer
  * (Chrome trace-event JSON, same as HATT_TRACE=FILE); --version prints
  * build provenance. See common/trace.hpp and common/metrics.hpp for
- * the observability layer the driver instruments.
+ * the observability layer the compile path instruments.
  */
 
 #include <iosfwd>

@@ -3,12 +3,9 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <new>
 
 #include "common/buildinfo.hpp"
-#include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "device/device.hpp"
 #include "io/fcidump.hpp"
 #include "io/fermion_text.hpp"
 #include "io/serialize.hpp"
@@ -40,6 +37,18 @@ detectFormat(const std::string &path)
         return line[b] == '&' ? InputFormat::Fcidump : InputFormat::Ops;
     }
     return InputFormat::Ops;
+}
+
+std::optional<InputFormat>
+parseInputFormat(const std::string &name)
+{
+    if (name == "auto")
+        return InputFormat::Auto;
+    if (name == "ops")
+        return InputFormat::Ops;
+    if (name == "fcidump")
+        return InputFormat::Fcidump;
+    return std::nullopt;
 }
 
 std::optional<InputFormat>
@@ -175,181 +184,6 @@ ensureOutDir(const std::string &dir)
     if (ec)
         throw ParseError("cannot create output directory " + dir + ": " +
                          ec.message());
-}
-
-namespace {
-
-/** Stream the BENCH_*.json record shape (see bench/README.md). */
-void
-writeMetricsJson(JsonWriter &w, const std::string &name, double seconds,
-                 std::optional<uint64_t> pauli_weight,
-                 std::optional<uint64_t> candidates, bool cache_hit,
-                 bool degraded, double cache_seconds)
-{
-    auto optional = [&](const std::optional<uint64_t> &v) {
-        if (v)
-            w.number(static_cast<double>(*v));
-        else
-            w.null();
-    };
-    w.beginObject();
-    w.key("benchmark");
-    w.string("hattc");
-    w.key("records");
-    w.beginArray();
-    w.beginObject();
-    w.key("name");
-    w.string(name);
-    w.key("seconds");
-    w.number(seconds);
-    w.key("cache_seconds");
-    w.number(cache_seconds);
-    w.key("pauli_weight");
-    optional(pauli_weight);
-    w.key("candidates");
-    optional(candidates);
-    w.key("cache_hit");
-    w.boolean(cache_hit);
-    w.key("degraded");
-    w.boolean(degraded);
-    w.endObject();
-    w.endArray();
-    w.endObject();
-}
-
-/** Build @p kind over @p problem through the MapperRegistry. @p device
-    becomes the request's "device" option only for deviceAware mappers,
-    so device-independent kinds (jw, btt, ...) keep device-independent
-    cache keys under `--device`. */
-StatusOr<MappingResult>
-requestMapping(const std::string &kind, const LoadedProblem &problem,
-               MappingStore *store, const RunLimits &limits,
-               const std::string &device)
-{
-    MappingRequest req;
-    req.kind = kind;
-    req.poly = &problem.poly;
-    req.contentHash = problem.contentHash;
-    req.limits = limits;
-    if (!device.empty()) {
-        const Mapper *mapper = MapperRegistry::instance().find(kind);
-        if (mapper && mapper->capabilities().deviceAware)
-            req.options["device"] = device;
-    }
-    return MapperRegistry::instance().build(req, store);
-}
-
-} // namespace
-
-StatusOr<CompileOutcome>
-compileInput(const std::string &path, InputFormat format,
-             const std::string &kind, const std::string &out_dir,
-             MappingStore *store, bool emit_qubit,
-             const CompileConfig &config)
-{
-    Timer timer;
-    try {
-        CompileOutcome res;
-        res.problem = loadProblem(path, format, config.limits);
-
-        RunLimits run;
-        if (config.timeoutSeconds > 0.0)
-            run.deadline = Deadline::after(config.timeoutSeconds);
-        StatusOr<MappingResult> built =
-            requestMapping(kind, res.problem, store, run, config.device);
-        const Status::Code code = built.status().code();
-        if (!built.ok() && config.fallback &&
-            (code == Status::Code::DeadlineExceeded ||
-             code == Status::Code::Cancelled)) {
-            // The fallback kind is device-independent by design, so no
-            // device option is threaded through.
-            built = requestMapping("btt", res.problem, store, RunLimits{},
-                                   "");
-            res.degraded = true;
-        }
-        if (!built.ok())
-            return built.status();
-        res.built = std::move(built).value();
-
-        // The qubit Hamiltonian is mapped once: emit and the routed cost
-        // both read it.
-        std::optional<PauliSum> hq;
-        if (emit_qubit || !config.device.empty()) {
-            Timer map_timer;
-            {
-                trace::Span map_span("driver", "map");
-                // Engine batch entry point over the accumulator's
-                // deduplicated monomials (mapToQubits wraps exactly
-                // this; spelled out here so the shipped driver
-                // exercises — and the hattc tests pin — the engine API
-                // itself). A degraded build runs unbounded: its budget
-                // is already spent, and the degradation contract is
-                // "always produces output".
-                QubitMappingEngine engine(res.built.mapping);
-                engine.setLimits(res.degraded ? RunLimits{} : run);
-                engine.addBatch(res.problem.poly.terms());
-                hq = engine.finish();
-            }
-            metrics::observe("map.seconds", map_timer.seconds());
-        }
-
-        if (!config.device.empty()) {
-            // Routed hardware cost of whatever was built (any kind) on
-            // the requested device — the Table IV metric, per compile.
-            StatusOr<CouplingMap> dev = device::resolveDevice(config.device);
-            if (!dev.ok())
-                return dev.status();
-            trace::Span route_span("driver", "route");
-            metrics::ScopedTimer route_timer("route.seconds");
-            StatusOr<device::HardwareCost> cost =
-                device::evaluateHardwareCost(*hq, dev.value());
-            if (!cost.ok())
-                return cost.status();
-            res.hardwareCost = cost.value();
-        }
-
-        ensureOutDir(out_dir);
-        const fs::path dir(out_dir);
-        const std::string &stem = res.problem.stem;
-        auto artifact = [&](const char *suffix) {
-            return (dir / (stem + suffix)).string();
-        };
-        trace::Span emit_span("driver", "emit");
-        metrics::ScopedTimer emit_timer("emit.seconds");
-        publishJsonFile(artifact(".mapping.json"), [&](JsonWriter &w) {
-            writeMappingJson(w, res.built.mapping);
-        });
-        if (res.built.tree)
-            publishJsonFile(artifact(".tree.json"), [&](JsonWriter &w) {
-                writeTreeJson(w, *res.built.tree);
-            });
-        std::optional<uint64_t> pauli_weight;
-        if (emit_qubit) {
-            res.qubitMetrics = hamiltonianMetrics(*hq);
-            pauli_weight = res.qubitMetrics->pauliWeight;
-            publishJsonFile(artifact(".qubit.json"), [&](JsonWriter &w) {
-                writePauliSumJson(w, *hq);
-            });
-        }
-        res.totalSeconds = timer.seconds();
-        publishJsonFile(artifact(".metrics.json"), [&](JsonWriter &w) {
-            writeMetricsJson(w, stem + "/" + kind, res.totalSeconds,
-                             pauli_weight, res.built.metrics.candidates,
-                             res.built.metrics.cacheHit, res.degraded,
-                             res.built.metrics.cacheSeconds);
-        });
-        return res;
-    } catch (const ParseError &e) {
-        return Status::invalidArgument(e.what());
-    } catch (const DeadlineExceededError &e) {
-        return Status::deadlineExceeded(e.what());
-    } catch (const CancelledError &e) {
-        return Status::cancelled(e.what());
-    } catch (const std::bad_alloc &) {
-        return Status::resourceExhausted("out of memory");
-    } catch (const std::exception &e) {
-        return Status::internal(e.what());
-    }
 }
 
 } // namespace hatt::io

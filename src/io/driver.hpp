@@ -3,17 +3,16 @@
 
 /**
  * @file
- * Single-input compile orchestration: parse a Hamiltonian file,
- * stream-preprocess it into Majorana form, build the requested mapping
- * through the MapperRegistry, map the qubit Hamiltonian, route it onto
- * a device when one is requested, and write every artifact. These are
- * pure functions over explicit inputs — no argv, no process state
- * beyond the metrics/trace instrumentation.
+ * Input loading and run documents for the compile path: resolve an
+ * input's format, parse a Hamiltonian file and stream-preprocess it
+ * into Majorana form, plus the provenance and metrics documents that
+ * reports and `stats` print. These are pure functions over explicit
+ * inputs — no argv, no process state beyond the metrics/trace
+ * instrumentation.
  *
  * Layering: cli / hattd / batch -> CompilationService::compile ->
- * compileInput -> MapperRegistry -> stores. compileInput is the only
- * code that runs a compile, and it reports failure as a Status; it
- * knows nothing about requests, reports or command lines.
+ * {loadProblem, MapperRegistry -> stores, device routing, emit}.
+ * CompilationService::compile is the only code that runs a compile.
  */
 
 #include <cstdint>
@@ -21,14 +20,10 @@
 #include <optional>
 #include <string>
 
-#include "common/deadline.hpp"
 #include "common/metrics.hpp"
-#include "device/cost.hpp"
 #include "fermion/majorana.hpp"
-#include "ham/qubit_hamiltonian.hpp"
 #include "io/json.hpp"
 #include "io/limits.hpp"
-#include "mapping/mapper.hpp"
 
 namespace hatt::io {
 
@@ -47,12 +42,12 @@ struct LoadedProblem
 };
 
 /**
- * Parse @p path (streaming for .ops) and preprocess into Majorana form
- * with the sharded accumulator (expansion fans out over the work pool;
- * bit-identical to the serial path for every thread count). The file
- * size is checked against ParseLimits::maxFileBytes up front (before a
- * byte is parsed); the term/mode/line caps are enforced by the format
- * parsers as they stream.
+ * Parse @p path (streaming for .ops) and preprocess into Majorana form:
+ * every term is expanded and folded into one serial
+ * StreamingMajoranaAccumulator as it is read, so the term list is never
+ * buffered. The file size is checked against ParseLimits::maxFileBytes
+ * up front (before a byte is parsed); the term/mode/line caps are
+ * enforced by the format parsers as they stream.
  * @throws ParseError on unreadable/malformed/over-cap input.
  */
 LoadedProblem loadProblem(const std::string &path,
@@ -64,61 +59,14 @@ LoadedProblem loadProblem(const std::string &path,
     @throws ParseError when the file cannot be opened. */
 InputFormat detectFormat(const std::string &path);
 
+/** "auto" | "ops" | "fcidump" -> format; nullopt for any other name.
+    The one conversion from the wire/CLI spelling (CompileRequest::
+    format, `--format`) to InputFormat. */
+std::optional<InputFormat> parseInputFormat(const std::string &name);
+
 /** ".ops"/".fcidump" (case-insensitive) -> format; nullopt otherwise. */
 std::optional<InputFormat>
 formatFromExtension(const std::filesystem::path &path);
-
-/** Budget/guard knobs of one compile. */
-struct CompileConfig
-{
-    ParseLimits limits;
-    double timeoutSeconds = 0.0; //!< 0 = unbounded
-    bool fallback = false;       //!< degrade to btt on deadline
-    /** Canonical device name; empty = architecture-agnostic compile.
-        When set, the outcome carries the routed HardwareCost of the
-        built mapping on this device (any mapping kind). */
-    std::string device;
-};
-
-/** What one input compiled to (compile artifacts already on disk). */
-struct CompileOutcome
-{
-    LoadedProblem problem;
-    MappingResult built;
-    std::optional<HamiltonianMetrics> qubitMetrics;
-    /** Routed cost on CompileConfig::device (set iff a device was). */
-    std::optional<device::HardwareCost> hardwareCost;
-    double totalSeconds = 0.0; //!< wall clock from compile entry to emit
-    /** Construction hit its deadline and fell back to btt. */
-    bool degraded = false;
-};
-
-/**
- * The full compile pipeline for one input: parse, preprocess, build the
- * mapping (consulting @p store when given), map the qubit Hamiltonian
- * once (when @p emit_qubit or a device is set), route it onto the
- * device, and write every artifact into @p out_dir.
- *
- * The deadline (when set) covers construction AND qubit mapping; with
- * fallback a construction deadline degrades to the deterministic FH
- * ternary-tree construction (btt) — the fallback build itself runs
- * unbounded, since degradation must complete to be useful. A deadline
- * during qubit mapping always fails the compile (there is no cheaper
- * way to map the same Hamiltonian).
- *
- * Never throws. Registry and device statuses pass through unchanged;
- * this is the one place on the compile path that turns what the
- * parsers, the qubit-mapping engine and artifact I/O throw into a
- * Status (ParseError -> InvalidArgument, DeadlineExceededError ->
- * DeadlineExceeded, CancelledError -> Cancelled, bad_alloc ->
- * ResourceExhausted, anything else -> Internal).
- */
-StatusOr<CompileOutcome> compileInput(const std::string &path,
-                                      InputFormat format,
-                                      const std::string &kind,
-                                      const std::string &out_dir,
-                                      MappingStore *store, bool emit_qubit,
-                                      const CompileConfig &config);
 
 /** Create @p dir (and parents). @throws ParseError on failure. */
 void ensureOutDir(const std::string &dir);

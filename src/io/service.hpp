@@ -5,11 +5,11 @@
  * @file
  * The transport-agnostic compilation core: a `CompilationService` owns
  * the shared store stack (in-memory TieredMappingStore over the on-disk
- * MappingCache), runs every compile through the io/driver pipeline, and
- * speaks versioned, JSON-round-trippable request/response structs — the
- * `hattd` wire protocol v1. `hattc compile`/`map`, every hattd compile
- * frame and every `hattc batch` item reach the driver through
- * compile(); nothing here reads argv or writes diagnostics.
+ * MappingCache), runs the one compile pipeline, and speaks versioned,
+ * JSON-round-trippable request/response structs — the `hattd` wire
+ * protocol v1. `hattc compile`/`map`, every hattd compile frame and
+ * every `hattc batch` item run through compile(); nothing here reads
+ * argv or writes diagnostics.
  *
  *   CompilationService service({.cacheDir = "cache"});
  *   CompileRequest req;
@@ -21,8 +21,8 @@
  * staying byte-identical to the cold run (the tier memoizes exactly
  * what the build would produce).
  *
- * Errors are Status values, never exceptions: the driver's Status
- * passes through unchanged, the CLI maps it to sysexits through one
+ * Errors are Status values, never exceptions: compile() turns every
+ * failure into one Status, the CLI maps it to sysexits through one
  * table (io/cli's exitCodeForStatus), hattd to wire code strings, and
  * a batch report to its per-item status.
  */
@@ -207,8 +207,8 @@ struct ServiceConfig
 };
 
 /**
- * The compilation core. Owns the store stack, admits work through the
- * io/driver pipeline, and reports outcomes as Status values. Thread
+ * The compilation core. Owns the store stack, runs the compile
+ * pipeline, and reports outcomes as Status values. Thread
  * compatibility matches the underlying stores: concurrent compile()
  * calls are safe (the tier map is sharded-mutex, the disk cache is
  * rename-atomic), and a single service instance is intended to live as
@@ -226,10 +226,26 @@ class CompilationService
     /**
      * Compile one input per @p req: parse, preprocess, build the
      * mapping through the MapperRegistry (consulting the store stack),
-     * optionally map the qubit Hamiltonian, and write the artifact set
-     * into req.outDir. Never throws: bad requests come back as
-     * InvalidArgument/NotFound, budget expiry as DeadlineExceeded/
-     * Cancelled, library failures as Internal/ResourceExhausted.
+     * map the qubit Hamiltonian once (when req.emitQubit or a device is
+     * set), route it onto req.device, and write the artifact set into
+     * req.outDir. The response is filled as each stage finishes, and
+     * `<stem>.metrics.json` mirrors its fields.
+     *
+     * The deadline (req.timeoutSeconds, when set) covers construction
+     * AND qubit mapping; with req.fallback a construction deadline
+     * degrades to the deterministic FH ternary-tree construction (btt)
+     * — the fallback build itself runs unbounded, since degradation
+     * must complete to be useful. A deadline during qubit mapping
+     * always fails the compile (there is no cheaper way to map the same
+     * Hamiltonian).
+     *
+     * Never throws. Request, registry and device statuses pass through
+     * unchanged; this is the one place on the compile path that turns
+     * what the parsers, the qubit-mapping engine and artifact I/O throw
+     * into a Status (ParseError -> InvalidArgument,
+     * DeadlineExceededError -> DeadlineExceeded, CancelledError ->
+     * Cancelled, bad_alloc -> ResourceExhausted, anything else ->
+     * Internal).
      */
     StatusOr<CompileResponse> compile(const CompileRequest &req);
 

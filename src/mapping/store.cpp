@@ -1,6 +1,5 @@
 #include "mapping/store.hpp"
 
-#include <algorithm>
 #include <functional>
 
 #include "common/metrics.hpp"
@@ -46,29 +45,22 @@ TieredMappingStore::load(uint64_t content_hash, const std::string &kind)
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto it = shard.entries.find(Key(content_hash, kind));
         if (it != shard.entries.end()) {
-            memory_hits_.fetch_add(1, std::memory_order_relaxed);
             metrics::add("store.memory_hits");
             Entry out = it->second;
             out.tier = "memory";
             return out;
         }
     }
-    if (!backing_) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+    if (!backing_)
         return std::nullopt;
-    }
     std::optional<Entry> hit = backing_->load(content_hash, kind);
-    if (!hit) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+    if (!hit)
         return std::nullopt;
-    }
-    backing_hits_.fetch_add(1, std::memory_order_relaxed);
     metrics::add("store.backing_hits");
     // Read promotion: the next load() of this key is a memory hit. The
     // promoted copy is stored tier-less; tiers are stamped at serve
     // time, not at rest.
     publish(content_hash, kind, *hit);
-    promotions_.fetch_add(1, std::memory_order_relaxed);
     metrics::add("store.promotions");
     return hit;
 }
@@ -77,7 +69,6 @@ void
 TieredMappingStore::save(uint64_t content_hash, const std::string &kind,
                          const Entry &entry)
 {
-    stores_.fetch_add(1, std::memory_order_relaxed);
     // Write-through, durable tier first: if the backing persist fails
     // (it is best-effort by contract), the memory tier still serves
     // this process, and a later recompute re-attempts the disk write.
@@ -96,32 +87,6 @@ TieredMappingStore::publish(uint64_t content_hash, const std::string &kind,
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.entries.insert_or_assign(Key(content_hash, kind),
                                    std::move(stored));
-}
-
-TieredMappingStore::Stats
-TieredMappingStore::stats() const
-{
-    Stats s;
-    s.memoryHits = memory_hits_.load(std::memory_order_relaxed);
-    s.backingHits = backing_hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.stores = stores_.load(std::memory_order_relaxed);
-    s.promotions = promotions_.load(std::memory_order_relaxed);
-    s.entries = entryCount();
-    return s;
-}
-
-std::vector<std::pair<uint64_t, std::string>>
-TieredMappingStore::keys() const
-{
-    std::vector<Key> out;
-    for (const Shard &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        for (const auto &[key, entry] : shard.entries)
-            out.push_back(key);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 size_t

@@ -26,22 +26,18 @@
  *
  * Determinism: the memory tier only memoizes what the backing/build
  * path would produce anyway, so a warm in-process run stays
- * byte-identical to a cold one. Iteration for stats is deterministic —
- * keys() returns a sorted snapshot regardless of shard layout or
- * insertion interleaving. The tier publishes its own metrics counters
- * (store.memory_hits, store.backing_hits, store.promotions); it never
- * emits a registry-level miss counter, so the pinned
- * mapping.cache_hits/cache_misses semantics are untouched.
+ * byte-identical to a cold one. The tier's traffic is reported only
+ * through the metrics registry (store.memory_hits, store.backing_hits,
+ * store.promotions); it never emits a registry-level miss counter, so
+ * the pinned mapping.cache_hits/cache_misses semantics are untouched.
  */
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "mapping/mapper.hpp"
 
@@ -50,17 +46,6 @@ namespace hatt {
 class TieredMappingStore : public MappingStore
 {
   public:
-    /** Cumulative tier traffic since construction (or clearStats()). */
-    struct Stats
-    {
-        uint64_t memoryHits = 0;  //!< load() served by the memory tier
-        uint64_t backingHits = 0; //!< load() served by the backing store
-        uint64_t misses = 0;      //!< both tiers missed
-        uint64_t stores = 0;      //!< save() calls (write-through)
-        uint64_t promotions = 0;  //!< backing hits copied into memory
-        uint64_t entries = 0;     //!< entries resident in memory now
-    };
-
     /** @p backing is borrowed (may be null: memory-only store) and must
         outlive this object. */
     explicit TieredMappingStore(MappingStore *backing = nullptr)
@@ -76,14 +61,6 @@ class TieredMappingStore : public MappingStore
 
     void save(uint64_t content_hash, const std::string &kind,
               const Entry &entry) override;
-
-    MappingStore *backing() const { return backing_; }
-
-    Stats stats() const;
-
-    /** Keys resident in memory, sorted by (hash, kind) — deterministic
-        regardless of shard layout and insertion interleaving. */
-    std::vector<std::pair<uint64_t, std::string>> keys() const;
 
     /** Entries resident in the memory tier. */
     size_t entryCount() const;
@@ -112,12 +89,6 @@ class TieredMappingStore : public MappingStore
 
     MappingStore *backing_;
     std::array<Shard, kShards> shards_;
-
-    std::atomic<uint64_t> memory_hits_{0};
-    std::atomic<uint64_t> backing_hits_{0};
-    std::atomic<uint64_t> misses_{0};
-    std::atomic<uint64_t> stores_{0};
-    std::atomic<uint64_t> promotions_{0};
 };
 
 } // namespace hatt

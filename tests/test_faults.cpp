@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -99,17 +100,25 @@ buildBtt(uint32_t modes)
     return std::move(built).value();
 }
 
-/** Entry files (exactly "<hash>-<kind>.json") in a cache directory. */
-size_t
-entryCount(const fs::path &dir)
+/** Entry files (exactly "<hash>-<kind>.json") in a cache directory,
+    sorted by path. */
+std::vector<fs::path>
+entryFiles(const fs::path &dir)
 {
-    size_t n = 0;
+    std::vector<fs::path> files;
     for (const fs::directory_entry &de : fs::directory_iterator(dir))
         if (de.is_regular_file() &&
             de.path().extension() == ".json" &&
             de.path().filename() != "index.json")
-            ++n;
-    return n;
+            files.push_back(de.path());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+size_t
+entryCount(const fs::path &dir)
+{
+    return entryFiles(dir).size();
 }
 
 TEST_F(FaultTest, SpecGrammarAcceptsAndRejects)
@@ -192,7 +201,7 @@ TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)
                                  btt.tree ? &*btt.tree : nullptr),
                      io::ParseError);
         EXPECT_EQ(entryCount(dir / "cache"), 0u);
-        EXPECT_FALSE(cache.lookup(0x1234, "btt").has_value());
+        EXPECT_FALSE(cache.load(0x1234, "btt").has_value());
         size_t debris = 0;
         for (const fs::directory_entry &de :
              fs::directory_iterator(dir / "cache"))
@@ -210,7 +219,7 @@ TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)
         fault::disable();
         cache.store(0x1234, "btt", btt.mapping,
                     btt.tree ? &*btt.tree : nullptr);
-        EXPECT_TRUE(cache.lookup(0x1234, "btt").has_value());
+        EXPECT_TRUE(cache.load(0x1234, "btt").has_value());
 
         // gc leaves fresh debris alone — it could belong to a live
         // writer mid-publish — but sweeps it once it is an hour stale
@@ -274,12 +283,12 @@ TEST_F(FaultTest, CacheReadThrowQuarantinesTheEntry)
         io::MappingCache cache(cdir);
         cache.store(0x9999, "btt", btt.mapping,
                     btt.tree ? &*btt.tree : nullptr);
-        ASSERT_TRUE(cache.lookup(0x9999, "btt").has_value());
+        ASSERT_TRUE(cache.load(0x9999, "btt").has_value());
 
         // A read that comes back damaged is a miss, and the entry is
         // moved aside so the next run doesn't re-read the same damage.
         ASSERT_EQ(fault::configure("cache.read=throw@1"), "");
-        EXPECT_FALSE(cache.lookup(0x9999, "btt").has_value());
+        EXPECT_FALSE(cache.load(0x9999, "btt").has_value());
         EXPECT_TRUE(cache.wasQuarantined(0x9999, "btt"));
         EXPECT_FALSE(cache.wasQuarantined(0x9999, "jw"));
         EXPECT_EQ(cache.quarantinedCount(), 1u);
@@ -288,7 +297,7 @@ TEST_F(FaultTest, CacheReadThrowQuarantinesTheEntry)
         // Past @1 the rule is spent: a fresh store round-trips.
         cache.store(0x9999, "btt", btt.mapping,
                     btt.tree ? &*btt.tree : nullptr);
-        EXPECT_TRUE(cache.lookup(0x9999, "btt").has_value());
+        EXPECT_TRUE(cache.load(0x9999, "btt").has_value());
 
         // index.json v2 carries the quarantine count.
         cache.flushIndex();
@@ -319,12 +328,12 @@ TEST_F(FaultTest, CacheReadFailIsAPlainMiss)
 
     // Fail models a transient read error: miss, entry left in place.
     ASSERT_EQ(fault::configure("cache.read=fail"), "");
-    EXPECT_FALSE(cache.lookup(0x4242, "btt").has_value());
+    EXPECT_FALSE(cache.load(0x4242, "btt").has_value());
     EXPECT_EQ(entryCount(dir / "cache"), 1u);
     EXPECT_EQ(cache.quarantinedCount(), 0u);
 
     fault::disable();
-    EXPECT_TRUE(cache.lookup(0x4242, "btt").has_value());
+    EXPECT_TRUE(cache.load(0x4242, "btt").has_value());
     fs::remove_all(dir);
 }
 
@@ -342,7 +351,7 @@ TEST_F(FaultTest, TrulyCorruptEntryIsQuarantinedWithoutInjection)
         std::ofstream os(entry, std::ios::trunc);
         os << "{ torn write";
     }
-    EXPECT_FALSE(cache.lookup(0x7777, "btt").has_value());
+    EXPECT_FALSE(cache.load(0x7777, "btt").has_value());
     EXPECT_TRUE(cache.wasQuarantined(0x7777, "btt"));
     EXPECT_EQ(cache.quarantinedCount(), 1u);
     EXPECT_FALSE(fs::exists(entry));
@@ -489,6 +498,51 @@ TEST_F(FaultTest, BatchIsolatesInjectedFaultsDeterministically)
         EXPECT_EQ(run({"cache", "list", cdir, "--check"}, &text), 0)
             << text;
     }
+    fs::remove_all(dir);
+}
+
+TEST_F(FaultTest, BatchReportsQuarantinedCacheAndRecovers)
+{
+    // A torn entry in a warm cache: the next batch quarantines it,
+    // recomputes that item, reports it, and leaves the cache healthy.
+    fs::path dir = scratchDir("torn");
+    fs::path corpus = dir / "corpus";
+    fs::create_directories(corpus);
+    fs::copy_file(dataFile("eq3.ops"), corpus / "eq3.ops");
+    fs::copy_file(dataFile("h2.ops"), corpus / "h2.ops");
+    const fs::path cache = dir / "cache";
+    std::string text;
+    ASSERT_EQ(run({"batch", corpus.string(), "--cache", cache.string(),
+                   "-o", (dir / "warm").string()},
+                  &text),
+              0)
+        << text;
+    ASSERT_EQ(entryCount(cache), 2u);
+
+    std::ofstream(entryFiles(cache).front(), std::ios::trunc)
+        << "{ torn write\n";
+
+    ASSERT_EQ(run({"batch", corpus.string(), "--cache", cache.string(),
+                   "-o", (dir / "torn").string()},
+                  &text),
+              0)
+        << text;
+    const JsonValue doc =
+        JsonValue::parse(slurp(dir / "torn" / "batch_report.json"));
+    size_t quarantined = 0;
+    for (size_t i = 0; i < doc.at("inputs").size(); ++i)
+        if (doc.at("inputs").at(i).at("status").asString() ==
+            "quarantined_cache")
+            ++quarantined;
+    EXPECT_EQ(quarantined, 1u);
+    EXPECT_EQ(doc.at("summary").at("failed").asInt(), 0);
+
+    // The recompute re-published the entry; gc purges the quarantined
+    // copy and the index agrees with the directory.
+    EXPECT_EQ(entryCount(cache), 2u);
+    EXPECT_EQ(run({"cache", "gc", cache.string()}, &text), 0) << text;
+    EXPECT_EQ(run({"cache", "list", cache.string(), "--check"}, &text), 0)
+        << text;
     fs::remove_all(dir);
 }
 

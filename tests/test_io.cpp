@@ -1028,19 +1028,19 @@ TEST(Cache, StoresAndRecoversMappingsByContentHash)
     uint64_t hash = io::majoranaContentHash(poly);
     io::MappingCache cache(dir.string());
 
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     HattResult res = buildHattMapping(poly);
     cache.store(hash, "hatt", res.mapping, &res.tree);
 
-    auto hit = cache.lookup(hash, "hatt");
+    auto hit = cache.load(hash, "hatt");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(stringsHash(hit->mapping), stringsHash(res.mapping));
     ASSERT_TRUE(hit->tree.has_value());
     EXPECT_EQ(hit->tree->numNodes(), res.tree.numNodes());
 
-    EXPECT_FALSE(cache.lookup(hash ^ 1, "hatt").has_value());
-    EXPECT_FALSE(cache.lookup(hash, "jw").has_value());
+    EXPECT_FALSE(cache.load(hash ^ 1, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "jw").has_value());
     fs::remove_all(dir);
 }
 
@@ -1063,11 +1063,11 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
         std::ofstream os(entry, std::ios::trunc);
         os << "{\"format\": \"hatt-cache\"";
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Recompute-and-store overwrites the damaged file; lookups hit again.
     cache.store(hash, "hatt", res.mapping, &res.tree);
-    auto hit = cache.lookup(hash, "hatt");
+    auto hit = cache.load(hash, "hatt");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(stringsHash(hit->mapping), stringsHash(res.mapping));
 
@@ -1083,14 +1083,14 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
         std::ofstream os(entry, std::ios::trunc);
         os << text;
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Garbage that parses as JSON but not as a mapping: miss, not crash.
     {
         std::ofstream os(entry, std::ios::trunc);
         os << "{\"format\": \"hatt-cache\", \"version\": 1}";
     }
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
     fs::remove_all(dir);
 }
 
@@ -1131,7 +1131,7 @@ TEST(Cache, IndexTracksEntriesAndSurvivesDriftAndCorruption)
         os << "{\"format\": \"hatt-cache-index\"";
     }
     EXPECT_TRUE(cache.loadIndex().empty());
-    EXPECT_TRUE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_TRUE(cache.load(hash, "hatt").has_value());
     cache.flushIndex();
     EXPECT_EQ(cache.loadIndex().size(), 1u);
     EXPECT_TRUE(cache.indexConsistent());
@@ -1180,7 +1180,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     EXPECT_EQ(stats.evicted, 2u);
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "jw")));
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "bk")));
-    EXPECT_TRUE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_TRUE(cache.load(hash, "hatt").has_value());
     ASSERT_EQ(cache.loadIndex().size(), 1u);
     EXPECT_TRUE(cache.indexConsistent());
 
@@ -1193,7 +1193,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     EXPECT_EQ(stats.bytesAfter, 0u);
     EXPECT_TRUE(cache.loadIndex().empty());
     EXPECT_TRUE(cache.indexConsistent());
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Even evict-everything passes leave the bystander untouched.
     EXPECT_TRUE(fs::exists(bystander));
@@ -1230,13 +1230,13 @@ TEST(Cache, GcHonorsInjectedNowForAgePolicies)
     io::CacheGcOptions not_yet;
     not_yet.maxAgeSeconds = 86400 * 7;
     EXPECT_EQ(cache.gc(not_yet).evicted, 0u);
-    ASSERT_TRUE(cache.lookup(hash, "hatt").has_value());
+    ASSERT_TRUE(cache.load(hash, "hatt").has_value());
 
     io::CacheGcOptions future;
     future.maxAgeSeconds = 3600;
     future.now = static_cast<int64_t>(std::time(nullptr)) + 86400;
     EXPECT_EQ(cache.gc(future).evicted, 1u);
-    EXPECT_FALSE(cache.lookup(hash, "hatt").has_value());
+    EXPECT_FALSE(cache.load(hash, "hatt").has_value());
     EXPECT_TRUE(cache.indexConsistent());
     fs::remove_all(dir);
 }

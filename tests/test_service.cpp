@@ -415,12 +415,40 @@ TEST(Service, SecondsIsTheWallClockOfTheWholeCompile)
     EXPECT_GT(emit, 0.0);
     EXPECT_GE(resp->seconds, parse + preprocess);
 
-    // The metrics artifact records the same wall clock.
-    JsonValue rec = io::loadJsonFile((dir / "out/chain16.metrics.json")
-                                         .string())
-                        .at("records")
-                        .at(size_t{0});
-    EXPECT_EQ(rec.at("seconds").asNumber(), resp->seconds);
+    // The metrics artifact is a mirror of the response: every record
+    // field equals the response field it is written from.
+    const auto expectMirrors = [&](const CompileResponse &r) {
+        const JsonValue rec =
+            io::loadJsonFile((dir / "out/chain16.metrics.json").string())
+                .at("records")
+                .at(size_t{0});
+        EXPECT_EQ(rec.at("name").asString(), "chain16/" + req.mapping);
+        EXPECT_EQ(rec.at("seconds").asNumber(), r.seconds);
+        EXPECT_EQ(rec.at("cache_seconds").asNumber(), r.cacheSeconds);
+        const auto optionalU64 = [&](const char *key) {
+            const JsonValue &v = rec.at(key);
+            return v.isNull()
+                       ? std::optional<uint64_t>()
+                       : std::optional<uint64_t>(
+                             static_cast<uint64_t>(v.asInt(0)));
+        };
+        EXPECT_EQ(optionalU64("pauli_weight"), r.pauliWeight);
+        EXPECT_EQ(optionalU64("candidates"), r.candidates);
+        EXPECT_EQ(rec.at("cache_hit").asBool(), r.cacheHit);
+        EXPECT_EQ(rec.at("degraded").asBool(), r.degraded);
+    };
+    expectMirrors(resp.value());
+    EXPECT_FALSE(resp->pauliWeight.has_value());
+
+    // With the qubit Hamiltonian emitted, pauli_weight is a number, and
+    // a HATT build reports its candidates witness.
+    req.mapping = "hatt";
+    req.emitQubit = true;
+    StatusOr<CompileResponse> full = service.compile(req);
+    ASSERT_TRUE(full.ok()) << full.status().message();
+    ASSERT_TRUE(full->pauliWeight.has_value());
+    ASSERT_TRUE(full->candidates.has_value());
+    expectMirrors(full.value());
     fs::remove_all(dir);
 }
 
@@ -461,8 +489,18 @@ class RecordingStore : public MappingStore
     TieredMappingStore *tiered = nullptr;
 };
 
+/** A deterministic counter of the current metrics scope (0 if unset). */
+uint64_t
+counter(const std::string &name)
+{
+    const metrics::Snapshot snap = metrics::snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
 TEST(TieredStore, WriteThroughPersistsBackingFirst)
 {
+    metrics::reset();
     RecordingStore backing;
     TieredMappingStore tiered(&backing);
     backing.tiered = &tiered;
@@ -484,16 +522,14 @@ TEST(TieredStore, WriteThroughPersistsBackingFirst)
     EXPECT_EQ(*hit->candidates, 7u);
     EXPECT_EQ(backing.loads, 0);
 
-    TieredMappingStore::Stats stats = tiered.stats();
-    EXPECT_EQ(stats.stores, 1u);
-    EXPECT_EQ(stats.memoryHits, 1u);
-    EXPECT_EQ(stats.backingHits, 0u);
-    EXPECT_EQ(stats.promotions, 0u);
-    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(counter("store.memory_hits"), 1u);
+    EXPECT_EQ(counter("store.backing_hits"), 0u);
+    EXPECT_EQ(counter("store.promotions"), 0u);
 }
 
 TEST(TieredStore, BackingHitPromotesAndStampsTiers)
 {
+    metrics::reset();
     RecordingStore backing;
     TieredMappingStore tiered(&backing);
     MappingStore::Entry entry = sampleEntry();
@@ -513,24 +549,27 @@ TEST(TieredStore, BackingHitPromotesAndStampsTiers)
 
     // Promotion is a memory publish only — never a backing re-save.
     EXPECT_EQ(backing.saves, 0);
+    EXPECT_EQ(tiered.entryCount(), 1u);
 
-    TieredMappingStore::Stats stats = tiered.stats();
-    EXPECT_EQ(stats.backingHits, 1u);
-    EXPECT_EQ(stats.promotions, 1u);
-    EXPECT_EQ(stats.memoryHits, 1u);
+    EXPECT_EQ(counter("store.backing_hits"), 1u);
+    EXPECT_EQ(counter("store.promotions"), 1u);
+    EXPECT_EQ(counter("store.memory_hits"), 1u);
 
-    // A true miss stays a miss.
-    EXPECT_FALSE(tiered.load(2, "jw"));
-    EXPECT_EQ(tiered.stats().misses, 1u);
+    // A true miss stays a miss: both tiers are asked, nothing is
+    // promoted and no counter moves.
+    EXPECT_FALSE(tiered.load(2, "jw").has_value());
+    EXPECT_EQ(backing.loads, 2);
+    EXPECT_EQ(tiered.entryCount(), 1u);
+    EXPECT_EQ(counter("store.backing_hits"), 1u);
+    EXPECT_EQ(counter("store.promotions"), 1u);
+    EXPECT_EQ(counter("store.memory_hits"), 1u);
 
-    // Deterministic iteration: sorted by (hash, kind).
+    // Write-through: each distinct key is one backing save and one
+    // resident entry.
     tiered.save(9, "bk", sampleEntry());
     tiered.save(9, "aa", sampleEntry());
-    auto keys = tiered.keys();
-    ASSERT_EQ(keys.size(), 3u);
-    EXPECT_EQ(keys[0], (std::pair<uint64_t, std::string>(1, "jw")));
-    EXPECT_EQ(keys[1], (std::pair<uint64_t, std::string>(9, "aa")));
-    EXPECT_EQ(keys[2], (std::pair<uint64_t, std::string>(9, "bk")));
+    EXPECT_EQ(backing.saves, 2);
+    EXPECT_EQ(tiered.entryCount(), 3u);
 }
 
 TEST(TieredStore, MemoryHitSurvivesDiskGc)
