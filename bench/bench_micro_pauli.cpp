@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot substrate operations:
- * Pauli string products, Hamiltonian mapping, and HATT construction.
+ * Pauli string products, Majorana preprocessing, Hamiltonian mapping,
+ * and HATT construction.
  * Also emits BENCH_micro_pauli.json (fixed-repetition wall times for the
  * headline kernels) so the perf trajectory is tracked across PRs.
  */
@@ -130,6 +131,25 @@ writeJsonLog()
         benchmark::DoNotOptimize(sink2);
         json.add("pauli_multiply_64q_span_x" + std::to_string(reps),
                  t2.seconds());
+    }
+
+    {
+        // The preprocess layer of a compile request: the streaming
+        // accumulator over the e2ebench 22x22 (968-mode) Hubbard lattice,
+        // its term list built once outside the timer.
+        const FermionHamiltonian hf = hubbardModel({22, 22, 1.0, 4.0});
+        constexpr int reps = 20;
+        size_t monomials = 0;
+        Timer t;
+        for (int i = 0; i < reps; ++i) {
+            StreamingMajoranaAccumulator acc(hf.numModes());
+            for (const FermionTerm &term : hf.terms())
+                acc.add(term);
+            monomials += acc.finish().size();
+        }
+        benchmark::DoNotOptimize(monomials);
+        json.add("majorana_preprocess_hub22x22_x" + std::to_string(reps),
+                 t.seconds());
     }
 
     for (uint32_t n : {64u, 128u}) {

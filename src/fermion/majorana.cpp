@@ -1,15 +1,32 @@
 #include "fermion/majorana.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <map>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 namespace hatt {
 
+namespace {
+
+/** 32-bit hash of an index span (table slot and tag). */
+uint32_t
+hashIndices(std::span<const uint32_t> idx)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ idx.size();
+    for (uint32_t x : idx)
+        h = (h ^ x) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<uint32_t>(h);
+}
+
+} // namespace
+
 std::string
-MajoranaTerm::toString() const
+MajoranaMonomial::toString() const
 {
     std::ostringstream ss;
     ss << "(" << coeff.real();
@@ -23,111 +40,32 @@ MajoranaTerm::toString() const
     return ss.str();
 }
 
-std::pair<double, std::vector<uint32_t>>
-MajoranaPolynomial::canonicalize(std::vector<uint32_t> idx)
-{
-    double sign = 1.0;
-    // Insertion sort with anticommutation sign per adjacent swap.
-    for (size_t i = 1; i < idx.size(); ++i) {
-        size_t j = i;
-        while (j > 0 && idx[j - 1] > idx[j]) {
-            std::swap(idx[j - 1], idx[j]);
-            sign = -sign;
-            --j;
-        }
-    }
-    // Cancel equal adjacent pairs: M_i M_i = I. Since equal entries are now
-    // adjacent, remove them two at a time (no extra sign: adjacent equals
-    // need no swap).
-    std::vector<uint32_t> out;
-    out.reserve(idx.size());
-    size_t i = 0;
-    while (i < idx.size()) {
-        if (i + 1 < idx.size() && idx[i] == idx[i + 1]) {
-            i += 2;
-        } else {
-            out.push_back(idx[i]);
-            ++i;
-        }
-    }
-    return {sign, out};
-}
-
 MajoranaPolynomial
 MajoranaPolynomial::fromFermion(const FermionHamiltonian &hf)
 {
-    MajoranaPolynomial poly(hf.numModes());
-
-    for (const auto &term : hf.terms()) {
-        const size_t k = term.ops.size();
-        if (k > kMaxLadderOps)
-            throw std::invalid_argument(
-                "MajoranaPolynomial::fromFermion: term with > 30 ladder "
-                "operators");
-        const size_t combos = size_t{1} << k;
-        // Expand the product over the two Majorana halves of each ladder op:
-        //   a†_j = (M_2j - i M_2j+1)/2,  a_j = (M_2j + i M_2j+1)/2.
-        for (size_t mask = 0; mask < combos; ++mask) {
-            cplx coeff = term.coeff;
-            std::vector<uint32_t> indices;
-            indices.reserve(k);
-            for (size_t p = 0; p < k; ++p) {
-                const FermionOp &op = term.ops[p];
-                bool odd_half = (mask >> p) & 1;
-                coeff *= 0.5;
-                if (odd_half) {
-                    indices.push_back(2 * op.mode + 1);
-                    coeff *= op.creation ? cplx{0.0, -1.0} : cplx{0.0, 1.0};
-                } else {
-                    indices.push_back(2 * op.mode);
-                }
-            }
-            auto [sign, canon] = canonicalize(std::move(indices));
-            poly.add(coeff * sign, std::move(canon));
-        }
-    }
-    poly.compress();
-    return poly;
+    StreamingMajoranaAccumulator acc(hf.numModes());
+    for (const FermionTerm &term : hf.terms())
+        acc.add(term);
+    return acc.finish();
 }
 
 void
-MajoranaPolynomial::add(cplx coeff, std::vector<uint32_t> indices)
+MajoranaPolynomial::add(cplx coeff, std::span<const uint32_t> indices)
 {
     for (size_t i = 0; i + 1 < indices.size(); ++i)
         assert(indices[i] < indices[i + 1]);
     for ([[maybe_unused]] uint32_t i : indices)
         assert(i < numMajoranas());
-    terms_.push_back(MajoranaTerm{coeff, std::move(indices)});
-}
-
-void
-MajoranaPolynomial::compress(double tol)
-{
-    std::unordered_map<std::vector<uint32_t>, size_t, IndexVecHash> index;
-    std::vector<MajoranaTerm> merged;
-    merged.reserve(terms_.size());
-    for (auto &t : terms_) {
-        auto it = index.find(t.indices);
-        if (it == index.end()) {
-            index.emplace(t.indices, merged.size());
-            merged.push_back(std::move(t));
-        } else {
-            merged[it->second].coeff += t.coeff;
-        }
-    }
-    std::vector<MajoranaTerm> pruned;
-    pruned.reserve(merged.size());
-    for (auto &t : merged)
-        if (std::abs(t.coeff) >= tol)
-            pruned.push_back(std::move(t));
-    terms_ = std::move(pruned);
+    coeffs_.push_back(coeff);
+    indices_.insert(indices_.end(), indices.begin(), indices.end());
+    offsets_.push_back(indices_.size());
 }
 
 cplx
 MajoranaPolynomial::constantTerm() const
 {
     cplx c{};
-    for (const auto &t : terms_)
+    for (const MajoranaMonomial &t : *this)
         if (t.indices.empty())
             c += t.coeff;
     return c;
@@ -137,12 +75,158 @@ std::string
 MajoranaPolynomial::toString() const
 {
     std::ostringstream ss;
-    for (size_t i = 0; i < terms_.size(); ++i) {
+    for (size_t i = 0; i < size(); ++i) {
         if (i)
             ss << " + ";
-        ss << terms_[i].toString();
+        ss << (*this)[i].toString();
     }
     return ss.str();
+}
+
+void
+StreamingMajoranaAccumulator::ensureModes(uint32_t modes)
+{
+    if (modes > poly_.num_modes_)
+        poly_.num_modes_ = modes;
+}
+
+void
+StreamingMajoranaAccumulator::add(const FermionTerm &term)
+{
+    const size_t k = term.ops.size();
+    if (k > kMaxLadderOps)
+        throw std::invalid_argument(
+            "StreamingMajoranaAccumulator: term with > 30 ladder operators");
+    for (const FermionOp &op : term.ops)
+        ensureModes(op.mode + 1);
+
+    // Lay every combination out in mode order: a stable insertion sort
+    // of the op positions by mode, one sign flip per swap. Indices of
+    // different modes then never swap below, so their anticommutation
+    // signs are this one parity per term, and the per-combination sort
+    // only moves 2j+1 ahead of 2j within a mode. The sign is the parity
+    // of the whole permutation either way.
+    uint32_t pos[kMaxLadderOps];
+    double term_sign = 1.0;
+    for (size_t p = 0; p < k; ++p) {
+        size_t j = p;
+        for (; j > 0 && term.ops[pos[j - 1]].mode > term.ops[p].mode; --j) {
+            pos[j] = pos[j - 1];
+            term_sign = -term_sign;
+        }
+        pos[j] = static_cast<uint32_t>(p);
+    }
+
+    // Expand the product over the two Majorana halves of each ladder op:
+    //   a†_j = (M_2j - i M_2j+1)/2,  a_j = (M_2j + i M_2j+1)/2.
+    // The coefficient sees *0.5, then *±i, per op in op order, then the
+    // sort sign: that order fixes its bits, and with them the content
+    // hash.
+    uint32_t idx[kMaxLadderOps];
+    const size_t combos = size_t{1} << k;
+    for (size_t mask = 0; mask < combos; ++mask) {
+        cplx coeff = term.coeff;
+        for (size_t p = 0; p < k; ++p) {
+            coeff *= 0.5;
+            if ((mask >> p) & 1)
+                coeff *= term.ops[p].creation ? cplx{0.0, -1.0}
+                                              : cplx{0.0, 1.0};
+        }
+        for (size_t q = 0; q < k; ++q)
+            idx[q] = 2 * term.ops[pos[q]].mode + ((mask >> pos[q]) & 1);
+        // Insertion sort with a sign flip per adjacent swap
+        // (M_i M_j = -M_j M_i), then drop equal adjacent pairs
+        // (M_i M_i = I; adjacent equals need no swap, so no sign).
+        double sign = term_sign;
+        for (size_t i = 1; i < k; ++i)
+            for (size_t j = i; j > 0 && idx[j - 1] > idx[j]; --j) {
+                std::swap(idx[j - 1], idx[j]);
+                sign = -sign;
+            }
+        size_t len = 0;
+        for (size_t i = 0; i < k;) {
+            if (i + 1 < k && idx[i] == idx[i + 1]) {
+                i += 2;
+            } else {
+                idx[len++] = idx[i++];
+            }
+        }
+        coeff *= sign;
+        addMonomial(coeff, {idx, len});
+    }
+    ++terms_consumed_;
+}
+
+void
+StreamingMajoranaAccumulator::addMonomial(cplx coeff,
+                                          std::span<const uint32_t> indices)
+{
+    if (2 * (poly_.size() + 1) > slots_.size())
+        rehash(std::max<size_t>(64, 2 * slots_.size()));
+    const uint32_t h = hashIndices(indices);
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = h & mask;; s = (s + 1) & mask) {
+        Slot &slot = slots_[s];
+        if (slot.term == kEmpty) {
+            slot = {static_cast<uint32_t>(poly_.size()), h};
+            poly_.add(coeff, indices);
+            return;
+        }
+        if (slot.hash == h &&
+            std::ranges::equal(poly_[slot.term].indices, indices)) {
+            poly_.coeffs_[slot.term] += coeff;
+            return;
+        }
+    }
+}
+
+void
+StreamingMajoranaAccumulator::rehash(size_t capacity)
+{
+    // Term ids are 32-bit with kEmpty reserved; load <= 1/2 keeps them so.
+    if (capacity > (size_t{1} << 32))
+        throw std::length_error(
+            "StreamingMajoranaAccumulator: too many distinct monomials");
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{kEmpty, 0});
+    const size_t mask = capacity - 1;
+    for (const Slot &slot : old) {
+        if (slot.term == kEmpty)
+            continue;
+        size_t s = slot.hash & mask;
+        while (slots_[s].term != kEmpty)
+            s = (s + 1) & mask;
+        slots_[s] = slot;
+    }
+}
+
+MajoranaPolynomial
+StreamingMajoranaAccumulator::finish(double tol)
+{
+    // Drop |coeff| < tol terms by compacting the flat arrays in place;
+    // survivors keep first-seen order.
+    MajoranaPolynomial &p = poly_;
+    size_t kept = 0;
+    for (size_t t = 0; t < p.size(); ++t) {
+        if (std::abs(p.coeffs_[t]) < tol)
+            continue;
+        const size_t lo = p.offsets_[t], hi = p.offsets_[t + 1];
+        const size_t at = p.offsets_[kept];
+        if (at != lo)
+            std::copy(p.indices_.begin() + lo, p.indices_.begin() + hi,
+                      p.indices_.begin() + at);
+        p.coeffs_[kept] = p.coeffs_[t];
+        p.offsets_[++kept] = at + (hi - lo);
+    }
+    p.coeffs_.resize(kept);
+    p.offsets_.resize(kept + 1);
+    p.indices_.resize(p.offsets_[kept]);
+
+    MajoranaPolynomial out = std::move(poly_);
+    poly_ = MajoranaPolynomial();
+    slots_ = {};
+    terms_consumed_ = 0;
+    return out;
 }
 
 } // namespace hatt

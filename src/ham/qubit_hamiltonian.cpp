@@ -18,12 +18,12 @@ namespace {
  * allocation.
  */
 PauliSum
-mapChunk(const FermionQubitMapping &map, const MajoranaTerm *terms,
+mapChunk(const FermionQubitMapping &map, const MajoranaPolynomial &poly,
          size_t lo, size_t hi)
 {
     PauliSum out(map.numQubits);
     for (size_t t = lo; t < hi; ++t) {
-        const MajoranaTerm &term = terms[t];
+        const MajoranaMonomial term = poly[t];
         cplx coeff = term.coeff;
         PauliString s(map.numQubits);
         for (uint32_t mi : term.indices) {
@@ -46,7 +46,8 @@ QubitMappingEngine::QubitMappingEngine(const FermionQubitMapping &map)
 }
 
 void
-QubitMappingEngine::addBatch(const MajoranaTerm *terms, size_t count)
+QubitMappingEngine::addBatch(const MajoranaPolynomial &poly, size_t first,
+                             size_t count)
 {
     // Caller-thread checkpoint per dispatch: throws before any of this
     // batch is merged, so mapped_ never holds a partial batch.
@@ -63,7 +64,7 @@ QubitMappingEngine::addBatch(const MajoranaTerm *terms, size_t count)
             // discarded because the post-dispatch check() throws.
             if (bounded && limits_.shouldStop())
                 return PauliSum(map_->numQubits);
-            return mapChunk(*map_, terms, lo, hi);
+            return mapChunk(*map_, poly, first + lo, first + hi);
         },
         [](PauliSum out, PauliSum part) {
             out.append(std::move(part));
@@ -77,12 +78,6 @@ QubitMappingEngine::addBatch(const MajoranaTerm *terms, size_t count)
         metrics::add("map.monomials", count);
     }
     mapped_.append(std::move(batch));
-}
-
-void
-QubitMappingEngine::addBatch(const std::vector<MajoranaTerm> &terms)
-{
-    addBatch(terms.data(), terms.size());
 }
 
 PauliSum

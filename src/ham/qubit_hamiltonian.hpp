@@ -53,12 +53,18 @@ class QubitMappingEngine
     void setLimits(const RunLimits &limits) { limits_ = limits; }
 
     /**
-     * Map @p count terms now, fanned out over the work pool. Successive
-     * batches merge in call order, so the result equals one batch over
-     * the concatenated terms.
+     * Map terms [first, first + count) of @p poly now, fanned out over
+     * the work pool. Successive batches merge in call order, so the
+     * result equals one batch over the concatenated terms.
      */
-    void addBatch(const MajoranaTerm *terms, size_t count);
-    void addBatch(const std::vector<MajoranaTerm> &terms);
+    void addBatch(const MajoranaPolynomial &poly, size_t first,
+                  size_t count);
+    /** Map every term of @p terms (a MajoranaPolynomial::terms()). */
+    void
+    addBatch(const MajoranaPolynomial &terms)
+    {
+        addBatch(terms, 0, terms.size());
+    }
 
     /**
      * Merge duplicate strings (|coeff| < tol dropped) and return

@@ -544,7 +544,7 @@ cmdStats(const Options &opt, std::ostream &out)
                     .maxModes = opt.request.maxModes});
     uint64_t majorana_weight = 0;
     size_t max_degree = 0;
-    for (const MajoranaTerm &t : problem.poly.terms()) {
+    for (const MajoranaMonomial &t : problem.poly.terms()) {
         majorana_weight += t.indices.size();
         max_degree = std::max(max_degree, t.indices.size());
     }

@@ -9,7 +9,6 @@
 #include "io/fcidump.hpp"
 #include "io/fermion_text.hpp"
 #include "io/serialize.hpp"
-#include "io/stream.hpp"
 
 namespace hatt::io {
 
@@ -68,6 +67,13 @@ LoadedProblem
 loadProblem(const std::string &path, InputFormat format,
             const ParseLimits &limits)
 {
+    // Only regular files are read: opening a FIFO blocks until a writer
+    // appears, and /dev/zero or a directory never parses. A missing path
+    // falls through to the open below and its "cannot open" error.
+    std::error_code type_ec;
+    const fs::file_status status = fs::status(path, type_ec);
+    if (fs::exists(status) && !fs::is_regular_file(status))
+        throw ParseError(path + ": not a regular file");
     // Size guard before a single byte is parsed: a hostile or
     // mistargeted path (a core dump, a giant log) must be rejected by
     // stat, not by the allocator.

@@ -48,7 +48,8 @@ struct LoadedProblem
  * buffered. The file size is checked against ParseLimits::maxFileBytes
  * up front (before a byte is parsed); the term/mode/line caps are
  * enforced by the format parsers as they stream.
- * @throws ParseError on unreadable/malformed/over-cap input.
+ * @throws ParseError on unreadable/malformed/over-cap input, or a path
+ *         that is not a regular file (FIFO, device, directory).
  */
 LoadedProblem loadProblem(const std::string &path,
                           InputFormat format = InputFormat::Auto,

@@ -18,7 +18,8 @@
  *
  * The reader is streaming: terms are handed to a callback one at a time,
  * so arbitrarily large Hamiltonians are never materialized as a term
- * list (see io/stream.hpp for the matching Majorana accumulator).
+ * list (see StreamingMajoranaAccumulator in fermion/majorana.hpp for
+ * the matching Majorana accumulator).
  */
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <new>
+#include <numeric>
 
 #include "common/fault.hpp"
 #include "mapping/hatt_counts.hpp" // detail::splitmix64
@@ -304,7 +305,7 @@ majoranaToJson(const MajoranaPolynomial &poly)
     JsonValue doc = envelope("hatt-majorana", kMajoranaVersion);
     doc.add("num_modes", poly.numModes());
     JsonValue terms = JsonValue::array();
-    for (const MajoranaTerm &t : poly.terms()) {
+    for (const MajoranaMonomial &t : poly.terms()) {
         JsonValue e = JsonValue::object();
         e.add("coeff", complexToJson(t.coeff));
         JsonValue idx = JsonValue::array();
@@ -349,25 +350,24 @@ majoranaFromJson(const JsonValue &doc)
 uint64_t
 majoranaContentHash(const MajoranaPolynomial &poly)
 {
-    // Canonical order: sort term references by index list (terms are
-    // already deduplicated/ascending in a compressed polynomial).
-    std::vector<const MajoranaTerm *> order;
-    order.reserve(poly.terms().size());
-    for (const MajoranaTerm &t : poly.terms())
-        order.push_back(&t);
-    std::sort(order.begin(), order.end(),
-              [](const MajoranaTerm *a, const MajoranaTerm *b) {
-                  return a->indices < b->indices;
-              });
+    // Canonical order: sort term ids by index list (terms are already
+    // deduplicated/ascending in a compressed polynomial).
+    std::vector<size_t> order(poly.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::ranges::lexicographical_compare(poly[a].indices,
+                                                    poly[b].indices);
+    });
 
     uint64_t h = detail::splitmix64(0x48415454ull ^ poly.numModes());
     auto mix = [&](uint64_t v) { h = detail::splitmix64(h ^ v); };
-    for (const MajoranaTerm *t : order) {
-        mix(t->indices.size());
-        for (uint32_t i : t->indices)
+    for (size_t id : order) {
+        const MajoranaMonomial t = poly[id];
+        mix(t.indices.size());
+        for (uint32_t i : t.indices)
             mix(i);
         uint64_t re_bits, im_bits;
-        double re = t->coeff.real(), im = t->coeff.imag();
+        double re = t.coeff.real(), im = t.coeff.imag();
         std::memcpy(&re_bits, &re, sizeof(re_bits));
         std::memcpy(&im_bits, &im, sizeof(im_bits));
         mix(re_bits);

@@ -115,7 +115,7 @@ TermCounts::dedupInsert(uint32_t term, int64_t mult)
 }
 
 void
-TermCounts::addTerm(const std::vector<uint32_t> &support, int64_t mult)
+TermCounts::addTerm(std::span<const uint32_t> support, int64_t mult)
 {
     assert(!support.empty());
     const uint32_t term = static_cast<uint32_t>(mult_.size());

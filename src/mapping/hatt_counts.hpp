@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -57,7 +58,7 @@ class TermCounts
     uint32_t words() const { return words_; }
 
     /** Add one initial term (ascending ids); call before finalize(). */
-    void addTerm(const std::vector<uint32_t> &support, int64_t mult = 1);
+    void addTerm(std::span<const uint32_t> support, int64_t mult = 1);
 
     /** Build cnt1 / pair adjacency / inverted index from the terms. */
     void finalize();

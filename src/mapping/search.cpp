@@ -208,7 +208,7 @@ mappingFromAssignment(const TernaryTree &tree,
 struct DeltaWeightEvaluator::Impl
 {
     std::vector<std::vector<std::pair<int, int>>> paths;
-    std::vector<const MajoranaTerm *> terms; //!< non-empty terms only
+    std::vector<std::span<const uint32_t>> terms; //!< non-empty terms only
     std::vector<std::vector<uint32_t>> inv;  //!< majorana -> term ids
     uint32_t num_majoranas = 0;
 
@@ -239,7 +239,7 @@ struct DeltaWeightEvaluator::Impl
     evalTerm(uint32_t t, int a, int pos_a, int b, int pos_b)
     {
         touched_nodes.clear();
-        for (uint32_t mi : terms[t]->indices) {
+        for (uint32_t mi : terms[t]) {
             int leaf = static_cast<int>(mi) == a   ? pos_a
                        : static_cast<int>(mi) == b ? pos_b
                                                    : assign[mi];
@@ -272,7 +272,7 @@ DeltaWeightEvaluator::DeltaWeightEvaluator(const TernaryTree &tree,
         if (term.indices.empty())
             continue;
         const uint32_t t = static_cast<uint32_t>(impl_->terms.size());
-        impl_->terms.push_back(&term);
+        impl_->terms.push_back(term.indices);
         for (uint32_t mi : term.indices)
             impl_->inv[mi].push_back(t);
     }

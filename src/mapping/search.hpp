@@ -38,6 +38,8 @@ namespace hatt {
  * swap costs O(touched terms * depth) instead of O(all terms * depth).
  * Results are exactly equal to a full re-evaluation — the hill-climbing
  * search built on top is bit-identical to the naive implementation.
+ * The evaluator keeps views of @p poly's index arrays, so the polynomial
+ * must outlive it.
  */
 class DeltaWeightEvaluator
 {

@@ -19,7 +19,7 @@ randomMajoranaPolynomial(uint32_t num_modes, uint32_t num_terms,
                          uint64_t seed)
 {
     Rng rng(seed);
-    MajoranaPolynomial poly(num_modes);
+    StreamingMajoranaAccumulator acc(num_modes);
     const uint32_t m = 2 * num_modes;
     for (uint32_t t = 0; t < num_terms; ++t) {
         uint32_t degree = rng.chance(0.5) ? 2 : 4;
@@ -29,10 +29,9 @@ randomMajoranaPolynomial(uint32_t num_modes, uint32_t num_terms,
             picked.insert(static_cast<uint32_t>(rng.nextInt(m)));
         std::vector<uint32_t> indices(picked.begin(), picked.end());
         double coeff = rng.chance(0.5) ? 1.0 : -1.0;
-        poly.add(cplx{coeff, 0.0}, std::move(indices));
+        acc.addMonomial(cplx{coeff, 0.0}, indices);
     }
-    poly.compress();
-    return poly;
+    return acc.finish();
 }
 
 } // namespace hatt

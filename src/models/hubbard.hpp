@@ -36,7 +36,8 @@ uint32_t hubbardNumModes(const HubbardParams &params);
 /**
  * Emit the Hamiltonian's terms one at a time through @p sink, in the
  * exact order hubbardModel() adds them. Lattices far beyond 10^5 terms
- * stream without ever materializing the term list (see io/stream.hpp).
+ * stream without ever materializing the term list (see
+ * StreamingMajoranaAccumulator in fermion/majorana.hpp).
  */
 void streamHubbardTerms(const HubbardParams &params,
                         const std::function<void(FermionTerm &&)> &sink);

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <clocale>
 #include <cmath>
@@ -32,11 +33,11 @@
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
 #include "io/cache.hpp"
+#include "io/driver.hpp"
 #include "io/fcidump.hpp"
 #include "io/fermion_text.hpp"
 #include "io/json.hpp"
 #include "io/serialize.hpp"
-#include "io/stream.hpp"
 #include "mapping/bravyi_kitaev.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
@@ -558,15 +559,13 @@ expectBitIdentical(const MajoranaPolynomial &got,
     ASSERT_EQ(got.numModes(), want.numModes());
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.terms()[i].indices, want.terms()[i].indices)
+        const MajoranaMonomial g = got[i], w = want[i];
+        EXPECT_TRUE(std::ranges::equal(g.indices, w.indices))
             << "term " << i;
         // operator== on doubles is exact; together with the memcmp this
         // also rejects a -0.0 vs +0.0 drift.
-        EXPECT_EQ(got.terms()[i].coeff, want.terms()[i].coeff)
-            << "term " << i;
-        EXPECT_EQ(std::memcmp(&got.terms()[i].coeff,
-                              &want.terms()[i].coeff, sizeof(cplx)),
-                  0)
+        EXPECT_EQ(g.coeff, w.coeff) << "term " << i;
+        EXPECT_EQ(std::memcmp(&g.coeff, &w.coeff, sizeof(cplx)), 0)
             << "term " << i;
     }
 }
@@ -577,7 +576,7 @@ TEST(Stream, MatchesBatchPreprocessingBitExactly)
          {hubbardModel({2, 3, 1.0, 4.0}), nonDyadicHamiltonian()}) {
         MajoranaPolynomial batch = MajoranaPolynomial::fromFermion(hf);
 
-        io::StreamingMajoranaAccumulator acc(hf.numModes());
+        StreamingMajoranaAccumulator acc(hf.numModes());
         for (const FermionTerm &t : hf.terms())
             acc.add(t);
         MajoranaPolynomial streamed = acc.finish();
@@ -597,7 +596,7 @@ TEST(Stream, HundredThousandTermHubbardStreamsWithoutTermList)
     // under the 16x expansion volume a term list + batch expansion
     // would hold.
     HubbardParams params{128, 128, 1.0, 4.0, true};
-    io::StreamingMajoranaAccumulator acc(hubbardNumModes(params));
+    StreamingMajoranaAccumulator acc(hubbardNumModes(params));
     streamHubbardTerms(params,
                        [&](FermionTerm &&t) { acc.add(t); });
 
@@ -618,15 +617,16 @@ TEST(Stream, HundredThousandTermHubbardStreamsWithoutTermList)
 TEST(Stream, AgreesWithBatchOnStreamedHubbardLattice)
 {
     HubbardParams params{4, 4, 1.0, 4.0, true};
-    io::StreamingMajoranaAccumulator acc(hubbardNumModes(params));
+    StreamingMajoranaAccumulator acc(hubbardNumModes(params));
     streamHubbardTerms(params, [&](FermionTerm &&t) { acc.add(t); });
     MajoranaPolynomial streamed = acc.finish();
     MajoranaPolynomial batch =
         MajoranaPolynomial::fromFermion(hubbardModel(params));
     ASSERT_EQ(streamed.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(streamed.terms()[i].indices, batch.terms()[i].indices);
-        EXPECT_EQ(streamed.terms()[i].coeff, batch.terms()[i].coeff);
+        EXPECT_TRUE(
+            std::ranges::equal(streamed[i].indices, batch[i].indices));
+        EXPECT_EQ(streamed[i].coeff, batch[i].coeff);
     }
 }
 
@@ -705,8 +705,8 @@ TEST(Serialize, MajoranaRoundTripAndOrderIndependentHash)
         JsonValue::parse(io::majoranaToJson(poly).dump()));
     ASSERT_EQ(back.size(), poly.size());
     for (size_t i = 0; i < poly.size(); ++i) {
-        EXPECT_EQ(back.terms()[i].indices, poly.terms()[i].indices);
-        EXPECT_EQ(back.terms()[i].coeff, poly.terms()[i].coeff);
+        EXPECT_TRUE(std::ranges::equal(back[i].indices, poly[i].indices));
+        EXPECT_EQ(back[i].coeff, poly[i].coeff);
     }
     EXPECT_EQ(io::majoranaContentHash(back),
               io::majoranaContentHash(poly));
@@ -719,13 +719,32 @@ TEST(Serialize, MajoranaRoundTripAndOrderIndependentHash)
     }
     EXPECT_EQ(io::majoranaContentHash(shuffled),
               io::majoranaContentHash(poly));
-    MajoranaPolynomial changed(poly.numModes());
+    StreamingMajoranaAccumulator changed(poly.numModes());
     for (const auto &t : poly.terms())
-        changed.add(t.coeff, t.indices);
-    changed.add(1e-3, {0, 1});
-    changed.compress();
-    EXPECT_NE(io::majoranaContentHash(changed),
+        changed.addMonomial(t.coeff, t.indices);
+    changed.addMonomial(1e-3, std::vector<uint32_t>{0, 1});
+    EXPECT_NE(io::majoranaContentHash(changed.finish()),
               io::majoranaContentHash(poly));
+}
+
+TEST(Serialize, ContentHashGoldenPins)
+{
+    // Absolute pins, recorded before the flat-monomial preprocessing
+    // kernel: the hash keys every disk cache entry, so a drift in the
+    // expansion order, the coefficient bits or the hash itself would
+    // orphan every existing cache. Both input formats are covered.
+    const std::pair<const char *, uint64_t> pins[] = {
+        {"eq3.ops", 0xd706104a46666dd2ull},
+        {"h2.ops", 0x388eb307312bf8c0ull},
+        {"h2.fcidump", 0x7daf3132d0ff2265ull},
+        {"hubbard2x2.ops", 0xa3cb4e1c3d3d3e39ull},
+    };
+    for (const auto &[name, hash] : pins) {
+        io::LoadedProblem problem = io::loadProblem(dataFile(name));
+        EXPECT_EQ(io::hashToHex(problem.contentHash), io::hashToHex(hash))
+            << name;
+        EXPECT_EQ(io::majoranaContentHash(problem.poly), hash) << name;
+    }
 }
 
 TEST(Serialize, RejectsMalformedDocuments)

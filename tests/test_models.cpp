@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fermion/fock.hpp"
 #include "fermion/majorana.hpp"
 #include "models/chains.hpp"
@@ -97,7 +99,7 @@ TEST(Chains, RandomPolynomialDeterministic)
     MajoranaPolynomial b = randomMajoranaPolynomial(5, 12, 3);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a.terms()[i].indices, b.terms()[i].indices);
+        EXPECT_TRUE(std::ranges::equal(a[i].indices, b[i].indices));
 }
 
 } // namespace

@@ -553,10 +553,9 @@ TEST(PerfParity, BatchMappingBitIdenticalAcrossThreadsAndToSerialSeed)
             // Successive addBatch() calls must preserve feed order:
             // two batches equal the one-shot batch exactly.
             QubitMappingEngine split(map);
-            const auto &terms = poly->terms();
-            const size_t head = terms.size() / 3;
-            split.addBatch(terms.data(), head);
-            split.addBatch(terms.data() + head, terms.size() - head);
+            const size_t head = poly->size() / 3;
+            split.addBatch(*poly, 0, head);
+            split.addBatch(*poly, head, poly->size() - head);
             EXPECT_EQ(sumHash(split.finish()), c.hash)
                 << c.name << " threads=" << threads;
         }

@@ -16,11 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -30,7 +34,6 @@
 #include "io/cache.hpp"
 #include "io/serialize.hpp"
 #include "io/service.hpp"
-#include "io/stream.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/store.hpp"
 
@@ -386,6 +389,42 @@ TEST(Service, CompileWithoutArgvAndMemoizeInProcess)
     fs::remove_all(dir);
 }
 
+TEST(Service, RejectsNonRegularInputsWithinASecond)
+{
+    // Opening a FIFO that has no writer blocks until one appears, which
+    // would wedge hattd's poll thread. A FIFO, a directory and
+    // /dev/zero must each come back as InvalidArgument, promptly.
+    fs::path dir = scratchDir("fifo");
+    const fs::path fifo = dir / "input.ops";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    CompilationService service(ServiceConfig{});
+
+    for (const std::string &path :
+         {fifo.string(), dir.string(), std::string("/dev/zero")}) {
+        CompileRequest req;
+        req.path = path;
+        req.outDir = (dir / "out").string();
+        std::future<StatusOr<CompileResponse>> pending = std::async(
+            std::launch::async, [&] { return service.compile(req); });
+        if (pending.wait_for(std::chrono::seconds(1)) !=
+            std::future_status::ready) {
+            ADD_FAILURE() << path << ": compile still blocked after 1 s";
+            // Release a reader stuck in open() so the test can end.
+            int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+            if (fd >= 0)
+                ::close(fd);
+        }
+        StatusOr<CompileResponse> resp = pending.get();
+        ASSERT_FALSE(resp.ok()) << path;
+        EXPECT_EQ(resp.status().code(), Status::Code::InvalidArgument)
+            << path << ": " << resp.status().message();
+        EXPECT_NE(resp.status().message().find("not a regular file"),
+                  std::string::npos)
+            << resp.status().message();
+    }
+    fs::remove_all(dir);
+}
+
 TEST(Service, SecondsIsTheWallClockOfTheWholeCompile)
 {
     // A generated input whose parse + preprocess dwarf a JW build:
@@ -639,7 +678,7 @@ TEST(TieredStore, RegistryReportsServingTier)
 
     MajoranaPolynomial poly;
     {
-        io::StreamingMajoranaAccumulator acc;
+        StreamingMajoranaAccumulator acc;
         acc.add(FermionTerm({0.5, 0.0},
                             {FermionOp{0, true}, FermionOp{1, false}}));
         acc.ensureModes(2);
