@@ -27,9 +27,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr int kCacheVersion = 1;
-/** v2 adds the advisory "quarantined" file count; v1 indexes load. */
-constexpr int kIndexVersion = 2;
-constexpr const char *kIndexFile = "index.json";
+/** The usage index older builds kept; gc() removes it and its debris. */
+constexpr const char *kLegacyIndexFile = "index.json";
 constexpr const char *kLockFile = ".lock";
 constexpr const char *kQuarantineDir = "quarantine";
 /** Temp files from interrupted writers older than this are gc()'d. */
@@ -73,9 +72,10 @@ isDigits(const std::string &s)
 }
 
 /**
- * A temp file THIS cache's writers create: an entry-file or index name
- * plus ".tmp.<pid>.<counter>". gc() deletes only these — a mistargeted
- * directory's unrelated "*.tmp.*" files are not cache debris.
+ * A temp file THIS cache's writers create: an entry-file name (or the
+ * legacy index name) plus ".tmp.<pid>.<counter>". gc() deletes only
+ * these — a mistargeted directory's unrelated "*.tmp.*" files are not
+ * cache debris.
  */
 bool
 isCacheTmpFile(const std::string &name)
@@ -84,7 +84,7 @@ isCacheTmpFile(const std::string &name)
     if (pos == std::string::npos)
         return false;
     const std::string base = name.substr(0, pos);
-    if (base != kIndexFile && !isEntryFile(base))
+    if (base != kLegacyIndexFile && !isEntryFile(base))
         return false;
     const std::string rest = name.substr(pos + 5);
     const size_t dot = rest.find('.');
@@ -125,8 +125,8 @@ isEntryFile(const std::string &name)
  * Advisory writer lock on <dir>/.lock: flock(LOCK_EX) with bounded
  * retry (8 attempts, 1 ms doubling to 128 ms). Exhausting the retries
  * is NOT an error — entry publication is an atomic rename, so the lock
- * only serializes writers to reduce tmp-file churn and index races; a
- * wedged or dead lock holder must never stall compilation.
+ * only serializes writers to reduce tmp-file churn; a wedged or dead
+ * lock holder must never stall compilation.
  */
 class FileLock
 {
@@ -205,24 +205,6 @@ fsyncDir(const std::string &dir)
 
 MappingCache::MappingCache(std::string dir) : dir_(std::move(dir)) {}
 
-MappingCache::~MappingCache()
-{
-    // Only flush when this instance actually used the cache: read-only
-    // inspection (`hattc cache list`) must not rewrite index.json — a
-    // --check that failed would otherwise repair the drift it just
-    // reported.
-    {
-        std::lock_guard<std::mutex> lock(uses_mutex_);
-        if (pending_uses_.empty())
-            return;
-    }
-    try {
-        flushIndex();
-    } catch (...) {
-        // Best effort: the index is advisory; never throw from a dtor.
-    }
-}
-
 std::string
 MappingCache::entryPath(uint64_t content_hash,
                         const std::string &kind) const
@@ -230,21 +212,6 @@ MappingCache::entryPath(uint64_t content_hash,
     return (fs::path(dir_) / (hashToHex(content_hash) + "-" + kind +
                               ".json"))
         .string();
-}
-
-std::string
-MappingCache::indexPath() const
-{
-    return (fs::path(dir_) / kIndexFile).string();
-}
-
-void
-MappingCache::recordUse(const std::string &file) const
-{
-    const int64_t now = wallClockNow();
-    std::lock_guard<std::mutex> lock(uses_mutex_);
-    int64_t &slot = pending_uses_[file];
-    slot = std::max(slot, now);
 }
 
 std::optional<MappingStore::Entry>
@@ -289,7 +256,9 @@ MappingCache::load(uint64_t content_hash, const std::string &kind)
                 hit.candidates = static_cast<uint64_t>(
                     cand->asInt(0, INT64_MAX));
         hit.tier = "disk";
-        recordUse(fs::path(path).filename().string());
+        // The hit is the entry's last use: its mtime is what gc() ages
+        // and ranks by. Best effort — a read-only cache still serves.
+        ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
         return hit;
     } catch (const std::exception &) {
         // ParseError from the loader/validators, or std::invalid_argument
@@ -320,7 +289,7 @@ MappingCache::quarantineEntry(const std::string &path) const
     }
     if (ec)
         fs::remove(path, ec); // can't move it aside: drop it instead
-    std::lock_guard<std::mutex> lock(uses_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     quarantined_.insert(name);
 }
 
@@ -344,7 +313,7 @@ MappingCache::wasQuarantined(uint64_t content_hash,
 {
     const std::string name =
         hashToHex(content_hash) + "-" + kind + ".json";
-    std::lock_guard<std::mutex> lock(uses_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return quarantined_.count(name) != 0;
 }
 
@@ -412,7 +381,6 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
     }
     fsyncDir(dir_);
     metrics::add("cache.stores");
-    recordUse(fs::path(path).filename().string());
 }
 
 void
@@ -430,186 +398,26 @@ MappingCache::save(uint64_t content_hash, const std::string &kind,
     }
 }
 
-std::vector<CacheIndexEntry>
-MappingCache::loadIndex() const
-{
-    std::vector<CacheIndexEntry> entries;
-    std::error_code ec;
-    if (!fs::exists(indexPath(), ec))
-        return entries;
-    try {
-        JsonValue doc = loadJsonFile(indexPath());
-        checkEnvelope(doc, "hatt-cache-index", kIndexVersion);
-        for (const JsonValue &rec : doc.at("entries").asArray()) {
-            CacheIndexEntry e;
-            e.file = rec.at("file").asString();
-            e.size = static_cast<uint64_t>(
-                rec.at("size").asInt(0, INT64_MAX));
-            e.lastUsed = rec.at("last_used").asInt();
-            entries.push_back(std::move(e));
-        }
-    } catch (const std::exception &) {
-        // Advisory data: a damaged index reads as empty and is replaced
-        // wholesale by the next flushIndex()/gc().
-        entries.clear();
-    }
-    return entries;
-}
-
-std::map<std::string, int64_t>
-MappingCache::takeUses() const
-{
-    std::map<std::string, int64_t> uses;
-    std::lock_guard<std::mutex> lock(uses_mutex_);
-    uses.swap(pending_uses_);
-    return uses;
-}
-
-void
-MappingCache::restoreUses(const std::map<std::string, int64_t> &uses) const
-{
-    std::lock_guard<std::mutex> lock(uses_mutex_);
-    for (const auto &[file, when] : uses) {
-        int64_t &slot = pending_uses_[file];
-        slot = std::max(slot, when);
-    }
-}
-
-std::vector<CacheIndexEntry>
+std::vector<CacheEntryFile>
 MappingCache::scanEntries() const
 {
-    return scanEntries(loadIndex());
-}
-
-std::vector<CacheIndexEntry>
-MappingCache::scanEntries(const std::vector<CacheIndexEntry> &index) const
-{
-    std::map<std::string, int64_t> uses;
-    {
-        // Copy, then release: the scan does file I/O and must not block
-        // concurrent load()/store() usage recording.
-        std::lock_guard<std::mutex> lock(uses_mutex_);
-        uses = pending_uses_;
-    }
-    return scanMerged(uses, index);
-}
-
-std::vector<CacheIndexEntry>
-MappingCache::scanMerged(const std::map<std::string, int64_t> &uses,
-                         const std::vector<CacheIndexEntry> &index) const
-{
-    std::map<std::string, int64_t> last_used;
-    for (const CacheIndexEntry &e : index)
-        last_used[e.file] = e.lastUsed;
-    for (const auto &[file, when] : uses) {
-        int64_t &slot = last_used[file];
-        slot = std::max(slot, when);
-    }
-
-    std::vector<CacheIndexEntry> entries;
+    std::vector<CacheEntryFile> entries;
     std::error_code ec;
     for (const fs::directory_entry &de : fs::directory_iterator(dir_, ec)) {
         const std::string name = de.path().filename().string();
         if (!isEntryFile(name))
             continue;
-        CacheIndexEntry e;
+        CacheEntryFile e;
         e.file = name;
-        int64_t mtime = 0;
-        if (!statFile(de.path().string(), e.size, mtime))
+        if (!statFile(de.path().string(), e.size, e.lastUsed))
             continue; // concurrently evicted
-        auto it = last_used.find(name);
-        // mtime is the floor: an entry no run has touched since the
-        // index was last written still ages from its creation time.
-        e.lastUsed = it == last_used.end() ? mtime
-                                           : std::max(it->second, mtime);
         entries.push_back(std::move(e));
     }
     std::sort(entries.begin(), entries.end(),
-              [](const CacheIndexEntry &a, const CacheIndexEntry &b) {
+              [](const CacheEntryFile &a, const CacheEntryFile &b) {
                   return a.file < b.file;
               });
     return entries;
-}
-
-namespace {
-
-void
-writeIndexFile(const std::string &dir, const std::string &index_path,
-               const std::vector<CacheIndexEntry> &entries,
-               size_t quarantined)
-{
-    JsonValue doc = JsonValue::object();
-    doc.add("format", "hatt-cache-index");
-    doc.add("version", kIndexVersion);
-    doc.add("quarantined", static_cast<uint64_t>(quarantined));
-    JsonValue arr = JsonValue::array();
-    for (const CacheIndexEntry &e : entries) {
-        JsonValue rec = JsonValue::object();
-        rec.add("file", e.file);
-        rec.add("size", e.size);
-        rec.add("last_used", e.lastUsed);
-        arr.push(std::move(rec));
-    }
-    doc.add("entries", std::move(arr));
-
-    // Same discipline as entry publication: locked writers, fsync'd
-    // temp, atomic rename (the index is advisory, but a torn index
-    // would masquerade as drift to --check).
-    FileLock lock((fs::path(dir) / kLockFile).string());
-    const std::string tmp = tmpPathFor(index_path);
-    writeFileDurable(tmp, [&](JsonWriter &w) { doc.writeTo(w); });
-    std::error_code ec;
-    fs::rename(tmp, index_path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw ParseError("cannot publish cache index in " + dir);
-    }
-    fsyncDir(dir);
-}
-
-} // namespace
-
-void
-MappingCache::flushIndex()
-{
-    std::error_code ec;
-    if (!fs::is_directory(dir_, ec))
-        return; // nothing stored yet; keep the usage log for later
-    // Snapshot-and-swap: a load()/store() racing this flush lands its
-    // usage record in the (now empty) log for the NEXT flush instead of
-    // being silently discarded by a clear-after-write.
-    std::map<std::string, int64_t> uses = takeUses();
-    try {
-        writeIndexFile(dir_, indexPath(), scanMerged(uses, loadIndex()),
-                       quarantinedCount());
-    } catch (...) {
-        restoreUses(uses);
-        throw;
-    }
-}
-
-bool
-MappingCache::indexConsistent() const
-{
-    std::vector<CacheIndexEntry> index = loadIndex();
-    std::vector<CacheIndexEntry> disk = scanEntries(index);
-    return entriesMatch(std::move(index), disk);
-}
-
-bool
-MappingCache::entriesMatch(std::vector<CacheIndexEntry> index,
-                           const std::vector<CacheIndexEntry> &disk)
-{
-    if (index.size() != disk.size())
-        return false;
-    std::sort(index.begin(), index.end(),
-              [](const CacheIndexEntry &a, const CacheIndexEntry &b) {
-                  return a.file < b.file;
-              });
-    for (size_t i = 0; i < disk.size(); ++i)
-        if (index[i].file != disk[i].file || index[i].size != disk[i].size)
-            return false;
-    return true;
 }
 
 CacheGcStats
@@ -649,72 +457,40 @@ MappingCache::gc(const CacheGcOptions &options)
             fs::remove(de.path(), ec);
     }
 
-    // Snapshot-and-swap the usage log (see flushIndex): records arriving
-    // after this point land in the next flush instead of being dropped.
-    std::map<std::string, int64_t> uses = takeUses();
-    std::vector<CacheIndexEntry> entries = scanMerged(uses, loadIndex());
+    // Directories written by older builds carry a usage index; the
+    // entry mtimes below supersede it.
+    fs::remove(fs::path(dir_) / kLegacyIndexFile, ec);
+
+    std::vector<CacheEntryFile> entries = scanEntries();
     stats.entries = entries.size();
-    for (const CacheIndexEntry &e : entries)
+    for (const CacheEntryFile &e : entries)
         stats.bytesBefore += e.size;
+    stats.bytesAfter = stats.bytesBefore;
 
-    // Age policy first, then LRU down to the byte budget. Oldest
-    // last-used evicts first; equal times break by file name so a gc
-    // pass is deterministic given the same directory state.
-    std::vector<CacheIndexEntry> keep;
-    std::vector<CacheIndexEntry> evict;
-    for (CacheIndexEntry &e : entries) {
-        if (options.maxAgeSeconds &&
-            now - e.lastUsed > *options.maxAgeSeconds)
-            evict.push_back(std::move(e));
-        else
-            keep.push_back(std::move(e));
-    }
-    if (options.maxBytes) {
-        std::sort(keep.begin(), keep.end(),
-                  [](const CacheIndexEntry &a, const CacheIndexEntry &b) {
-                      return a.lastUsed != b.lastUsed
-                                 ? a.lastUsed < b.lastUsed
-                                 : a.file < b.file;
-                  });
-        uint64_t total = 0;
-        for (const CacheIndexEntry &e : keep)
-            total += e.size;
-        size_t next = 0;
-        while (total > *options.maxBytes && next < keep.size()) {
-            total -= keep[next].size;
-            evict.push_back(std::move(keep[next]));
-            ++next;
-        }
-        keep.erase(keep.begin(),
-                   keep.begin() + static_cast<ptrdiff_t>(next));
-        // (keep is re-sorted by file name below, after the evict loop.)
-    }
-
-    for (CacheIndexEntry &e : evict) {
+    // Oldest last-used first; equal times break by file name so a gc
+    // pass is deterministic given the same directory state. Age-stale
+    // entries form a prefix of this order and all go; after them, LRU
+    // entries go while the rest exceeds the byte budget.
+    std::sort(entries.begin(), entries.end(),
+              [](const CacheEntryFile &a, const CacheEntryFile &b) {
+                  return a.lastUsed != b.lastUsed ? a.lastUsed < b.lastUsed
+                                                  : a.file < b.file;
+              });
+    uint64_t remaining = stats.bytesBefore;
+    for (const CacheEntryFile &e : entries) {
+        const bool stale = options.maxAgeSeconds &&
+                           now - e.lastUsed > *options.maxAgeSeconds;
+        if (!stale && !(options.maxBytes && remaining > *options.maxBytes))
+            break;
+        remaining -= e.size;
         std::error_code rec;
         fs::remove(fs::path(dir_) / e.file, rec);
-        if (rec) {
-            // Couldn't delete (permissions, pinned file): the entry is
-            // still on disk, so it stays in the index — dropping it
-            // would manufacture exactly the drift --check exists to
-            // catch — and is not counted as evicted.
-            keep.push_back(std::move(e));
-        } else {
+        // Couldn't delete (permissions, pinned file): the entry is still
+        // on disk, so it is not counted as evicted and its bytes stay.
+        if (!rec) {
             ++stats.evicted;
+            stats.bytesAfter -= e.size;
         }
-    }
-    std::sort(keep.begin(), keep.end(),
-              [](const CacheIndexEntry &a, const CacheIndexEntry &b) {
-                  return a.file < b.file;
-              });
-    for (const CacheIndexEntry &e : keep)
-        stats.bytesAfter += e.size;
-
-    try {
-        writeIndexFile(dir_, indexPath(), keep, quarantinedCount());
-    } catch (...) {
-        restoreUses(uses);
-        throw;
     }
     return stats;
 }

@@ -9,30 +9,25 @@
  * mapping kind string. `hattc` consults it to skip re-optimizing a
  * Hamiltonian it has already seen; batch/service callers share one
  * directory across threads and processes (files are written atomically
- * via rename, and load()/store() touch no shared mutable state beyond
- * a mutex-guarded usage log).
+ * via rename, and load()/store() share no mutable state beyond the
+ * mutex-guarded quarantine record).
  *
  * Lifecycle: the directory scheme is O(1) lookup but unbounded growth,
- * so the cache also maintains <dir>/index.json — one record per entry
- * file with its size and last-used time. load() hits and store()s are
- * logged in memory and folded into the index by flushIndex() (also run
- * by the destructor); gc() evicts by age and/or total size, oldest
- * last-used first, and rewrites the index to exactly the surviving
- * files. The index is advisory — a missing or stale index never breaks
- * lookups, and gc()/flushIndex() reconcile it against the directory.
+ * so gc() evicts by age and/or total size, least recently used first.
+ * The directory is its own index: an entry's last use is its file's
+ * mtime. store()'s rename publishes a fresh mtime, and a load() hit
+ * touches the file (best effort — a read-only cache still serves hits).
  *
- * Robustness: entry and index writes are power-loss-safe (the temp file
- * is fsync'd before the rename, and the directory after), writers take
- * an advisory flock on <dir>/.lock with bounded exponential backoff
+ * Robustness: entry writes are power-loss-safe (the temp file is
+ * fsync'd before the rename, and the directory after), writers take an
+ * advisory flock on <dir>/.lock with bounded exponential backoff
  * (proceeding best-effort when contended — rename publication stays
  * atomic either way), and a corrupt entry discovered by load() is
  * moved aside into <dir>/quarantine/ instead of being silently
- * re-read every run; quarantined files are counted in index.json and
- * purged by gc().
+ * re-read every run; quarantined files are purged by gc().
  */
 
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -46,12 +41,12 @@
 
 namespace hatt::io {
 
-/** One index.json record: an entry file with size and last-used time. */
-struct CacheIndexEntry
+/** One entry file with its size and last-used time. */
+struct CacheEntryFile
 {
     std::string file;    //!< entry file name (<hash>-<kind>.json)
     uint64_t size = 0;   //!< bytes on disk
-    int64_t lastUsed = 0; //!< unix seconds of the latest lookup/store
+    int64_t lastUsed = 0; //!< file mtime (unix s): latest hit or store
 };
 
 /** Eviction policy for MappingCache::gc(). */
@@ -86,12 +81,6 @@ class MappingCache : public MappingStore
     /** Creates @p dir (and parents) on first store if missing. */
     explicit MappingCache(std::string dir);
 
-    /** Folds any unflushed usage log into index.json (best effort). */
-    ~MappingCache();
-
-    MappingCache(const MappingCache &) = delete;
-    MappingCache &operator=(const MappingCache &) = delete;
-
     const std::string &dir() const { return dir_; }
 
     /** Cache file path for (hash, kind). */
@@ -105,8 +94,8 @@ class MappingCache : public MappingStore
      * (see wasQuarantined()), callers recompute, and the subsequent
      * store() recreates the entry atomically, so one damaged entry
      * cannot abort a batch run. A key-mismatched entry (hash collision)
-     * is a plain miss and is left in place. Hits are logged for the
-     * index's last-used tracking.
+     * is a plain miss and is left in place. A hit sets the entry's
+     * mtime (its last-used time) to now, best effort.
      */
     std::optional<MappingStore::Entry>
     load(uint64_t content_hash, const std::string &kind) override;
@@ -124,48 +113,15 @@ class MappingCache : public MappingStore
     void save(uint64_t content_hash, const std::string &kind,
               const MappingStore::Entry &entry) override;
 
-    /** Path of the index file (<dir>/index.json). */
-    std::string indexPath() const;
-
-    /**
-     * Read index.json; missing or unparseable indexes yield an empty
-     * list (the index is advisory, never a correctness dependency).
-     */
-    std::vector<CacheIndexEntry> loadIndex() const;
-
-    /**
-     * Reconcile the directory's entry files with the on-disk index and
-     * the in-memory usage log: size from the file system, last-used as
-     * the newest of {usage log, previous index, file mtime}. Sorted by
-     * file name.
-     */
-    std::vector<CacheIndexEntry> scanEntries() const;
-
-    /** As above against an already-loaded index, so a caller that also
-        needs the index itself reads it exactly once (coherent view). */
-    std::vector<CacheIndexEntry>
-    scanEntries(const std::vector<CacheIndexEntry> &index) const;
-
-    /**
-     * Rewrite index.json from scanEntries() (atomic rename), clearing
-     * the in-memory usage log. No-op when the directory doesn't exist.
-     */
-    void flushIndex();
-
-    /** True when index.json lists exactly the on-disk entry files with
-        their current sizes. */
-    bool indexConsistent() const;
-
-    /** The consistency predicate itself: does @p index list exactly the
-        @p disk entries (files and sizes)? @p disk sorted by file. */
-    static bool entriesMatch(std::vector<CacheIndexEntry> index,
-                             const std::vector<CacheIndexEntry> &disk);
+    /** The directory's entry files with their sizes and last-used
+        times (file mtimes), sorted by file name. */
+    std::vector<CacheEntryFile> scanEntries() const;
 
     /**
      * Evict entries per @p options (age filter first, then LRU until
      * under the byte budget; ties broken by file name), delete stale
      * temp files from interrupted writers, purge the quarantine
-     * directory, and rewrite index.json to exactly the survivors.
+     * directory, and remove a legacy index.json left by older builds.
      */
     CacheGcStats gc(const CacheGcOptions &options);
 
@@ -181,26 +137,14 @@ class MappingCache : public MappingStore
                         const std::string &kind) const;
 
   private:
-    void recordUse(const std::string &file) const;
-
     /** Move a damaged entry file into quarantine (remove on failure)
         and remember its name for wasQuarantined(). */
     void quarantineEntry(const std::string &path) const;
 
-    /** scanEntries() against explicit usage and index snapshots. */
-    std::vector<CacheIndexEntry>
-    scanMerged(const std::map<std::string, int64_t> &uses,
-               const std::vector<CacheIndexEntry> &index) const;
-
-    /** Take the usage log (leaving it empty) / merge one back in. */
-    std::map<std::string, int64_t> takeUses() const;
-    void restoreUses(const std::map<std::string, int64_t> &uses) const;
-
     std::string dir_;
-    mutable std::mutex uses_mutex_;
-    mutable std::map<std::string, int64_t> pending_uses_;
+    mutable std::mutex mutex_;
     /** Entry file names this instance moved to quarantine (guarded by
-        uses_mutex_). */
+        mutex_). */
     mutable std::set<std::string> quarantined_;
 };
 

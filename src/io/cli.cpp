@@ -41,8 +41,9 @@ const char *kUsage =
     "  stats   <input>         parse/preprocess summary + content hash\n"
     "                          (--json adds the run's metrics snapshot)\n"
     "  verify  <mapping.json>  check mapping validity + vacuum\n"
-    "  cache gc   <dir>        evict cache entries, rewrite index.json\n"
-    "  cache list <dir>        print the cache index as JSON\n"
+    "  cache gc   <dir>        evict cache entries (age, then LRU)\n"
+    "  cache list <dir>        print the cache entries (size, last use)\n"
+    "                          as JSON\n"
     "\n"
     "global options (accepted before or after the command):\n"
     "  --trace FILE     write a Chrome trace-event JSON of this run to\n"
@@ -87,10 +88,6 @@ const char *kUsage =
     "  --max-bytes N    evict LRU entries until the cache is <= N bytes\n"
     "  --max-age SEC    evict entries unused for more than SEC seconds\n"
     "\n"
-    "options (cache list):\n"
-    "  --check          exit 1 when index.json disagrees with the\n"
-    "                   directory contents\n"
-    "\n"
     "exit codes:\n"
     "  0 success; 1 failed check or failed batch input; 64 usage error;\n"
     "  65 parse/validation failure; 70 internal error; 75 deadline\n"
@@ -108,7 +105,6 @@ struct Options
     std::string glob;     //!< batch directory-discovery filter
     unsigned jobs = 0;    //!< batch worker cap; 0 = pool default
     bool requireVacuum = false;
-    bool check = false;
     bool json = false;    //!< mappings/stats: machine-readable output
     bool version = false; //!< --version: print build info, exit 0
     std::string traceFile; //!< --trace: Chrome trace output ("" = off)
@@ -269,8 +265,6 @@ parseArgs(const std::vector<std::string> &args_in)
         } else if (a == "--max-age") {
             opt.maxAge = static_cast<int64_t>(
                 parseUnsigned(a, value(i), INT64_MAX));
-        } else if (a == "--check") {
-            opt.check = true;
         } else if (!a.empty() && a[0] == '-') {
             throw UsageError("unknown option '" + a + "'");
         } else if (opt.command == "cache" && opt.cacheCommand.empty()) {
@@ -305,12 +299,10 @@ parseArgs(const std::vector<std::string> &args_in)
         if ((opt.maxBytes || opt.maxAge) && opt.cacheCommand != "gc")
             throw UsageError("--max-bytes/--max-age only apply to "
                              "cache gc");
-        if (opt.check && opt.cacheCommand != "list")
-            throw UsageError("--check only applies to cache list");
         return opt;
     }
-    if (opt.maxBytes || opt.maxAge || opt.check)
-        throw UsageError("--max-bytes/--max-age/--check only apply to "
+    if (opt.maxBytes || opt.maxAge)
+        throw UsageError("--max-bytes/--max-age only apply to "
                          "the cache command");
     if (opt.command == "mappings" || opt.command == "devices") {
         if (!opt.input.empty())
@@ -648,18 +640,13 @@ cmdCache(const Options &opt, std::ostream &out)
         return 0;
     }
 
-    // cache list: the reconciled index as JSON, machine-readable for
-    // CI. One index read feeds both the listing and the consistency
-    // verdict, so they can't disagree under a concurrent rewrite.
-    std::vector<CacheIndexEntry> index = cache.loadIndex();
-    std::vector<CacheIndexEntry> entries = cache.scanEntries(index);
-    const bool consistent =
-        MappingCache::entriesMatch(std::move(index), entries);
+    // cache list: the entry files as JSON, machine-readable for CI.
+    // Read-only: listing touches no file.
     JsonValue doc = JsonValue::object();
     doc.add("cache_dir", opt.input);
     uint64_t total = 0;
     JsonValue arr = JsonValue::array();
-    for (const CacheIndexEntry &e : entries) {
+    for (const CacheEntryFile &e : cache.scanEntries()) {
         total += e.size;
         JsonValue rec = JsonValue::object();
         rec.add("file", e.file);
@@ -671,9 +658,8 @@ cmdCache(const Options &opt, std::ostream &out)
     doc.add("total_bytes", total);
     doc.add("quarantined",
             static_cast<uint64_t>(cache.quarantinedCount()));
-    doc.add("consistent", consistent);
     out << doc.dump(2) << "\n";
-    return (opt.check && !consistent) ? kExitFailedCheck : 0;
+    return 0;
 }
 
 /**

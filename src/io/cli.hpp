@@ -19,7 +19,7 @@
  *   stats   <input>   parse/preprocess summary + content hash (--json
  *                     adds build info and the run's metrics snapshot)
  *   verify  <mapping.json>  validity + vacuum-preservation check
- *   cache gc|list <dir>     cache eviction / index inspection
+ *   cache gc|list <dir>     cache eviction / entry listing
  *
  * Global options: --trace FILE arms the process-wide trace layer
  * (Chrome trace-event JSON, same as HATT_TRACE=FILE); --version prints
@@ -35,7 +35,7 @@
 
 namespace hatt::io {
 
-/** Failed check (`verify`, `cache list --check`) or failed batch
+/** Failed check (`verify`) or failed batch
     input: the run worked, the verdict is negative. */
 inline constexpr int kExitFailedCheck = 1;
 
@@ -59,7 +59,7 @@ int exitCodeForStatus(Status::Code code);
  * to @p err. @return sysexits-style process exit code:
  *
  *   0   success
- *   1   failed check (verify/--check) or failed batch input
+ *   1   failed check (verify) or failed batch input
  *   64  usage error (EX_USAGE: bad command line)
  *   65  parse/validation failure (EX_DATAERR: malformed or over-cap
  *       input, bad manifest, unreadable file)

@@ -1,9 +1,16 @@
 #include "io/driver.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <ext/stdio_filebuf.h>
+
 #include <cctype>
 #include <filesystem>
-#include <fstream>
+#include <istream>
 
+#include "chem/transform.hpp"
 #include "common/buildinfo.hpp"
 #include "common/trace.hpp"
 #include "io/fcidump.hpp"
@@ -13,30 +20,6 @@
 namespace hatt::io {
 
 namespace fs = std::filesystem;
-
-InputFormat
-detectFormat(const std::string &path)
-{
-    std::string ext = fs::path(path).extension().string();
-    for (char &c : ext)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (ext == ".fcidump")
-        return InputFormat::Fcidump;
-    if (ext == ".ops")
-        return InputFormat::Ops;
-    // Sniff: FCIDUMP files open with an &FCI namelist.
-    std::ifstream in(path);
-    if (!in)
-        throw ParseError("cannot open file: " + path);
-    std::string line;
-    while (std::getline(in, line)) {
-        size_t b = line.find_first_not_of(" \t\r");
-        if (b == std::string::npos)
-            continue;
-        return line[b] == '&' ? InputFormat::Fcidump : InputFormat::Ops;
-    }
-    return InputFormat::Ops;
-}
 
 std::optional<InputFormat>
 parseInputFormat(const std::string &name)
@@ -63,32 +46,61 @@ formatFromExtension(const fs::path &path)
     return std::nullopt;
 }
 
+namespace {
+
+/** Auto's content fallback: the first non-blank character of an
+    FCIDUMP file opens its &FCI namelist. Rewinds @p in. */
+InputFormat
+sniffFormat(std::istream &in)
+{
+    InputFormat format = InputFormat::Ops;
+    char c;
+    while (in.get(c)) {
+        if (c == ' ' || c == '\t' || c == '\r' || c == '\n')
+            continue;
+        if (c == '&')
+            format = InputFormat::Fcidump;
+        break;
+    }
+    in.clear();
+    in.seekg(0);
+    return format;
+}
+
+} // namespace
+
 LoadedProblem
 loadProblem(const std::string &path, InputFormat format,
             const ParseLimits &limits)
 {
-    // Only regular files are read: opening a FIFO blocks until a writer
-    // appears, and /dev/zero or a directory never parses. A missing path
-    // falls through to the open below and its "cannot open" error.
-    std::error_code type_ec;
-    const fs::file_status status = fs::status(path, type_ec);
-    if (fs::exists(status) && !fs::is_regular_file(status))
+    // One open, and every later question is asked of that descriptor:
+    // a path swapped for a FIFO after a stat could otherwise still
+    // block the reader. O_NONBLOCK keeps the open of a writerless FIFO
+    // from blocking; fstat then rejects it (and directories, devices).
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0)
+        throw ParseError("cannot open file: " + path);
+    __gnu_cxx::stdio_filebuf<char> file(fd, std::ios::in);
+    if (!file.is_open()) {
+        ::close(fd);
+        throw ParseError("cannot open file: " + path);
+    }
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
         throw ParseError(path + ": not a regular file");
     // Size guard before a single byte is parsed: a hostile or
     // mistargeted path (a core dump, a giant log) must be rejected by
     // stat, not by the allocator.
-    if (limits.maxFileBytes != 0) {
-        std::error_code ec;
-        const uint64_t size = fs::file_size(path, ec);
-        if (!ec && size > limits.maxFileBytes)
-            throw ParseError(path + ": file size " +
-                             std::to_string(size) +
-                             " exceeds the input cap (" +
-                             std::to_string(limits.maxFileBytes) +
-                             " bytes)");
+    const uint64_t size = static_cast<uint64_t>(st.st_size);
+    if (limits.maxFileBytes != 0 && size > limits.maxFileBytes)
+        throw ParseError(path + ": file size " + std::to_string(size) +
+                         " exceeds the input cap (" +
+                         std::to_string(limits.maxFileBytes) + " bytes)");
+    std::istream in(&file);
+    if (format == InputFormat::Auto) {
+        const std::optional<InputFormat> by_ext = formatFromExtension(path);
+        format = by_ext ? *by_ext : sniffFormat(in);
     }
-    if (format == InputFormat::Auto)
-        format = detectFormat(path);
 
     LoadedProblem problem;
     problem.stem = fs::path(path).stem().string();
@@ -99,9 +111,6 @@ loadProblem(const std::string &path, InputFormat format,
         metrics::ScopedTimer parse_timer("parse.seconds");
         if (format == InputFormat::Ops) {
             problem.format = "ops";
-            std::ifstream in(path);
-            if (!in)
-                throw ParseError("cannot open file: " + path);
             FermionTextInfo info =
                 streamFermionText(in, [&](FermionTerm &&term) {
                     acc.add(term);
@@ -111,7 +120,9 @@ loadProblem(const std::string &path, InputFormat format,
             problem.fermionTerms = info.numTerms;
         } else {
             problem.format = "fcidump";
-            FermionHamiltonian hf = loadFcidumpHamiltonian(path, limits);
+            FermionHamiltonian hf = secondQuantize(parseFcidump(in, limits));
+            metrics::add("parse.fcidump_files");
+            metrics::add("parse.fcidump_terms", hf.size());
             for (const FermionTerm &term : hf.terms())
                 acc.add(term);
             acc.ensureModes(hf.numModes());

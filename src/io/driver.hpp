@@ -45,20 +45,19 @@ struct LoadedProblem
  * Parse @p path (streaming for .ops) and preprocess into Majorana form:
  * every term is expanded and folded into one serial
  * StreamingMajoranaAccumulator as it is read, so the term list is never
- * buffered. The file size is checked against ParseLimits::maxFileBytes
- * up front (before a byte is parsed); the term/mode/line caps are
- * enforced by the format parsers as they stream.
+ * buffered. The path is opened exactly once (non-blocking, so a FIFO
+ * cannot stall the open); type, size and content all come from that
+ * one descriptor. The size is checked against ParseLimits::maxFileBytes
+ * before a byte is parsed; the term/mode/line caps are enforced by the
+ * format parsers as they stream. Auto resolves by extension, then by
+ * the first non-blank character (FCIDUMP files open with an &FCI
+ * namelist).
  * @throws ParseError on unreadable/malformed/over-cap input, or a path
  *         that is not a regular file (FIFO, device, directory).
  */
 LoadedProblem loadProblem(const std::string &path,
                           InputFormat format = InputFormat::Auto,
                           const ParseLimits &limits = ParseLimits{});
-
-/** Resolve Auto by extension, then by sniffing the first non-blank
-    line (FCIDUMP files open with an &FCI namelist).
-    @throws ParseError when the file cannot be opened. */
-InputFormat detectFormat(const std::string &path);
 
 /** "auto" | "ops" | "fcidump" -> format; nullopt for any other name.
     The one conversion from the wire/CLI spelling (CompileRequest::

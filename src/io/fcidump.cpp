@@ -10,7 +10,6 @@
 #include <system_error>
 
 #include "chem/transform.hpp"
-#include "common/metrics.hpp"
 #include "io/json.hpp"
 
 namespace hatt::io {
@@ -224,18 +223,6 @@ FermionHamiltonian
 loadFcidumpHamiltonian(const std::string &path)
 {
     return secondQuantize(loadFcidumpFile(path));
-}
-
-FermionHamiltonian
-loadFcidumpHamiltonian(const std::string &path, const ParseLimits &limits)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw ParseError("cannot open file: " + path);
-    FermionHamiltonian hf = secondQuantize(parseFcidump(in, limits));
-    metrics::add("parse.fcidump_files");
-    metrics::add("parse.fcidump_terms", hf.size());
-    return hf;
 }
 
 void

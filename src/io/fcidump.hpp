@@ -39,10 +39,6 @@ MoIntegrals loadFcidumpFile(const std::string &path);
 /** Parse + second-quantize into a 2*NORB-mode fermionic Hamiltonian. */
 FermionHamiltonian loadFcidumpHamiltonian(const std::string &path);
 
-/** As above with input caps forwarded to the parser. */
-FermionHamiltonian loadFcidumpHamiltonian(const std::string &path,
-                                          const ParseLimits &limits);
-
 /** Write @p mo in FCIDUMP format (unique integrals only). */
 void writeFcidump(std::ostream &out, const MoIntegrals &mo,
                   double tol = 1e-12);

@@ -18,7 +18,6 @@
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "io/cache.hpp"
 
 namespace hatt::io {
 
@@ -624,11 +623,9 @@ Server::run()
         }
     }
 
-    // Graceful shutdown: the durable tier's index is flushed so a
-    // restart (or `hattc cache list --check`) sees a consistent cache,
-    // and the trace buffer is written while the process still exists.
-    if (MappingCache *disk = service_.diskCache())
-        disk->flushIndex();
+    // Graceful shutdown: the trace buffer is written while the process
+    // still exists. The durable tier needs no flush — every entry and
+    // its last use (the file mtime) are on disk as they happen.
     metrics::add("server.shutdowns");
     if (trace::active())
         trace::flush();

@@ -98,8 +98,8 @@ struct ServerConfig
  * The daemon's engine, embeddable for tests: bind(), then run() on a
  * dedicated thread; requestStop() (async-signal-safe — what hattd's
  * SIGTERM/SIGINT handler calls) or a client's `{"op":"shutdown"}`
- * makes run() drain in-flight responses, flush the cache index and the
- * trace buffer, and return.
+ * makes run() drain in-flight responses, flush the trace buffer, and
+ * return.
  */
 class Server
 {

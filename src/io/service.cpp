@@ -425,16 +425,6 @@ CompilationService::compileBatch(const std::string &source,
 
     BatchOutcome outcome;
     outcome.results = compiler.run(std::move(items).value());
-    if (disk_) {
-        try {
-            disk_->flushIndex();
-        } catch (const std::exception &) {
-            // The index is advisory: a full disk or revoked permission
-            // on the cache dir must not discard a finished batch — the
-            // report still gets written and the usage log is retained
-            // for a later flush.
-        }
-    }
     for (const BatchItemResult &r : outcome.results)
         if (!r.result.ok())
             ++outcome.failed;

@@ -266,9 +266,6 @@ class CompilationService
         else the bare disk cache; null when the service caches nothing. */
     MappingStore *store();
 
-    /** The durable tier; null when ServiceConfig::cacheDir is empty. */
-    MappingCache *diskCache() { return disk_.get(); }
-
     /** The in-memory tier; null when ServiceConfig::memoryStore is
         false. */
     TieredMappingStore *memoryTier() { return tiered_.get(); }

@@ -107,9 +107,7 @@ entryFiles(const fs::path &dir)
 {
     std::vector<fs::path> files;
     for (const fs::directory_entry &de : fs::directory_iterator(dir))
-        if (de.is_regular_file() &&
-            de.path().extension() == ".json" &&
-            de.path().filename() != "index.json")
+        if (de.is_regular_file() && de.path().extension() == ".json")
             files.push_back(de.path());
     std::sort(files.begin(), files.end());
     return files;
@@ -119,6 +117,18 @@ size_t
 entryCount(const fs::path &dir)
 {
     return entryFiles(dir).size();
+}
+
+/** `hattc cache list DIR` exits 0, lists exactly the entry files on
+    disk and reports @p quarantined quarantined files. */
+void
+expectCacheListing(const fs::path &dir, int64_t quarantined)
+{
+    std::string text;
+    ASSERT_EQ(run({"cache", "list", dir.string()}, &text), 0) << text;
+    const JsonValue doc = JsonValue::parse(text);
+    EXPECT_EQ(doc.at("entries").size(), entryCount(dir)) << text;
+    EXPECT_EQ(doc.at("quarantined").asInt(), quarantined) << text;
 }
 
 TEST_F(FaultTest, SpecGrammarAcceptsAndRejects)
@@ -240,11 +250,7 @@ TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)
         cache.gc(stale);
         EXPECT_EQ(debrisCount(), 0u);
     }
-    std::string text;
-    EXPECT_EQ(run({"cache", "list", (dir / "cache").string(), "--check"},
-                  &text),
-              0)
-        << text;
+    expectCacheListing(dir / "cache", 0);
     fs::remove_all(dir);
 }
 
@@ -299,22 +305,15 @@ TEST_F(FaultTest, CacheReadThrowQuarantinesTheEntry)
                     btt.tree ? &*btt.tree : nullptr);
         EXPECT_TRUE(cache.load(0x9999, "btt").has_value());
 
-        // index.json v2 carries the quarantine count.
-        cache.flushIndex();
-        JsonValue index = io::loadJsonFile(cache.indexPath());
-        EXPECT_EQ(index.at("quarantined").asInt(), 1);
+        // `cache list` carries the quarantine count.
+        expectCacheListing(cdir, 1);
 
         // gc purges the quarantine directory.
         io::CacheGcStats stats = cache.gc({});
         EXPECT_EQ(stats.quarantinePurged, 1u);
         EXPECT_EQ(cache.quarantinedCount(), 0u);
-        EXPECT_EQ(io::loadJsonFile(cache.indexPath())
-                      .at("quarantined")
-                      .asInt(),
-                  0);
+        expectCacheListing(cdir, 0);
     }
-    std::string text;
-    EXPECT_EQ(run({"cache", "list", cdir, "--check"}, &text), 0) << text;
     fs::remove_all(dir);
 }
 
@@ -490,13 +489,12 @@ TEST_F(FaultTest, BatchIsolatesInjectedFaultsDeterministically)
         setParallelThreads(0);
 
         // No corrupt entries: nothing was published, only writer debris
-        // remains, and gc leaves a clean, consistent cache.
+        // remains, and gc leaves a clean cache.
         const std::string cdir = (dir / ("cache_" + tag)).string();
         EXPECT_EQ(entryCount(dir / ("cache_" + tag)), 0u);
         std::string text;
         EXPECT_EQ(run({"cache", "gc", cdir}, &text), 0) << text;
-        EXPECT_EQ(run({"cache", "list", cdir, "--check"}, &text), 0)
-            << text;
+        expectCacheListing(cdir, 0);
     }
     fs::remove_all(dir);
 }
@@ -538,11 +536,11 @@ TEST_F(FaultTest, BatchReportsQuarantinedCacheAndRecovers)
     EXPECT_EQ(doc.at("summary").at("failed").asInt(), 0);
 
     // The recompute re-published the entry; gc purges the quarantined
-    // copy and the index agrees with the directory.
+    // copy and the listing agrees with the directory.
     EXPECT_EQ(entryCount(cache), 2u);
+    expectCacheListing(cache, 1);
     EXPECT_EQ(run({"cache", "gc", cache.string()}, &text), 0) << text;
-    EXPECT_EQ(run({"cache", "list", cache.string(), "--check"}, &text), 0)
-        << text;
+    expectCacheListing(cache, 0);
     fs::remove_all(dir);
 }
 

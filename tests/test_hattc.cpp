@@ -18,6 +18,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/fault.hpp"
@@ -92,6 +93,30 @@ run(const std::vector<std::string> &args, std::string *out_text = nullptr)
     if (out_text)
         *out_text = out.str() + err.str();
     return code;
+}
+
+/** Entry files ("*.json") directly under a cache directory. */
+size_t
+entryCount(const fs::path &dir)
+{
+    size_t n = 0;
+    for (const fs::directory_entry &de : fs::directory_iterator(dir))
+        if (de.is_regular_file() && de.path().extension() == ".json")
+            ++n;
+    return n;
+}
+
+/** `hattc cache list DIR` exits 0 and lists @p entries entries — as
+    many as there are entry files on disk — with none quarantined. */
+void
+expectCacheListing(const fs::path &dir, size_t entries)
+{
+    std::string text;
+    ASSERT_EQ(run({"cache", "list", dir.string()}, &text), 0) << text;
+    const JsonValue doc = JsonValue::parse(text);
+    EXPECT_EQ(doc.at("entries").size(), entries) << text;
+    EXPECT_EQ(doc.at("entries").size(), entryCount(dir)) << text;
+    EXPECT_EQ(doc.at("quarantined").asInt(), 0) << text;
 }
 
 TEST(Hattc, CompileRoundTripMatchesInMemoryPipeline)
@@ -388,13 +413,15 @@ TEST(Hattc, BatchReportDeterministicAcrossThreadsAndAllHitsWhenWarm)
     ASSERT_FALSE(t1_qubit.empty());
     EXPECT_EQ(t1_qubit, slurp(dir / "t4/h2.ops:hatt/h2.qubit.json"));
 
-    // The shared cache kept a consistent index; a gc pass preserves
-    // consistency (nothing is stale yet, so nothing is evicted).
+    // The shared cache lists exactly its entry files; a gc pass keeps
+    // them all (nothing is stale yet, so nothing is evicted).
+    const size_t entries = entryCount(cache);
+    EXPECT_GT(entries, 0u);
+    expectCacheListing(cache, entries);
     std::string text;
-    EXPECT_EQ(run({"cache", "list", cache, "--check"}, &text), 0) << text;
     EXPECT_EQ(run({"cache", "gc", cache, "--max-age", "86400"}, &text),
               0);
-    EXPECT_EQ(run({"cache", "list", cache, "--check"}, &text), 0) << text;
+    expectCacheListing(cache, entries);
     fs::remove_all(dir);
 }
 
@@ -766,28 +793,35 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
     fs::remove_all(dir);
 }
 
-TEST(Hattc, CacheListIsReadOnlyAndGcRepairsDrift)
+TEST(Hattc, CacheListIsReadOnlyAndFollowsTheDirectory)
 {
     fs::path dir = scratchDir("cachelist");
     const std::string cache = (dir / "cache").string();
     ASSERT_EQ(run({"compile", dataFile("eq3.ops"), "--cache", cache,
                    "-o", (dir / "out").string()}),
               0);
-    std::string text;
-    ASSERT_EQ(run({"cache", "list", cache, "--check"}, &text), 0) << text;
+    // Every path in the cache directory with its mtime.
+    auto snapshot = [&] {
+        std::map<std::string, fs::file_time_type> files;
+        for (const auto &de : fs::recursive_directory_iterator(cache))
+            files[de.path().string()] = de.last_write_time();
+        return files;
+    };
+    const auto before = snapshot();
+    expectCacheListing(cache, 1);
+    expectCacheListing(cache, 1);
+    // Listing creates no file and changes no mtime: an entry's mtime
+    // is its last use, and a listing is not a use.
+    EXPECT_EQ(snapshot(), before);
 
-    // Delete the entry behind the index's back: --check reports drift —
-    // and keeps reporting it, because `cache list` is read-only and must
-    // not repair the inconsistency it just flagged.
-    for (const auto &de : fs::directory_iterator(dir / "cache"))
-        if (de.path().filename() != "index.json")
+    // An entry deleted behind the cache's back simply stops listing.
+    for (const auto &de : fs::directory_iterator(cache))
+        if (de.path().extension() == ".json")
             fs::remove(de.path());
-    EXPECT_EQ(run({"cache", "list", cache, "--check"}, &text), 1);
-    EXPECT_EQ(run({"cache", "list", cache, "--check"}, &text), 1);
-
-    // A gc pass reconciles; the check goes green.
-    EXPECT_EQ(run({"cache", "gc", cache}, &text), 0);
-    EXPECT_EQ(run({"cache", "list", cache, "--check"}, &text), 0) << text;
+    expectCacheListing(cache, 0);
+    std::string text;
+    EXPECT_EQ(run({"cache", "gc", cache}, &text), 0) << text;
+    expectCacheListing(cache, 0);
     fs::remove_all(dir);
 }
 
@@ -1002,6 +1036,9 @@ TEST(Hattc, ReportsUsageAndInputErrors)
                   &text),
               64);
     EXPECT_EQ(run({"cache", "gc", "d", "--check"}, &text), 64);
+    EXPECT_EQ(run({"cache", "list", "d", "--check"}, &text), 64);
+    EXPECT_NE(text.find("unknown option '--check'"), std::string::npos)
+        << text;
     EXPECT_EQ(run({"compile", "in.ops", "--max-age", "5"}, &text), 64);
     // A typo'd cache directory is an error, not an empty healthy cache.
     EXPECT_EQ(run({"cache", "gc", "/nonexistent/cache"}, &text), 65);

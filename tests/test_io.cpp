@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1113,9 +1114,18 @@ TEST(Cache, CorruptEntriesAreMissesAndGetOverwritten)
     fs::remove_all(dir);
 }
 
-TEST(Cache, IndexTracksEntriesAndSurvivesDriftAndCorruption)
+/** An entry file's mtime in unix seconds, as stat(2) reports it. */
+int64_t
+mtimeOf(const fs::path &path)
 {
-    fs::path dir = scratchDir("cache_index");
+    struct stat st;
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return static_cast<int64_t>(st.st_mtime);
+}
+
+TEST(Cache, ScanEntriesListsEntryFilesWithSizeAndMtime)
+{
+    fs::path dir = scratchDir("cache_scan");
     MajoranaPolynomial poly = MajoranaPolynomial::fromFermion(
         hubbardModel({2, 2, 1.0, 4.0}));
     uint64_t hash = io::majoranaContentHash(poly);
@@ -1124,40 +1134,89 @@ TEST(Cache, IndexTracksEntriesAndSurvivesDriftAndCorruption)
 
     cache.store(hash, "hatt", res.mapping, &res.tree);
     cache.store(hash, "jw", jordanWignerMapping(poly.numModes()));
-    cache.flushIndex();
+    // Neither a legacy index, writer debris nor a bystander is an entry.
+    for (const char *name : {"index.json", "notes.json",
+                             "deadbeefdeadbeef-hatt.json.tmp.1.2"})
+        std::ofstream(dir / name) << "{}";
+    // A backdated entry lists its backdated time.
+    fs::last_write_time(cache.entryPath(hash, "jw"),
+                        fs::file_time_type::clock::now() -
+                            std::chrono::hours(5));
 
-    std::vector<io::CacheIndexEntry> index = cache.loadIndex();
-    ASSERT_EQ(index.size(), 2u);
-    EXPECT_LT(index[0].file, index[1].file); // sorted by file name
-    for (const io::CacheIndexEntry &e : index) {
+    std::vector<io::CacheEntryFile> entries = cache.scanEntries();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_LT(entries[0].file, entries[1].file); // sorted by file name
+    for (const io::CacheEntryFile &e : entries) {
         EXPECT_EQ(e.size, fs::file_size(dir / e.file));
-        EXPECT_GT(e.lastUsed, 0);
+        EXPECT_EQ(e.lastUsed, mtimeOf(dir / e.file));
     }
-    EXPECT_TRUE(cache.indexConsistent());
+    const int64_t now = static_cast<int64_t>(std::time(nullptr));
+    EXPECT_NEAR(static_cast<double>(mtimeOf(cache.entryPath(hash, "jw"))),
+                static_cast<double>(now - 5 * 3600), 60.0);
 
-    // Drift: an entry removed behind the cache's back is detected, and
-    // the next flush reconciles the index against the directory.
+    // An entry removed behind the cache's back simply stops listing.
     fs::remove(cache.entryPath(hash, "jw"));
-    EXPECT_FALSE(cache.indexConsistent());
-    cache.flushIndex();
-    EXPECT_TRUE(cache.indexConsistent());
-    EXPECT_EQ(cache.loadIndex().size(), 1u);
-
-    // A corrupt index file is advisory data: reads as empty, lookups
-    // still hit, and the next flush rewrites it wholesale.
-    {
-        std::ofstream os(cache.indexPath(), std::ios::trunc);
-        os << "{\"format\": \"hatt-cache-index\"";
-    }
-    EXPECT_TRUE(cache.loadIndex().empty());
-    EXPECT_TRUE(cache.load(hash, "hatt").has_value());
-    cache.flushIndex();
-    EXPECT_EQ(cache.loadIndex().size(), 1u);
-    EXPECT_TRUE(cache.indexConsistent());
+    ASSERT_EQ(cache.scanEntries().size(), 1u);
+    EXPECT_EQ(cache.scanEntries()[0].file,
+              fs::path(cache.entryPath(hash, "hatt")).filename().string());
     fs::remove_all(dir);
 }
 
-TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
+TEST(Cache, DiskHitRefreshesLastUsed)
+{
+    fs::path dir = scratchDir("cache_hit_mtime");
+    MajoranaPolynomial poly = MajoranaPolynomial::fromFermion(
+        hubbardModel({2, 2, 1.0, 4.0}));
+    uint64_t hash = io::majoranaContentHash(poly);
+    HattResult res = buildHattMapping(poly);
+    const auto now = fs::file_time_type::clock::now();
+
+    // hatt is fresh; jw is the oldest entry and bk the next oldest, so
+    // without the hit's refresh both policies would pick jw first.
+    auto populate = [&](io::MappingCache &cache) {
+        cache.store(hash, "hatt", res.mapping, &res.tree);
+        cache.store(hash, "jw", jordanWignerMapping(poly.numModes()));
+        cache.store(hash, "bk", bravyiKitaevMapping(poly.numModes()));
+        fs::last_write_time(cache.entryPath(hash, "jw"),
+                            now - std::chrono::hours(3));
+        fs::last_write_time(cache.entryPath(hash, "bk"),
+                            now - std::chrono::hours(2));
+        ASSERT_TRUE(cache.load(hash, "jw").has_value());
+    };
+
+    // Age: the hit made jw recent, so only bk is stale.
+    {
+        io::MappingCache cache(dir.string());
+        populate(cache);
+        io::CacheGcOptions age;
+        age.maxAgeSeconds = 3600;
+        io::CacheGcStats stats = cache.gc(age);
+        EXPECT_EQ(stats.evicted, 1u);
+        EXPECT_TRUE(fs::exists(cache.entryPath(hash, "hatt")));
+        EXPECT_TRUE(fs::exists(cache.entryPath(hash, "jw")));
+        EXPECT_FALSE(fs::exists(cache.entryPath(hash, "bk")));
+    }
+
+    // LRU: a budget one byte short of the total evicts exactly the
+    // least recently used entry, which is bk, not the hit jw.
+    {
+        io::MappingCache cache(dir.string());
+        populate(cache);
+        uint64_t total = 0;
+        for (const io::CacheEntryFile &e : cache.scanEntries())
+            total += e.size;
+        io::CacheGcOptions lru;
+        lru.maxBytes = total - 1;
+        io::CacheGcStats stats = cache.gc(lru);
+        EXPECT_EQ(stats.evicted, 1u);
+        EXPECT_TRUE(fs::exists(cache.entryPath(hash, "hatt")));
+        EXPECT_TRUE(fs::exists(cache.entryPath(hash, "jw")));
+        EXPECT_FALSE(fs::exists(cache.entryPath(hash, "bk")));
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Cache, GcEvictsByAgeThenLruSizeAndSweepsDebris)
 {
     fs::path dir = scratchDir("cache_gc");
     MajoranaPolynomial poly = MajoranaPolynomial::fromFermion(
@@ -1165,19 +1224,20 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     uint64_t hash = io::majoranaContentHash(poly);
     HattResult res = buildHattMapping(poly);
     {
-        // Populate in a scope so no in-memory usage log survives: the
-        // fresh cache below sees only index/mtime state, as a separate
-        // `hattc cache gc` process would.
+        // Populate from a separate instance, as a separate `hattc cache
+        // gc` process would see the directory.
         io::MappingCache writer(dir.string());
         writer.store(hash, "hatt", res.mapping, &res.tree);
         writer.store(hash, "jw", jordanWignerMapping(poly.numModes()));
         writer.store(hash, "bk", bravyiKitaevMapping(poly.numModes()));
     }
-    fs::remove(dir / "index.json"); // last-used falls back to file mtime
+    // The usage index older builds kept is superseded: gc removes it.
+    const fs::path legacy_index = dir / "index.json";
+    std::ofstream(legacy_index) << "{\"format\": \"hatt-cache-index\"}";
 
     // Bystander files that merely end in .json — a report dropped into
     // the cache dir, or a mistargeted `cache gc out/` — are never
-    // treated as entries, never indexed, and above all never deleted.
+    // treated as entries, and above all never deleted.
     const fs::path bystander = dir / "precious_results.json";
     {
         std::ofstream os(bystander);
@@ -1185,7 +1245,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     }
 
     // Backdate two entries; a max-age pass must evict exactly those and
-    // leave an index listing exactly the survivor.
+    // leave exactly the survivor.
     const auto old_time =
         fs::file_time_type::clock::now() - std::chrono::hours(2);
     io::MappingCache cache(dir.string());
@@ -1200,30 +1260,31 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "jw")));
     EXPECT_FALSE(fs::exists(cache.entryPath(hash, "bk")));
     EXPECT_TRUE(cache.load(hash, "hatt").has_value());
-    ASSERT_EQ(cache.loadIndex().size(), 1u);
-    EXPECT_TRUE(cache.indexConsistent());
+    ASSERT_EQ(cache.scanEntries().size(), 1u);
+    EXPECT_FALSE(fs::exists(legacy_index));
 
     // Byte budget: oldest last-used evicts first (LRU); with one entry
-    // a zero budget empties the cache but keeps a consistent index.
+    // a zero budget empties the cache.
     io::CacheGcOptions size_only;
     size_only.maxBytes = 0;
     stats = cache.gc(size_only);
     EXPECT_EQ(stats.evicted, 1u);
     EXPECT_EQ(stats.bytesAfter, 0u);
-    EXPECT_TRUE(cache.loadIndex().empty());
-    EXPECT_TRUE(cache.indexConsistent());
+    EXPECT_TRUE(cache.scanEntries().empty());
     EXPECT_FALSE(cache.load(hash, "hatt").has_value());
 
     // Even evict-everything passes leave the bystander untouched.
     EXPECT_TRUE(fs::exists(bystander));
 
-    // Stale temp files from interrupted cache writers are crash debris;
-    // a user's "*.tmp.*" file that doesn't match the writer pattern
+    // Stale temp files from interrupted cache writers (and from older
+    // builds' index writers) are crash debris; a user's "*.tmp.*" file
+    // that doesn't match the writer pattern
     // (<16-hex>-<kind>.json.tmp.<pid>.<counter>) is not.
     const fs::path stale_tmp =
         dir / "deadbeefdeadbeef-hatt.json.tmp.1.2";
+    const fs::path stale_index_tmp = dir / "index.json.tmp.3.4";
     const fs::path user_tmp = dir / "results.tmp.backup";
-    for (const fs::path &p : {stale_tmp, user_tmp}) {
+    for (const fs::path &p : {stale_tmp, stale_index_tmp, user_tmp}) {
         std::ofstream os(p);
         os << "partial";
         os.close();
@@ -1231,6 +1292,7 @@ TEST(Cache, GcEvictsByAgeThenLruSizeAndRewritesTheIndex)
     }
     cache.gc(io::CacheGcOptions{});
     EXPECT_FALSE(fs::exists(stale_tmp));
+    EXPECT_FALSE(fs::exists(stale_index_tmp));
     EXPECT_TRUE(fs::exists(user_tmp));
     fs::remove_all(dir);
 }
@@ -1256,7 +1318,7 @@ TEST(Cache, GcHonorsInjectedNowForAgePolicies)
     future.now = static_cast<int64_t>(std::time(nullptr)) + 86400;
     EXPECT_EQ(cache.gc(future).evicted, 1u);
     EXPECT_FALSE(cache.load(hash, "hatt").has_value());
-    EXPECT_TRUE(cache.indexConsistent());
+    EXPECT_TRUE(cache.scanEntries().empty());
     fs::remove_all(dir);
 }
 

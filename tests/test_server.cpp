@@ -24,12 +24,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "io/cache.hpp"
 #include "io/json.hpp"
 #include "io/server.hpp"
 #include "io/service.hpp"
@@ -666,6 +668,33 @@ TEST(Server, NoWorkIsAdmittedAfterShutdownBegins)
     EXPECT_EQ(bye.at("op").asString(), "shutdown");
     EXPECT_TRUE(client.recvEof()); // EOF, not a pong
     EXPECT_EQ(daemon.join(), 0);
+    fs::remove_all(dir);
+}
+
+TEST(Server, ShutdownLeavesALoadableCache)
+{
+    // The durable tier is complete the moment a store returns: a clean
+    // shutdown has nothing to fold or flush, and a fresh process hits
+    // the daemon's entry straight from the directory.
+    fs::path dir = scratchDir("dcache");
+    const std::string cache_dir = (dir / "dcache").string();
+    ServerConfig config;
+    config.outRoot = (dir / "srv").string();
+    config.cacheDir = cache_dir;
+    Daemon daemon(config);
+    Client client(daemon.server.port());
+    const JsonValue resp = client.rpc(compileFrame(dataFile("h2.ops"), "d"));
+    ASSERT_EQ(resp.at("format").asString(), "hatt-compile-response")
+        << resp.dump();
+    EXPECT_EQ(daemon.stop(), 0);
+
+    const uint64_t hash =
+        std::stoull(resp.at("content_hash").asString(), nullptr, 16);
+    io::MappingCache fresh(cache_dir);
+    std::optional<MappingStore::Entry> hit = fresh.load(hash, "hatt");
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->tier, "disk");
+    EXPECT_FALSE(fs::exists(fs::path(cache_dir) / "index.json"));
     fs::remove_all(dir);
 }
 

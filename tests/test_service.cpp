@@ -392,15 +392,18 @@ TEST(Service, CompileWithoutArgvAndMemoizeInProcess)
 TEST(Service, RejectsNonRegularInputsWithinASecond)
 {
     // Opening a FIFO that has no writer blocks until one appears, which
-    // would wedge hattd's poll thread. A FIFO, a directory and
-    // /dev/zero must each come back as InvalidArgument, promptly.
+    // would wedge hattd's poll thread. A FIFO, a symlink to one (the
+    // path a stat-then-open check can be raced through), a directory
+    // and /dev/zero must each come back as InvalidArgument, promptly.
     fs::path dir = scratchDir("fifo");
     const fs::path fifo = dir / "input.ops";
     ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    const fs::path link = dir / "link.ops";
+    fs::create_symlink(fifo, link);
     CompilationService service(ServiceConfig{});
 
-    for (const std::string &path :
-         {fifo.string(), dir.string(), std::string("/dev/zero")}) {
+    for (const std::string &path : {fifo.string(), link.string(),
+                                    dir.string(), std::string("/dev/zero")}) {
         CompileRequest req;
         req.path = path;
         req.outDir = (dir / "out").string();
@@ -619,7 +622,6 @@ TEST(TieredStore, MemoryHitSurvivesDiskGc)
 
     MappingStore::Entry entry = sampleEntry();
     tiered.save(42, "jw", entry);
-    cache.flushIndex();
 
     // Evict everything from the durable tier.
     io::CacheGcOptions gco;

@@ -4,7 +4,7 @@
  * is itself a shell over the CompilationService in io/service) so the
  * whole parse -> preprocess -> map -> serialize pipeline — including
  * `hattc batch` (parallel corpus compilation over one shared two-tier
- * mapping store) and `hattc cache gc|list` (cache eviction + index) —
+ * mapping store) and `hattc cache gc|list` (cache eviction + listing) —
  * is library code covered by the test suite; see `hattc` with no
  * arguments for usage.
  */
