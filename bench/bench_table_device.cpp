@@ -9,8 +9,13 @@
  * receive the device as their mapper option, everything else maps
  * architecture-agnostically and pays whatever routing costs.
  *
- * Record names are "<device>/<case>/<kind>" and every reported metric
- * is deterministic (bit-identical across HATT_THREADS) — the CI
+ * It then reproduces the paper's Table IV grid: JW vs HATT on the
+ * electronic-structure cases, routed onto manhattan (65q), sycamore
+ * (54q) and montreal (27q), with a HATT win/tie/loss count on CNOTs.
+ *
+ * Record names are "<device>/<case>/<kind>" and, for Table IV,
+ * "table4/<device>/<case>/<kind>"; every reported metric is
+ * deterministic (bit-identical across HATT_THREADS) — the CI
  * trajectory check joins BENCH_table_device.json on them.
  */
 
@@ -23,6 +28,13 @@ using namespace hatt;
 using namespace hatt::bench;
 
 namespace {
+
+/** One molecule row: its spec and its table/record label. */
+struct Case
+{
+    MoleculeSpec spec;
+    const char *label;
+};
 
 /** Build @p kind through the registry, attaching the device option for
     device-aware kinds (exactly what io/driver does for `--device`). */
@@ -43,16 +55,102 @@ buildForDevice(const std::string &kind, const MajoranaPolynomial &poly,
     return std::move(built).value().mapping;
 }
 
+/** Build @p kind for @p device_name, route it onto @p device and log
+    the routed record @p name; nullopt (after a FAIL line) when routing
+    fails. */
+std::optional<device::HardwareCost>
+routedRecord(JsonReporter &json, const std::string &name,
+             const std::string &kind, const MajoranaPolynomial &poly,
+             const std::string &device_name, const CouplingMap &device)
+{
+    Timer timer;
+    FermionQubitMapping map = buildForDevice(kind, poly, device_name);
+    StatusOr<device::HardwareCost> cost =
+        device::evaluateHardwareCost(poly, map, device);
+    if (!cost.ok()) {
+        std::cout << "FAIL " << name << ": " << cost.status().message()
+                  << "\n";
+        return std::nullopt;
+    }
+    const double seconds = timer.seconds();
+    json.addRouted(name, seconds, mapToQubits(poly, map).pauliWeight(),
+                   cost->cnots, cost->depth, cost->swaps);
+    return cost.value();
+}
+
+std::string
+count(uint64_t n)
+{
+    return TablePrinter::num(static_cast<long long>(n));
+}
+
+/** Table IV: JW vs HATT routed onto the paper's three devices. Returns
+    the number of failed cells. */
+int
+runTable4(JsonReporter &json)
+{
+    const std::vector<Case> cases = {
+        {{"H2", BasisSet::Sto3g, false, 0}, "H2 sto3g"},
+        {{"H2", BasisSet::Sto3g, true, 0}, "H2 sto3g frz"},
+        {{"H2", BasisSet::B631g, false, 0}, "H2 631g"},
+        {{"H2", BasisSet::B631g, true, 0}, "H2 631g frz"},
+        {{"LiH", BasisSet::Sto3g, false, 0}, "LiH sto3g"},
+        {{"LiH", BasisSet::Sto3g, true, 3}, "LiH sto3g frz"},
+        {{"NH", BasisSet::Sto3g, true, 0}, "NH sto3g frz"},
+        {{"BeH2", BasisSet::Sto3g, true, 0}, "BeH2 sto3g frz"},
+        {{"O2", BasisSet::Sto3g, false, 0}, "O2 sto3g"},
+    };
+    std::vector<MajoranaPolynomial> polys;
+    for (const Case &c : cases)
+        polys.push_back(MajoranaPolynomial::fromFermion(
+            buildMolecule(c.spec).hamiltonian));
+
+    std::cout << "=== Table IV: JW vs HATT routed on device topologies "
+                 "===\n";
+    int failures = 0, wins = 0, ties = 0, losses = 0;
+    for (const char *device_name : {"manhattan", "sycamore", "montreal"}) {
+        const CouplingMap device = device::resolveDevice(device_name).value();
+        std::cout << "--- " << device_name << " (" << device.numQubits()
+                  << " qubits) ---\n";
+        TablePrinter table({"Case", "Modes", "CNOT(JW)", "CNOT(HATT)",
+                            "U3(JW)", "U3(HATT)", "Depth(JW)",
+                            "Depth(HATT)"});
+        for (size_t i = 0; i < cases.size(); ++i) {
+            const MajoranaPolynomial &poly = polys[i];
+            const std::string prefix = std::string("table4/") +
+                                       device_name + "/" +
+                                       recordName(cases[i].label) + "/";
+            std::optional<device::HardwareCost> jw = routedRecord(
+                json, prefix + "jw", "jw", poly, device_name, device);
+            std::optional<device::HardwareCost> hatt = routedRecord(
+                json, prefix + "hatt", "hatt", poly, device_name, device);
+            if (!jw || !hatt) {
+                ++failures;
+                continue;
+            }
+            if (hatt->cnots < jw->cnots)
+                ++wins;
+            else if (hatt->cnots == jw->cnots)
+                ++ties;
+            else
+                ++losses;
+            table.addRow({cases[i].label, std::to_string(poly.numModes()),
+                          count(jw->cnots), count(hatt->cnots),
+                          count(jw->u3), count(hatt->u3),
+                          count(jw->depth), count(hatt->depth)});
+        }
+        table.print(std::cout);
+    }
+    std::cout << "Table IV routed CNOTs, HATT vs JW: " << wins << " wins, "
+              << ties << " ties, " << losses << " losses\n";
+    return failures;
+}
+
 } // namespace
 
 int
 main()
 {
-    struct Case
-    {
-        MoleculeSpec spec;
-        const char *label;
-    };
     const std::vector<Case> cases = {
         {{"H2", BasisSet::Sto3g, false, 0}, "H2 sto3g"},
         {{"H2", BasisSet::B631g, false, 0}, "H2 631g"},
@@ -91,43 +189,30 @@ main()
                 // at 4 modes, unusable beyond. Skipped, not sampled.
                 if (kind == "fh-exact")
                     continue;
-                Timer timer;
-                FermionQubitMapping map =
-                    buildForDevice(kind, poly, device_name);
-                StatusOr<device::HardwareCost> cost =
-                    device::evaluateHardwareCost(poly, map, device);
-                if (!cost.ok()) {
-                    std::cout << "FAIL " << device_name << "/"
-                              << c.label << "/" << kind << ": "
-                              << cost.status().message() << "\n";
+                std::optional<device::HardwareCost> cost = routedRecord(
+                    json,
+                    recordName(device_name) + "/" + recordName(c.label) +
+                        "/" + kind,
+                    kind, poly, device_name, device);
+                if (!cost) {
                     ++failures;
                     continue;
                 }
-                const double seconds = timer.seconds();
-                PauliSum hq = mapToQubits(poly, map);
-                json.addRouted(recordName(device_name) + "/" +
-                                   recordName(c.label) + "/" + kind,
-                               seconds, hq.pauliWeight(), cost->cnots,
-                               cost->depth, cost->swaps);
                 if (kind == "jw")
                     jw_cnots = cost->cnots;
                 if (std::string(device_name) == "montreal" && jw_cnots &&
                     cost->cnots < jw_cnots)
                     jw_beaten_on_montreal = true;
-                table.addRow(
-                    {c.label, std::to_string(poly.numModes()), kind,
-                     TablePrinter::num(
-                         static_cast<long long>(cost->cnots)),
-                     TablePrinter::num(
-                         static_cast<long long>(cost->depth)),
-                     TablePrinter::num(
-                         static_cast<long long>(cost->swaps))});
+                table.addRow({c.label, std::to_string(poly.numModes()),
+                              kind, count(cost->cnots), count(cost->depth),
+                              count(cost->swaps)});
             }
         }
         table.print(std::cout);
     }
     std::cout << "skipped: fh-exact on every device (factorial-cost "
                  "search stand-in)\n";
+    failures += runTable4(json);
     std::cout << "wrote " << json.write() << "\n";
     if (!jw_beaten_on_montreal) {
         std::cout << "FAIL: no mapping beat JW's routed CNOT count on "

@@ -39,7 +39,6 @@ STATUS_CODES = {
     "already_exists",
     "internal",
     "deadline_exceeded",
-    "cancelled",
     "resource_exhausted",
 }
 

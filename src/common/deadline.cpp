@@ -1,7 +1,5 @@
 #include "common/deadline.hpp"
 
-#include <limits>
-
 #include "common/metrics.hpp"
 
 namespace hatt {
@@ -18,26 +16,12 @@ Deadline::after(double seconds)
     return d;
 }
 
-double
-Deadline::remainingSeconds() const
-{
-    if (!expiry_)
-        return std::numeric_limits<double>::infinity();
-    const double left =
-        std::chrono::duration<double>(*expiry_ - Clock::now()).count();
-    return left > 0.0 ? left : 0.0;
-}
-
 void
-RunLimits::check() const
+Deadline::check() const
 {
-    // Counted at the throw sites, not per poll: a poll that passes is
+    // Counted at the throw site, not per poll: a poll that passes is
     // the overwhelmingly common case and carries no signal.
-    if (cancel && cancel->cancelled()) {
-        metrics::add("deadline.cancellations");
-        throw CancelledError();
-    }
-    if (deadline.expired()) {
+    if (expired()) {
         metrics::add("deadline.expirations");
         throw DeadlineExceededError();
     }

@@ -27,8 +27,7 @@ class Status
         NotFound,        //!< unknown mapper kind
         AlreadyExists,   //!< duplicate registration / work item
         Internal,        //!< construction failed unexpectedly
-        DeadlineExceeded,  //!< RunLimits time budget expired mid-build
-        Cancelled,         //!< CancelToken fired mid-build
+        DeadlineExceeded,  //!< Deadline time budget expired mid-build
         ResourceExhausted, //!< allocation failed / a hard cap was hit
     };
 
@@ -62,11 +61,6 @@ class Status
     deadlineExceeded(std::string msg)
     {
         return {Code::DeadlineExceeded, std::move(msg)};
-    }
-    static Status
-    cancelled(std::string msg)
-    {
-        return {Code::Cancelled, std::move(msg)};
     }
     static Status
     resourceExhausted(std::string msg)

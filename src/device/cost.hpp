@@ -18,12 +18,7 @@
  * The PauliSum overload starts from an already-mapped qubit Hamiltonian,
  * so a caller that also needs that Hamiltonian (the compile driver
  * emitting qubit.json) maps it once.
- *
- * estimateRoutedCost() is the cheap stand-in treespilation uses to
- * score candidate trees without paying for full routing: it embeds the
- * mapped Hamiltonian's interaction graph with the router's own
- * degreeOrderedLayout and charges each two-qubit interaction
- * 3*(d-1)+1 CNOTs for hop distance d.
+
  */
 
 #include <cstdint>
@@ -57,16 +52,6 @@ StatusOr<HardwareCost> evaluateHardwareCost(const PauliSum &hq,
 StatusOr<HardwareCost> evaluateHardwareCost(const MajoranaPolynomial &poly,
                                             const FermionQubitMapping &map,
                                             const CouplingMap &device);
-
-/**
- * Cheap routed-cost estimate for candidate scoring: greedy interaction-
- * graph embedding plus per-interaction distance charges. Not comparable
- * to evaluateHardwareCost() numbers — only to other estimates on the
- * same (poly, device).
- */
-uint64_t estimateRoutedCost(const MajoranaPolynomial &poly,
-                            const FermionQubitMapping &map,
-                            const CouplingMap &device);
 
 } // namespace hatt::device
 

@@ -6,6 +6,7 @@
 #include "device/bonsai.hpp"
 #include "device/device.hpp"
 #include "device/treespilation.hpp"
+#include "mapping/balanced_tree.hpp"
 
 namespace hatt::device {
 
@@ -66,8 +67,8 @@ class BonsaiMapper final : public Mapper
         if (!grown.ok())
             return grown.status();
         MappingResult out;
-        out.mapping =
-            vacuumPairedMappingFromTree(grown->tree, "Bonsai");
+        out.mapping = mappingFromTree(grown->tree, "Bonsai",
+                                      vacuumPairingAssignment(grown->tree));
         out.tree = std::move(grown->tree);
         return out;
     }
@@ -103,7 +104,7 @@ class TreespilationMapper final : public Mapper
         if (!dev.ok())
             return dev.status();
         StatusOr<TreespilationResult> res = buildTreespilationMapping(
-            *req.poly, dev.value(), req.limits);
+            *req.poly, dev.value(), req.deadline);
         if (!res.ok())
             return res.status();
         MappingResult out;

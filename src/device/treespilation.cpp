@@ -1,6 +1,5 @@
 #include "device/treespilation.hpp"
 
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -11,28 +10,10 @@
 
 namespace hatt::device {
 
-FermionQubitMapping
-vacuumPairedMappingFromTree(const TernaryTree &tree, std::string name)
-{
-    const uint32_t num_modes = tree.numModes();
-    const std::vector<PauliString> strings = tree.extractStrings();
-    const std::vector<int> assignment = vacuumPairingAssignment(tree);
-    FermionQubitMapping map;
-    map.numModes = num_modes;
-    map.numQubits = num_modes;
-    map.name = std::move(name);
-    map.majorana.reserve(2 * num_modes);
-    for (uint32_t i = 0; i < 2 * num_modes; ++i) {
-        assert(assignment[i] >= 0);
-        map.majorana.emplace_back(cplx{1.0, 0.0}, strings[assignment[i]]);
-    }
-    return map;
-}
-
 StatusOr<TreespilationResult>
 buildTreespilationMapping(const MajoranaPolynomial &poly,
                           const CouplingMap &device,
-                          const RunLimits &limits)
+                          const Deadline &deadline)
 {
     const std::string device_name =
         device.name().empty() ? "unnamed" : device.name();
@@ -64,7 +45,7 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
         HattOptions hopt;
         hopt.vacuumPairing = true;
         hopt.descCache = true;
-        hopt.limits = limits;
+        hopt.deadline = deadline;
         HattResult hatt = buildHattMapping(poly, hopt);
         candidates.push_back(
             {"hatt", std::move(hatt.tree), std::move(hatt.mapping)});
@@ -72,7 +53,8 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
     if (StatusOr<BonsaiResult> bonsai = growBonsaiTree(num_modes, device);
         bonsai.ok()) {
         FermionQubitMapping map =
-            vacuumPairedMappingFromTree(bonsai->tree, "Treespilation");
+            mappingFromTree(bonsai->tree, "Treespilation",
+                            vacuumPairingAssignment(bonsai->tree));
         candidates.push_back(
             {"bonsai", std::move(bonsai->tree), std::move(map)});
     }
@@ -83,20 +65,17 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
     TreespilationResult out;
     uint64_t best_cost = UINT64_MAX;
     for (Candidate &cand : candidates) {
-        limits.check();
+        deadline.check();
         FermionQubitMapping map = std::move(cand.mapping);
         map.name = "Treespilation";
         // Score by the real routed pipeline: the tournament then picks
         // the candidate that actually wins on hardware CNOTs, not the
-        // one a proxy guesses will. The cheap interaction-graph estimate
-        // only steps in if routing itself rejects the candidate.
-        uint64_t cost;
-        if (StatusOr<HardwareCost> hw =
-                evaluateHardwareCost(poly, map, device);
-            hw.ok())
-            cost = hw->cnots;
-        else
-            cost = estimateRoutedCost(poly, map, device);
+        // one a proxy guesses will. The device was vetted above, so a
+        // failure here is Internal — a router bug, surfaced as is.
+        StatusOr<HardwareCost> hw = evaluateHardwareCost(poly, map, device);
+        if (!hw.ok())
+            return hw.status();
+        const uint64_t cost = hw->cnots;
         ++out.candidatesEvaluated;
         if (cost < best_cost) {
             best_cost = cost;

@@ -9,9 +9,8 @@
  * tree, the device-grown Bonsai tree, and the balanced BTT tree — each
  * with its own construction's vacuum-preserving leaf assembly, score
  * each by its routed CNOT cost on the target device (the full schedule
- * + route + optimize pipeline; the cheap interaction-graph estimate is
- * only the fallback when routing rejects a candidate), and keep the
- * argmin (deterministic tie-break: earlier candidate wins).
+ * + route + optimize pipeline), and keep the argmin (deterministic
+ * tie-break: earlier candidate wins).
  */
 
 #include <cstdint>
@@ -33,28 +32,20 @@ struct TreespilationResult
     TernaryTree tree;
     uint64_t candidatesEvaluated = 0;
     uint64_t estimatedCost = 0;  //!< the winner's tournament score
-                                 //!< (routed CNOTs, or the estimate
-                                 //!< when routing rejected it)
+                                 //!< (routed CNOTs)
     std::string chosen;          //!< "hatt" | "bonsai" | "btt"
 };
 
 /**
- * Assemble the vacuum-preserving mapping of @p tree: extracted Pauli
- * strings with the vacuumPairingAssignment leaf pairing (the same
- * construction balancedTernaryTreeMapping uses), labelled @p name.
- */
-FermionQubitMapping vacuumPairedMappingFromTree(const TernaryTree &tree,
-                                                std::string name);
-
-/**
  * Run the candidate tournament for @p poly on @p device.
  * InvalidArgument when the device is disconnected or smaller than the
- * mode count (checked up front, naming the device).
+ * mode count (checked up front, naming the device); Internal when
+ * routing a candidate fails past that check.
  */
 StatusOr<TreespilationResult>
 buildTreespilationMapping(const MajoranaPolynomial &poly,
                           const CouplingMap &device,
-                          const RunLimits &limits);
+                          const Deadline &deadline);
 
 } // namespace hatt::device
 

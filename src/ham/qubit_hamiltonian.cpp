@@ -51,8 +51,7 @@ QubitMappingEngine::addBatch(const MajoranaPolynomial &poly, size_t first,
 {
     // Caller-thread checkpoint per dispatch: throws before any of this
     // batch is merged, so mapped_ never holds a partial batch.
-    limits_.check();
-    const bool bounded = limits_.bounded();
+    deadline_.check();
     // Deterministic fan-out: the chunk decomposition is a pure function
     // of (count, kStreamBatch), and the fold below visits chunks in
     // index order, so the merged term order equals the serial scan for
@@ -62,7 +61,7 @@ QubitMappingEngine::addBatch(const MajoranaPolynomial &poly, size_t first,
         [&](size_t lo, size_t hi) {
             // Worker-safe poll: a bailed chunk's empty partial is
             // discarded because the post-dispatch check() throws.
-            if (bounded && limits_.shouldStop())
+            if (deadline_.expired())
                 return PauliSum(map_->numQubits);
             return mapChunk(*map_, poly, first + lo, first + hi);
         },
@@ -70,7 +69,7 @@ QubitMappingEngine::addBatch(const MajoranaPolynomial &poly, size_t first,
             out.append(std::move(part));
             return out;
         });
-    limits_.check();
+    deadline_.check();
     // Counted only when the whole batch committed: an expired deadline
     // above contributes nothing, exactly like the partial it discards.
     if (count > 0) {

@@ -44,13 +44,13 @@ class QubitMappingEngine
     explicit QubitMappingEngine(const FermionQubitMapping &map);
 
     /**
-     * Bound the remaining work: every mapBatch dispatch checkpoints
-     * @p limits on the calling thread (throwing DeadlineExceededError /
-     * CancelledError) and chunk workers poll it cooperatively at chunk
-     * boundaries. Results mapped so far stay valid; the engine refuses
-     * further work until the budget is replaced.
+     * Bound the remaining work: every addBatch dispatch checkpoints
+     * @p deadline on the calling thread (throwing DeadlineExceededError)
+     * and chunk workers poll it cooperatively at chunk boundaries.
+     * Results mapped so far stay valid; the engine refuses further work
+     * until the deadline is replaced.
      */
-    void setLimits(const RunLimits &limits) { limits_ = limits; }
+    void setDeadline(const Deadline &deadline) { deadline_ = deadline; }
 
     /**
      * Map terms [first, first + count) of @p poly now, fanned out over
@@ -77,8 +77,8 @@ class QubitMappingEngine
     static constexpr size_t kStreamBatch = 1024;
 
     const FermionQubitMapping *map_;
-    RunLimits limits_; //!< cooperative budget (unbounded)
-    PauliSum mapped_;  //!< chunk-order merged products
+    Deadline deadline_; //!< run budget (unbounded)
+    PauliSum mapped_;   //!< chunk-order merged products
 };
 
 /**

@@ -91,7 +91,7 @@ const char *kUsage =
     "exit codes:\n"
     "  0 success; 1 failed check or failed batch input; 64 usage error;\n"
     "  65 parse/validation failure; 70 internal error; 75 deadline\n"
-    "  expired or cancelled\n";
+    "  expired\n";
 
 struct Options
 {
@@ -704,7 +704,6 @@ exitCodeForStatus(Status::Code code)
       case Status::Code::NotFound:
         return 65; // EX_DATAERR: malformed or over-cap input/request
       case Status::Code::DeadlineExceeded:
-      case Status::Code::Cancelled:
         return 75; // EX_TEMPFAIL: retry with --timeout/--fallback
       case Status::Code::AlreadyExists:
       case Status::Code::Internal:

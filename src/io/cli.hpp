@@ -64,8 +64,8 @@ int exitCodeForStatus(Status::Code code);
  *   65  parse/validation failure (EX_DATAERR: malformed or over-cap
  *       input, bad manifest, unreadable file)
  *   70  internal error (EX_SOFTWARE: invariant failure, allocation)
- *   75  deadline expired or cancelled (EX_TEMPFAIL: retry with a
- *       larger --timeout or --fallback)
+ *   75  deadline expired (EX_TEMPFAIL: retry with a larger
+ *       --timeout or --fallback)
  */
 int runHattc(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);

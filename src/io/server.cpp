@@ -45,7 +45,6 @@ statusCodeName(Status::Code code)
       case Status::Code::AlreadyExists: return "already_exists";
       case Status::Code::Internal: return "internal";
       case Status::Code::DeadlineExceeded: return "deadline_exceeded";
-      case Status::Code::Cancelled: return "cancelled";
       case Status::Code::ResourceExhausted: return "resource_exhausted";
     }
     return "internal";

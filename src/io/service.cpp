@@ -59,14 +59,14 @@ parseContentHash(const std::string &hex)
     cache keys under `--device`. */
 StatusOr<MappingResult>
 requestMapping(const std::string &kind, const LoadedProblem &problem,
-               MappingStore *store, const RunLimits &limits,
+               MappingStore *store, const Deadline &deadline,
                const std::string &device)
 {
     MappingRequest req;
     req.kind = kind;
     req.poly = &problem.poly;
     req.contentHash = problem.contentHash;
-    req.limits = limits;
+    req.deadline = deadline;
     if (!device.empty()) {
         const Mapper *mapper = MapperRegistry::instance().find(kind);
         if (mapper && mapper->capabilities().deviceAware)
@@ -301,18 +301,16 @@ CompilationService::compile(const CompileRequest &req)
         resp.monomials = problem.poly.size();
         resp.contentHash = problem.contentHash;
 
-        RunLimits run;
+        Deadline deadline;
         if (req.timeoutSeconds > 0.0)
-            run.deadline = Deadline::after(req.timeoutSeconds);
-        StatusOr<MappingResult> built =
-            requestMapping(req.mapping, problem, store(), run, resp.device);
-        const Status::Code code = built.status().code();
+            deadline = Deadline::after(req.timeoutSeconds);
+        StatusOr<MappingResult> built = requestMapping(
+            req.mapping, problem, store(), deadline, resp.device);
         if (!built.ok() && req.fallback &&
-            (code == Status::Code::DeadlineExceeded ||
-             code == Status::Code::Cancelled)) {
+            built.status().code() == Status::Code::DeadlineExceeded) {
             // The fallback kind is device-independent by design, so no
             // device option is threaded through.
-            built = requestMapping("btt", problem, store(), RunLimits{}, "");
+            built = requestMapping("btt", problem, store(), Deadline{}, "");
             resp.degraded = true;
         }
         if (!built.ok())
@@ -341,7 +339,7 @@ CompilationService::compile(const CompileRequest &req)
                 // is already spent, and the degradation contract is
                 // "always produces output".
                 QubitMappingEngine engine(res.mapping);
-                engine.setLimits(resp.degraded ? RunLimits{} : run);
+                engine.setDeadline(resp.degraded ? Deadline{} : deadline);
                 engine.addBatch(problem.poly.terms());
                 hq = engine.finish();
             }
@@ -398,8 +396,6 @@ CompilationService::compile(const CompileRequest &req)
         return Status::invalidArgument(e.what());
     } catch (const DeadlineExceededError &e) {
         return Status::deadlineExceeded(e.what());
-    } catch (const CancelledError &e) {
-        return Status::cancelled(e.what());
     } catch (const std::bad_alloc &) {
         return Status::resourceExhausted("out of memory");
     } catch (const std::exception &e) {

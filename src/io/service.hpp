@@ -141,14 +141,11 @@ struct BatchItemResult
     StatusOr<CompileResponse> result = Status::internal("not compiled");
     double seconds = 0.0; //!< the item's wall clock, failed items too
 
-    /** Failed because its budget expired (DeadlineExceeded or
-        Cancelled). */
+    /** Failed because its deadline expired. */
     bool
     timedOut() const
     {
-        const Status::Code code = result.status().code();
-        return code == Status::Code::DeadlineExceeded ||
-               code == Status::Code::Cancelled;
+        return result.status().code() == Status::Code::DeadlineExceeded;
     }
 };
 
@@ -243,9 +240,8 @@ class CompilationService
      * unchanged; this is the one place on the compile path that turns
      * what the parsers, the qubit-mapping engine and artifact I/O throw
      * into a Status (ParseError -> InvalidArgument,
-     * DeadlineExceededError -> DeadlineExceeded, CancelledError ->
-     * Cancelled, bad_alloc -> ResourceExhausted, anything else ->
-     * Internal).
+     * DeadlineExceededError -> DeadlineExceeded, bad_alloc ->
+     * ResourceExhausted, anything else -> Internal).
      */
     StatusOr<CompileResponse> compile(const CompileRequest &req);
 

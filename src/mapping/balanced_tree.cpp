@@ -38,19 +38,7 @@ balancedTernaryTreeMapping(uint32_t num_modes, BttAssignment policy)
     TernaryTree tree = TernaryTree::balanced(num_modes);
     if (policy == BttAssignment::Natural)
         return mappingFromTree(tree, "BTT");
-
-    std::vector<PauliString> strings = tree.extractStrings();
-    FermionQubitMapping map;
-    map.numModes = num_modes;
-    map.numQubits = num_modes;
-    map.name = "BTT";
-    map.majorana.reserve(2 * num_modes);
-    std::vector<int> assignment = vacuumPairingAssignment(tree);
-    for (uint32_t i = 0; i < 2 * num_modes; ++i) {
-        assert(assignment[i] >= 0);
-        map.majorana.emplace_back(cplx{1.0, 0.0}, strings[assignment[i]]);
-    }
-    return map;
+    return mappingFromTree(tree, "BTT", vacuumPairingAssignment(tree));
 }
 
 } // namespace hatt

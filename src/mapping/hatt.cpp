@@ -181,13 +181,12 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
     std::vector<int> sufp;     //   ... and its position
 
     const unsigned threads = parallelThreads();
-    const RunLimits &limits = options.limits;
-    const bool bounded = limits.bounded();
+    const Deadline &deadline = options.deadline;
 
     for (uint32_t step = 0; step < n; ++step) {
         // Caller-thread checkpoint once per step (throws on expiry);
         // the scan chunks below only poll and bail, worker-safely.
-        limits.check();
+        deadline.check();
         const size_t m = active.size();
         cnt1pos.resize(m);
         for (size_t p = 0; p < m; ++p) {
@@ -219,7 +218,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
                 ScanScratch &scr = tls_scratch;
                 scr.prepare(m);
                 ChunkResult local;
-                if (bounded && limits.shouldStop())
+                if (deadline.expired())
                     return local; // discarded: the step check() throws
                 for (size_t i = lo; i < hi; ++i) {
                     const int a = active[i];
@@ -289,7 +288,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
                 ScanScratch &scr = tls_scratch;
                 scr.prepare(m);
                 ChunkResult local;
-                if (bounded && limits.shouldStop())
+                if (deadline.expired())
                     return local; // discarded: the step check() throws
                 for (size_t p = lo; p < hi; ++p) {
                     const int ox = active[p];
@@ -369,7 +368,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
 
         // If any chunk bailed, the scan is incomplete: expiry is
         // monotonic, so this throws before the step can commit it.
-        limits.check();
+        deadline.check();
 
         stats.candidatesEvaluated += scan.candidates;
         const int64_t best_w = scan.best.w;

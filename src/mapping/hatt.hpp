@@ -46,10 +46,10 @@ struct HattOptions
     bool vacuumPairing = true;
     /** Use the O(1) descZ/up caches (Alg. 3); requires vacuumPairing. */
     bool descCache = true;
-    /** Cooperative run budget, polled at candidate-scan chunk
-        boundaries and checked (throwing DeadlineExceededError /
-        CancelledError) at every step boundary on the calling thread. */
-    RunLimits limits = {};
+    /** Run budget, polled at candidate-scan chunk boundaries and
+        checked (throwing DeadlineExceededError) at every step boundary
+        on the calling thread. */
+    Deadline deadline = {};
 };
 
 /** Construction statistics, used by the scalability experiments. */

@@ -157,7 +157,7 @@ class HattMapper final : public Mapper
         HattOptions hopt;
         hopt.vacuumPairing = vacuumPairing_;
         hopt.descCache = vacuumPairing_;
-        hopt.limits = req.limits;
+        hopt.deadline = req.deadline;
         HattResult res = buildHattMapping(*req.poly, hopt);
         MappingResult out;
         out.mapping = std::move(res.mapping);
@@ -232,7 +232,7 @@ class FhExactMapper final : public Mapper
             !s.ok())
             return s;
         std::optional<SearchResult> res = exhaustiveTreeSearch(
-            *req.poly, static_cast<uint32_t>(ceiling), req.limits);
+            *req.poly, static_cast<uint32_t>(ceiling), req.deadline);
         if (!res)
             return Status::invalidArgument(
                 "mapping 'fh-exact': " +
@@ -282,7 +282,7 @@ class FhStochMapper final : public Mapper
             return s;
         SearchResult res = stochasticTreeSearch(
             *req.poly, static_cast<uint32_t>(restarts),
-            static_cast<uint32_t>(sweeps), 1234, req.limits);
+            static_cast<uint32_t>(sweeps), 1234, req.deadline);
         MappingResult out;
         out.mapping = std::move(res.mapping);
         out.metrics.candidates = res.evaluated;
@@ -447,10 +447,7 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
         return Status::invalidArgument("cannot map zero modes");
     // Admission control: reject an already-spent budget before any
     // construction (or cache) work.
-    if (req.limits.cancel && req.limits.cancel->cancelled())
-        return Status::cancelled("mapping '" + mapper->name() +
-                                 "': cancelled before construction");
-    if (req.limits.deadline.expired())
+    if (req.deadline.expired())
         return Status::deadlineExceeded(
             "mapping '" + mapper->name() +
             "': deadline expired before construction");
@@ -491,9 +488,6 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
         } catch (const DeadlineExceededError &e) {
             return Status::deadlineExceeded("mapping '" + mapper->name() +
                                             "': " + e.what());
-        } catch (const CancelledError &e) {
-            return Status::cancelled("mapping '" + mapper->name() +
-                                     "': " + e.what());
         } catch (const std::bad_alloc &) {
             return Status::resourceExhausted("mapping '" + mapper->name() +
                                              "': allocation failed");

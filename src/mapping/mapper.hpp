@@ -73,12 +73,11 @@ struct MappingRequest
     std::optional<uint64_t> contentHash;
 
     /**
-     * Cooperative run budget (deadline + cancel token), checked at
-     * chunk boundaries inside the builds. On expiry build() returns
-     * Status::DeadlineExceeded / Status::Cancelled; an already-expired
-     * budget is rejected before any construction work.
+     * Run budget, checked at chunk boundaries inside the builds. On
+     * expiry build() returns Status::DeadlineExceeded; an already-
+     * expired deadline is rejected before any construction work.
      */
-    RunLimits limits;
+    Deadline deadline;
 };
 
 /** Construction provenance and statistics. */

@@ -29,17 +29,24 @@ FermionQubitMapping::creationOperator(uint32_t mode) const
 }
 
 FermionQubitMapping
-mappingFromTree(const TernaryTree &tree, std::string name)
+mappingFromTree(const TernaryTree &tree, std::string name,
+                const std::vector<int> &leaf_of_majorana)
 {
     const uint32_t n = tree.numModes();
+    assert(leaf_of_majorana.empty() || leaf_of_majorana.size() == 2 * n);
     std::vector<PauliString> strings = tree.extractStrings();
     FermionQubitMapping map;
     map.numModes = n;
     map.numQubits = n;
     map.name = std::move(name);
     map.majorana.reserve(2 * n);
-    for (uint32_t i = 0; i < 2 * n; ++i)
-        map.majorana.emplace_back(cplx{1.0, 0.0}, strings[i]);
+    for (uint32_t i = 0; i < 2 * n; ++i) {
+        const int leaf = leaf_of_majorana.empty()
+                             ? static_cast<int>(i)
+                             : leaf_of_majorana[i];
+        assert(leaf >= 0);
+        map.majorana.emplace_back(cplx{1.0, 0.0}, strings[leaf]);
+    }
     return map;
 }
 

@@ -49,13 +49,16 @@ enum class MappingKind
 std::string mappingKindName(MappingKind kind);
 
 /**
- * Derive the mapping of a complete ternary tree: Majorana i -> leaf-i
- * path string with unit coefficient, exactly as every tree-based
- * construction (HATT, BTT, search) emits it. Lets a serialized tree be
- * re-mapped without rerunning the optimization.
+ * Derive the mapping of a complete ternary tree: Majorana i -> the path
+ * string of leaf @p leaf_of_majorana[i] (leaf i when the assignment is
+ * empty, the natural order), with unit coefficient. Every tree-based
+ * construction (HATT, BTT, Bonsai, Treespilation, the FH searches)
+ * assembles its mapping here, and a serialized tree is re-mapped
+ * through it without rerunning the optimization.
  */
-FermionQubitMapping mappingFromTree(const TernaryTree &tree,
-                                    std::string name);
+FermionQubitMapping
+mappingFromTree(const TernaryTree &tree, std::string name,
+                const std::vector<int> &leaf_of_majorana = {});
 
 } // namespace hatt
 

@@ -185,22 +185,6 @@ randomTree(uint32_t num_modes, Rng &rng)
     return tree;
 }
 
-FermionQubitMapping
-mappingFromAssignment(const TernaryTree &tree,
-                      const std::vector<int> &leaf_of_majorana,
-                      const std::string &name)
-{
-    std::vector<PauliString> strings = tree.extractStrings();
-    FermionQubitMapping map;
-    map.numModes = tree.numModes();
-    map.numQubits = tree.numModes();
-    map.name = name;
-    for (uint32_t i = 0; i < 2 * tree.numModes(); ++i)
-        map.majorana.emplace_back(cplx{1.0, 0.0},
-                                  strings[leaf_of_majorana[i]]);
-    return map;
-}
-
 } // namespace
 
 // ------------------------------------------------------ DeltaWeightEvaluator
@@ -413,14 +397,13 @@ nextPermutationBySwaps(std::vector<int> &perm, DeltaWeightEvaluator &eval,
 
 std::optional<SearchResult>
 exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
-                     const RunLimits &limits)
+                     const Deadline &deadline)
 {
     const uint32_t n = poly.numModes();
     if (n == 0 || n > max_modes)
         return std::nullopt;
-    limits.check();
+    deadline.check();
     trace::Span span("mapping", "exhaustive_search");
-    const bool bounded = limits.bounded();
 
     const uint32_t num_leaves = 2 * n + 1;
 
@@ -450,7 +433,7 @@ exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
                 // may run on a pool worker); the caller-thread check()
                 // below turns the expiry into the typed exception and
                 // discards every partial result.
-                if (bounded && limits.shouldStop())
+                if (deadline.expired())
                     break;
                 TernaryTree tree = buildTreeFromShape(shapes[si], n);
                 DeltaWeightEvaluator eval(tree, poly);
@@ -467,8 +450,8 @@ exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
                         out.shape = si;
                         out.labels = perm;
                     }
-                    if (bounded && (out.evaluated & 0xFFFu) == 0 &&
-                        limits.shouldStop()) {
+                    if ((out.evaluated & 0xFFFu) == 0 &&
+                        deadline.expired()) {
                         expired = true;
                         break;
                     }
@@ -490,7 +473,7 @@ exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
 
     // Expiry is monotonic, so if any chunk bailed this throws and the
     // (possibly incomplete) fold above is never used.
-    limits.check();
+    deadline.check();
 
     TernaryTree best_tree = buildTreeFromShape(shapes[best.shape], n);
     std::vector<int> assign(num_leaves);
@@ -499,7 +482,7 @@ exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
     assign.resize(2 * n);
 
     SearchResult res;
-    res.mapping = mappingFromAssignment(best_tree, assign, "FH*");
+    res.mapping = mappingFromTree(best_tree, "FH*", assign);
     res.weight = best.weight;
     res.evaluated = best.evaluated;
     metrics::add("search.candidates", res.evaluated);
@@ -509,12 +492,11 @@ exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes,
 SearchResult
 stochasticTreeSearch(const MajoranaPolynomial &poly, uint32_t restarts,
                      uint32_t max_sweeps, uint64_t seed,
-                     const RunLimits &limits)
+                     const Deadline &deadline)
 {
     const uint32_t n = poly.numModes();
-    limits.check();
+    deadline.check();
     trace::Span span("mapping", "stochastic_search");
-    const bool bounded = limits.bounded();
     Rng rng(seed);
     const uint32_t num_leaves = 2 * n + 1;
 
@@ -546,7 +528,7 @@ stochasticTreeSearch(const MajoranaPolynomial &poly, uint32_t restarts,
         for (uint32_t sweep = 0; sweep < max_sweeps; ++sweep) {
             // Worker-safe budget poll once per sweep; the caller-thread
             // check() after the parallelFor surfaces the expiry.
-            if (bounded && limits.shouldStop())
+            if (deadline.expired())
                 break;
             bool improved = false;
             for (uint32_t i = 0; i < num_leaves; ++i) {
@@ -567,7 +549,7 @@ stochasticTreeSearch(const MajoranaPolynomial &poly, uint32_t restarts,
         run.weight = cur;
     });
 
-    limits.check();
+    deadline.check();
 
     // Fold in restart order: strict < keeps the earliest best, exactly as
     // the serial loop did.
@@ -588,7 +570,7 @@ stochasticTreeSearch(const MajoranaPolynomial &poly, uint32_t restarts,
         for (uint32_t pos = 0; pos < num_leaves; ++pos)
             assign[winner->labels[pos]] = static_cast<int>(pos);
         assign.resize(2 * n);
-        res.mapping = mappingFromAssignment(winner->tree, assign, "FH*");
+        res.mapping = mappingFromTree(winner->tree, "FH*", assign);
     }
     res.weight = best;
     res.evaluated = evaluated;

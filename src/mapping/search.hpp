@@ -100,25 +100,25 @@ uint64_t treeAssignmentWeight(const TernaryTree &tree,
  * first-strict-minimum tie-break is bit-identical to the historical
  * serial scan for every HATT_THREADS value.
  *
- * @p limits is polled every few thousand permutations inside the walk;
- * on expiry the search throws DeadlineExceededError / CancelledError
- * from the calling thread (worker chunks bail cooperatively first).
+ * @p deadline is polled every few thousand permutations inside the walk;
+ * on expiry the search throws DeadlineExceededError from the calling
+ * thread (worker chunks bail cooperatively first).
  */
 std::optional<SearchResult>
 exhaustiveTreeSearch(const MajoranaPolynomial &poly, uint32_t max_modes = 3,
-                     const RunLimits &limits = {});
+                     const Deadline &deadline = {});
 
 /**
  * Random-restart hill climbing: random complete trees with random leaf
  * assignments, improved by leaf-label swaps until no improving swap
  * exists, best of @p restarts restarts. Deterministic given @p seed.
- * @p limits is polled per hill-climbing sweep, as in exhaustiveTreeSearch.
+ * @p deadline is polled per hill-climbing sweep, as in exhaustiveTreeSearch.
  */
 SearchResult stochasticTreeSearch(const MajoranaPolynomial &poly,
                                   uint32_t restarts = 8,
                                   uint32_t max_sweeps = 30,
                                   uint64_t seed = 1234,
-                                  const RunLimits &limits = {});
+                                  const Deadline &deadline = {});
 
 } // namespace hatt
 

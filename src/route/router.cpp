@@ -6,6 +6,11 @@
 
 namespace hatt {
 
+namespace {
+
+/** Place logical qubits in decreasing @p degree BFS-outward from the
+    device's highest-degree qubit. Requires degree.size() <= device
+    qubits. */
 std::vector<int>
 degreeOrderedLayout(const std::vector<uint64_t> &degree,
                     const CouplingMap &device)
@@ -39,6 +44,8 @@ degreeOrderedLayout(const std::vector<uint64_t> &degree,
         layout[logical_order[i]] = physical_order[i];
     return layout;
 }
+
+} // namespace
 
 std::vector<int>
 greedyLayout(const Circuit &logical, const CouplingMap &device)

@@ -23,17 +23,9 @@ struct RoutedCircuit
     uint64_t swapsInserted = 0;
 };
 
-/**
- * Degree-ordered layout: logical qubits in decreasing @p degree (stable,
- * so ties keep index order) are placed BFS-outward from the device's
- * highest-degree qubit. The one placement rule shared by the router and
- * the routed-cost estimate. Requires degree.size() <= device qubits.
- */
-std::vector<int> degreeOrderedLayout(const std::vector<uint64_t> &degree,
-                                     const CouplingMap &device);
-
-/** Greedy initial layout: degreeOrderedLayout over each logical qubit's
-    two-qubit gate count in @p logical. */
+/** Greedy initial layout: logical qubits in decreasing two-qubit gate
+    count in @p logical (stable, so ties keep index order) are placed
+    BFS-outward from the device's highest-degree qubit. */
 std::vector<int> greedyLayout(const Circuit &logical,
                               const CouplingMap &device);
 

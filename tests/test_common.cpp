@@ -2,7 +2,7 @@
  * @file
  * Tests for the common substrate: Jacobi eigensolver, Hermitian
  * eigenvalues via the real embedding, inverse square roots, the table
- * printer, and RNG determinism.
+ * printer, RNG determinism, and the Deadline run budget.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/deadline.hpp"
 #include "common/linalg.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -157,6 +159,38 @@ TEST(Timer, MeasuresElapsedTime)
     EXPECT_GT(t.seconds(), 0.0);
     t.reset();
     EXPECT_LT(t.seconds(), 1.0);
+}
+
+uint64_t
+expirations()
+{
+    const auto counters = metrics::snapshot().counters;
+    const auto it = counters.find("deadline.expirations");
+    return it == counters.end() ? 0 : it->second;
+}
+
+TEST(Deadline, UnboundedNeverExpires)
+{
+    metrics::reset();
+    const Deadline unbounded;
+    EXPECT_FALSE(unbounded.expired());
+    EXPECT_NO_THROW(unbounded.check());
+    const Deadline distant = Deadline::after(3600.0);
+    EXPECT_FALSE(distant.expired());
+    EXPECT_NO_THROW(distant.check());
+    EXPECT_EQ(expirations(), 0u);
+}
+
+TEST(Deadline, SpentBudgetExpiresAndCheckThrowsOnce)
+{
+    for (double seconds : {0.0, -1.0}) {
+        metrics::reset();
+        const Deadline spent = Deadline::after(seconds);
+        EXPECT_TRUE(spent.expired()) << seconds;
+        EXPECT_EQ(expirations(), 0u) << "a poll is not counted";
+        EXPECT_THROW(spent.check(), DeadlineExceededError) << seconds;
+        EXPECT_EQ(expirations(), 1u) << seconds;
+    }
 }
 
 } // namespace

@@ -409,9 +409,9 @@ TEST(Treespilation, PicksTheCandidateThatRoutesCheapest)
 {
     CouplingMap dev = device::resolveDevice("montreal").value();
     MajoranaPolynomial poly = testPoly(8);
-    RunLimits limits;
+    Deadline deadline;
     StatusOr<device::TreespilationResult> res =
-        device::buildTreespilationMapping(poly, dev, limits);
+        device::buildTreespilationMapping(poly, dev, deadline);
     ASSERT_TRUE(res.ok()) << res.status().message();
     EXPECT_GE(res->candidatesEvaluated, 2u);
     EXPECT_FALSE(res->chosen.empty());

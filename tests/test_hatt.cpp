@@ -3,11 +3,13 @@
  * Tests for the HATT construction itself: the paper's worked example,
  * validity/vacuum across variants, agreement between the incremental
  * weight bookkeeping and the final mapped Hamiltonian, cache/no-cache
- * equivalence, and quality vs the balanced-tree baseline.
+ * equivalence, quality vs the balanced-tree baseline, and the deadline
+ * path through the construction and the qubit-mapping engine.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.hpp"
 #include "fermion/fock.hpp"
 #include "ham/qubit_hamiltonian.hpp"
 #include "mapping/balanced_tree.hpp"
@@ -210,6 +212,57 @@ TEST(Hatt, MotivationExampleBeatsBalancedTree)
     HattResult res = buildHattMapping(poly, unopt);
     PauliSum viaHatt = mapToQubits(poly, res.mapping);
     EXPECT_LE(viaHatt.pauliWeight(), 3u);
+}
+
+// ---------------------------------------------------------------- deadline
+
+TEST(Hatt, ExpiredDeadlineThrowsForBothVariants)
+{
+    MajoranaPolynomial poly = randomMajoranaPolynomial(8, 40, 7);
+    for (bool pairing : {true, false}) {
+        HattOptions opt;
+        opt.vacuumPairing = pairing;
+        opt.descCache = pairing;
+        opt.deadline = Deadline::after(0.0);
+        EXPECT_THROW(buildHattMapping(poly, opt), DeadlineExceededError)
+            << (pairing ? "hatt" : "hatt-unopt");
+    }
+}
+
+void
+expectSameSum(const PauliSum &got, const PauliSum &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(got.terms()[i].string == want.terms()[i].string) << i;
+        EXPECT_EQ(got.terms()[i].coeff, want.terms()[i].coeff) << i;
+    }
+}
+
+TEST(QubitMappingEngine, ExpiredDeadlineRefusesWorkUntilReplaced)
+{
+    MajoranaPolynomial poly = randomMajoranaPolynomial(8, 40, 7);
+    const FermionQubitMapping map = buildHattMapping(poly).mapping;
+    QubitMappingEngine engine(map);
+    engine.setDeadline(Deadline::after(0.0));
+    EXPECT_THROW(engine.addBatch(poly.terms()), DeadlineExceededError);
+    engine.setDeadline({});
+    engine.addBatch(poly.terms());
+    expectSameSum(engine.finish(), mapToQubits(poly, map));
+}
+
+TEST(QubitMappingEngine, DeadlineExpiringMidBatchDiscardsThePartialBatch)
+{
+    // Far more work than the budget: the deadline is live at the
+    // pre-dispatch checkpoint and expires while chunks are mapping, so
+    // later chunks bail and only the post-dispatch checkpoint can stop
+    // the partial batch from being merged.
+    MajoranaPolynomial poly = randomMajoranaPolynomial(256, 400000, 11);
+    const FermionQubitMapping map = jordanWignerMapping(256);
+    QubitMappingEngine engine(map);
+    engine.setDeadline(Deadline::after(0.002));
+    EXPECT_THROW(engine.addBatch(poly.terms()), DeadlineExceededError);
+    EXPECT_EQ(engine.finish().size(), 0u);
 }
 
 } // namespace

@@ -1254,7 +1254,6 @@ TEST(Hattc, ExitCodeTableIsPinned)
     EXPECT_EQ(io::exitCodeForStatus(Code::InvalidArgument), 65);
     EXPECT_EQ(io::exitCodeForStatus(Code::NotFound), 65);
     EXPECT_EQ(io::exitCodeForStatus(Code::DeadlineExceeded), 75);
-    EXPECT_EQ(io::exitCodeForStatus(Code::Cancelled), 75);
     EXPECT_EQ(io::exitCodeForStatus(Code::AlreadyExists), 70);
     EXPECT_EQ(io::exitCodeForStatus(Code::Internal), 70);
     EXPECT_EQ(io::exitCodeForStatus(Code::ResourceExhausted), 70);

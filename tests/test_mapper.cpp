@@ -2,8 +2,9 @@
  * @file
  * The unified mapper API (mapping/mapper.*): registry dispatch, request
  * validation through Status/StatusOr, bit-identity with the direct
- * construction functions, the MappingStore cache hook, extension with
- * custom mappers, and the registry-driven conformance suite — for every
+ * construction functions, the MappingStore cache hook, deadline
+ * admission control, extension with custom mappers, and the
+ * registry-driven conformance suite — for every
  * registered mapper at n ∈ {2, 4, 8}: algebraic validity
  * (mapping/verify), vacuum preservation exactly when the capabilities
  * promise it, and the canonical anticommutation relations of the
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "mapping/balanced_tree.hpp"
 #include "mapping/bravyi_kitaev.hpp"
@@ -289,6 +291,26 @@ TEST(MapperRegistry, CacheableMappersGetStoreCachingForFree)
     ASSERT_TRUE(direct.ok());
     EXPECT_FALSE(direct->metrics.cacheHit);
     EXPECT_EQ(store.saves, 1);
+}
+
+TEST(MapperRegistry, ExpiredDeadlineIsRejectedBeforeTheStore)
+{
+    MajoranaPolynomial poly = testPoly(4);
+    MemoryStore store;
+    MappingRequest req = requestFor("hatt", poly);
+    req.contentHash = 42;
+    req.deadline = Deadline::after(0.0);
+
+    metrics::reset();
+    StatusOr<MappingResult> res =
+        MapperRegistry::instance().build(req, &store);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), Status::Code::DeadlineExceeded);
+    EXPECT_NE(res.status().message().find("hatt"), std::string::npos);
+    // Admission control: no store lookup, and not counted as a request.
+    EXPECT_EQ(store.loads, 0);
+    EXPECT_EQ(store.saves, 0);
+    EXPECT_EQ(metrics::snapshot().counters.count("mapping.requests"), 0u);
 }
 
 // --------------------------------------------------------------- custom
