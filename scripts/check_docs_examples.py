@@ -67,8 +67,9 @@ SCHEMAS = {
             "timeout_seconds": (NUM, False),
             "fallback": (BOOL, False),
         },
-        # Added within v1: older writers omit them (jobs default 0 =
-        # inherit; absent device = architecture-agnostic compile).
+        # Added within v1: writers may omit them (jobs is a retired
+        # worker-cap hint, accepted and ignored; absent device =
+        # architecture-agnostic compile).
         "optional": {
             "jobs": (INT, False),
             "device": (STR, False),

@@ -127,15 +127,6 @@ class WorkPool
         job_.reset();
     }
 
-    /** True on pool workers and inside a dispatching caller's job —
-        i.e. when reconfiguring the pool would deadlock (stopWorkers
-        would join the calling thread). */
-    static bool
-    inParallelRegion()
-    {
-        return insidePool();
-    }
-
   private:
     struct Job
     {
@@ -256,45 +247,6 @@ setParallelThreads(unsigned n)
 {
     WorkPool::instance().setThreads(n);
 }
-
-/**
- * Scoped worker-count override: caps the pool at @p n workers for this
- * object's lifetime and restores the previous count on destruction
- * (`hattc batch --jobs N`, MappingRequest::threads). n == 0 is a no-op
- * — the pool keeps its current HATT_THREADS/setParallelThreads() config.
- * Results are bit-identical for every n by the pool's determinism
- * contract; this only bounds concurrency.
- *
- * Best effort: inside a parallel region (on a pool worker, or in a
- * caller that is itself mid-dispatch) the override is skipped — the
- * nested work runs inline there anyway, and reconfiguring the pool
- * from one of its own workers would join the calling thread. Scopes
- * are meant to nest on one thread; constructing overlapping scopes
- * from concurrent top-level threads is unsupported (last restore
- * wins).
- */
-class ScopedParallelThreads
-{
-  public:
-    explicit ScopedParallelThreads(unsigned n)
-        : active_(n != 0 && !WorkPool::inParallelRegion()),
-          previous_(parallelThreads())
-    {
-        if (active_)
-            setParallelThreads(n);
-    }
-    ~ScopedParallelThreads()
-    {
-        if (active_)
-            setParallelThreads(previous_);
-    }
-    ScopedParallelThreads(const ScopedParallelThreads &) = delete;
-    ScopedParallelThreads &operator=(const ScopedParallelThreads &) = delete;
-
-  private:
-    bool active_;
-    unsigned previous_;
-};
 
 namespace detail {
 

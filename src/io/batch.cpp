@@ -189,10 +189,6 @@ BatchCompiler::discoverInputs(const std::string &source) const
 std::vector<BatchItemResult>
 BatchCompiler::run(std::vector<BatchItem> items) const
 {
-    // Per-batch worker cap: layered over HATT_THREADS for this run only
-    // (results are bit-identical for every cap by the pool contract).
-    ScopedParallelThreads thread_scope(options_.jobs);
-
     // Report keys (name:mapping) key the per-item output directories,
     // so they must be unique even when a caller passes an unsorted item
     // list: two workers compiling the same key would race on the same
@@ -225,7 +221,7 @@ BatchCompiler::run(std::vector<BatchItem> items) const
         CompileRequest req = options_.request;
         req.path = r.item.path;
         req.mapping = r.item.mapping;
-        req.outDir = (fs::path(options_.outDir) / r.item.key()).string();
+        req.outDir = (fs::path(req.outDir) / r.item.key()).string();
         // A recognized extension always wins over a forced format: auto
         // resolves by extension first, so only extension-less inputs
         // see the template's format.

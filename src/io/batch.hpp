@@ -24,8 +24,8 @@
  *    pauli weight, candidates), rows keyed "<name>:<mapping>" and
  *    ordered by (name, mapping, path), plus build provenance and the
  *    deterministic workload-counter mirror (the parse. and preprocess.
- *    metrics) — byte-identical for every HATT_THREADS / --jobs value
- *    and across cold/warm cache runs;
+ *    metrics) — byte-identical for every HATT_THREADS value and
+ *    across cold/warm cache runs;
  *  - batch_stats.json ("hatt-batch-stats" v3): the volatile outcome
  *    (seconds, cache hits and the tier that served them) in the same
  *    order, plus the run's full metrics snapshot (deterministic +

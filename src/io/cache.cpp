@@ -317,6 +317,15 @@ MappingCache::wasQuarantined(uint64_t content_hash,
     return quarantined_.count(name) != 0;
 }
 
+bool
+MappingCache::takeQuarantined(uint64_t content_hash, const std::string &kind)
+{
+    const std::string name =
+        hashToHex(content_hash) + "-" + kind + ".json";
+    std::lock_guard<std::mutex> lock(mutex_);
+    return quarantined_.erase(name) != 0;
+}
+
 void
 MappingCache::store(uint64_t content_hash, const std::string &kind,
                     const FermionQubitMapping &mapping,

@@ -131,10 +131,16 @@ class MappingCache : public MappingStore
     /** Files currently sitting in the quarantine directory. */
     size_t quarantinedCount() const;
 
-    /** True when THIS instance quarantined (hash, kind) — lets a batch
-        caller attribute a recompute to a corrupt cache entry. */
+    /** True when THIS instance quarantined (hash, kind) and no
+        takeQuarantined() has claimed it since. */
     bool wasQuarantined(uint64_t content_hash,
                         const std::string &kind) const;
+
+    /** wasQuarantined(), and forget the record: the compile whose own
+        lookup missed calls this right after, so the quarantine is
+        reported by that compile and not by later hits on the rebuilt
+        entry. */
+    bool takeQuarantined(uint64_t content_hash, const std::string &kind);
 
   private:
     /** Move a damaged entry file into quarantine (remove on failure)
@@ -143,8 +149,8 @@ class MappingCache : public MappingStore
 
     std::string dir_;
     mutable std::mutex mutex_;
-    /** Entry file names this instance moved to quarantine (guarded by
-        mutex_). */
+    /** Entry file names this instance moved to quarantine and no
+        takeQuarantined() has claimed yet (guarded by mutex_). */
     mutable std::set<std::string> quarantined_;
 };
 

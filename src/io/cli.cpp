@@ -78,7 +78,6 @@ const char *kUsage =
     "options (batch):\n"
     "  --glob PATTERN   filter recursive directory discovery (* and ?;\n"
     "                   patterns with '/' match the relative path)\n"
-    "  --jobs N         cap the work pool at N workers for this batch\n"
     "\n"
     "options (verify):\n"
     "  --require-vacuum fail (exit 1) unless the mapping also\n"
@@ -87,6 +86,9 @@ const char *kUsage =
     "options (cache gc):\n"
     "  --max-bytes N    evict LRU entries until the cache is <= N bytes\n"
     "  --max-age SEC    evict entries unused for more than SEC seconds\n"
+    "\n"
+    "environment: HATT_THREADS=N sizes the work pool (default: hardware\n"
+    "  threads); outputs are identical for every N\n"
     "\n"
     "exit codes:\n"
     "  0 success; 1 failed check or failed batch input; 64 usage error;\n"
@@ -103,7 +105,6 @@ struct Options
     CompileRequest request;
     std::string cacheDir; //!< empty = no cache
     std::string glob;     //!< batch directory-discovery filter
-    unsigned jobs = 0;    //!< batch worker cap; 0 = pool default
     bool requireVacuum = false;
     bool json = false;    //!< mappings/stats: machine-readable output
     bool version = false; //!< --version: print build info, exit 0
@@ -216,13 +217,6 @@ parseArgs(const std::vector<std::string> &args_in)
             opt.glob = value(i);
             if (opt.glob.empty())
                 throw UsageError("--glob needs a non-empty pattern");
-        } else if (a == "--jobs") {
-            if (opt.command != "batch")
-                throw UsageError("--jobs only applies to batch");
-            uint64_t n = parseUnsigned(a, value(i), 1024);
-            if (n == 0)
-                throw UsageError("--jobs needs at least 1 worker");
-            opt.jobs = static_cast<unsigned>(n);
         } else if (a == "--timeout") {
             const std::string &text = value(i);
             double seconds = 0.0;
@@ -406,11 +400,9 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
     CompilationService service(serviceConfigFor(opt));
 
     BatchOptions bopt;
-    bopt.outDir = opt.request.outDir;
     // parseArgs already validated the kind list.
     bopt.mappings = splitKinds(opt.request.mapping).value();
     bopt.glob = opt.glob;
-    bopt.jobs = opt.jobs;
     bopt.request = opt.request;
 
     StatusOr<BatchOutcome> outcome =

@@ -478,8 +478,6 @@ Server::handleCompile(const JsonValue &doc)
         tightenCap(req.maxModes, config_.limits.maxModes));
     req.timeoutSeconds =
         tightenSeconds(req.timeoutSeconds, config_.timeoutSeconds);
-    req.jobs =
-        static_cast<uint32_t>(tightenCap(req.jobs, config_.jobsCap));
 
     StatusOr<CompileResponse> result = service_.compile(req);
     if (!result.ok()) {

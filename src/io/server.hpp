@@ -24,10 +24,10 @@
  *     caps/deadlines ride on every compile, malformed input yields a
  *     `hatt-status` error frame — never an exception out of run().
  *  3. One compilation at a time: frames are processed synchronously on
- *     the loop thread, each fanning out over the work pool under a
- *     ScopedParallelThreads admission gate (`jobsCap` clamping the
- *     request's own `jobs` hint), so a burst of clients queues at the
- *     socket instead of oversubscribing the machine.
+ *     the loop thread, each fanning out over the one process-wide work
+ *     pool (sized by HATT_THREADS; no request resizes it), so a burst
+ *     of clients queues at the socket instead of oversubscribing the
+ *     machine.
  *
  * Failure injection: the loop queries the `net.accept` / `net.read` /
  * `net.write` points of the HATT_FAULTS registry at the matching
@@ -79,11 +79,6 @@ struct ServerConfig
         than this is sent a deadline_exceeded status and closed. Also
         bounds the shutdown drain. 0 disables (tests only). */
     double frameTimeoutSeconds = 30.0;
-
-    /** Clamp on per-request `jobs` (worker-cap hint): the effective
-        cap is min(request, jobsCap), or jobsCap when the request
-        leaves it 0. 0 = no server-side clamp. */
-    unsigned jobsCap = 0;
 
     /** Server-side parse guards applied to every request: a request's
         own max_terms/max_modes tighten these, never loosen them. */

@@ -4,7 +4,6 @@
 #include <new>
 
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "device/cost.hpp"
@@ -56,23 +55,31 @@ parseContentHash(const std::string &hex)
 /** Build @p kind over @p problem through the MapperRegistry. @p device
     becomes the request's "device" option only for deviceAware mappers,
     so device-independent kinds (jw, btt, ...) keep device-independent
-    cache keys under `--device`. */
+    cache keys under `--device`. Sets @p quarantined when this build's
+    own lookup moved a corrupt @p disk entry aside, asking under the
+    key the store was consulted with. */
 StatusOr<MappingResult>
 requestMapping(const std::string &kind, const LoadedProblem &problem,
-               MappingStore *store, const Deadline &deadline,
-               const std::string &device)
+               MappingStore *store, MappingCache *disk,
+               const Deadline &deadline, const std::string &device,
+               bool &quarantined)
 {
+    const MapperRegistry &registry = MapperRegistry::instance();
     MappingRequest req;
     req.kind = kind;
     req.poly = &problem.poly;
     req.contentHash = problem.contentHash;
     req.deadline = deadline;
     if (!device.empty()) {
-        const Mapper *mapper = MapperRegistry::instance().find(kind);
+        const Mapper *mapper = registry.find(kind);
         if (mapper && mapper->capabilities().deviceAware)
             req.options["device"] = device;
     }
-    return MapperRegistry::instance().build(req, store);
+    StatusOr<MappingResult> built = registry.build(req, store);
+    if (disk)
+        if (const std::optional<StoreKey> key = registry.storeKey(req))
+            quarantined |= disk->takeQuarantined(key->contentHash, key->kind);
+    return built;
 }
 
 /** Stream the `.metrics.json` artifact: the BENCH_*.json record shape
@@ -129,7 +136,6 @@ compileRequestToJson(const CompileRequest &req)
     doc.add("max_modes", req.maxModes);
     doc.add("timeout_seconds", req.timeoutSeconds);
     doc.add("fallback", req.fallback);
-    doc.add("jobs", req.jobs);
     // Added within v1: emitted only when set, so frames from clients
     // that never ask for a device stay byte-identical to older builds.
     if (!req.device.empty())
@@ -152,9 +158,6 @@ compileRequestFromJson(const JsonValue &doc)
         doc.at("max_modes").asInt(0, UINT32_MAX));
     req.timeoutSeconds = doc.at("timeout_seconds").asNumber();
     req.fallback = doc.at("fallback").asBool();
-    // Added within v1 (optional, default 0): older clients omit it.
-    if (const JsonValue *v = doc.find("jobs"); v && !v->isNull())
-        req.jobs = static_cast<uint32_t>(v->asInt(0, UINT32_MAX));
     // Added within v1 (optional, default ""): older clients omit it.
     if (const JsonValue *v = doc.find("device"); v && !v->isNull())
         req.device = v->asString();
@@ -285,11 +288,6 @@ CompilationService::compile(const CompileRequest &req)
         resp.device = canonical.value();
     }
 
-    // Admission gate: cap this request's fan-out over the work pool
-    // (0 = inherit). Outputs are cap-invariant by the determinism
-    // contract; only wall clock changes.
-    ScopedParallelThreads jobs_gate(req.jobs);
-
     try {
         const LoadedProblem problem = loadProblem(
             req.path, *format,
@@ -304,13 +302,15 @@ CompilationService::compile(const CompileRequest &req)
         Deadline deadline;
         if (req.timeoutSeconds > 0.0)
             deadline = Deadline::after(req.timeoutSeconds);
-        StatusOr<MappingResult> built = requestMapping(
-            req.mapping, problem, store(), deadline, resp.device);
+        StatusOr<MappingResult> built =
+            requestMapping(req.mapping, problem, store(), disk_.get(),
+                           deadline, resp.device, resp.quarantinedCache);
         if (!built.ok() && req.fallback &&
             built.status().code() == Status::Code::DeadlineExceeded) {
             // The fallback kind is device-independent by design, so no
             // device option is threaded through.
-            built = requestMapping("btt", problem, store(), Deadline{}, "");
+            built = requestMapping("btt", problem, store(), disk_.get(),
+                                   Deadline{}, "", resp.quarantinedCache);
             resp.degraded = true;
         }
         if (!built.ok())
@@ -321,8 +321,6 @@ CompilationService::compile(const CompileRequest &req)
         resp.cacheHit = res.metrics.cacheHit;
         resp.cacheTier = res.metrics.cacheTier;
         resp.cacheSeconds = res.metrics.cacheSeconds;
-        resp.quarantinedCache =
-            disk_ && disk_->wasQuarantined(problem.contentHash, req.mapping);
 
         // The qubit Hamiltonian is mapped once: emit and the routed cost
         // both read it.

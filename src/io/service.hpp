@@ -61,11 +61,6 @@ struct CompileRequest
     uint32_t maxModes = 0;        //!< input mode cap; 0 = default
     double timeoutSeconds = 0.0;  //!< compile budget; 0 = unbounded
     bool fallback = false;        //!< degrade to btt on deadline
-    /** Worker-cap hint: compile under ScopedParallelThreads(jobs) so a
-        transport (hattd) can admit requests without oversubscribing the
-        pool; 0 = inherit the pool configuration. Does not affect
-        outputs — determinism holds for every cap. */
-    uint32_t jobs = 0;
     /** Target device (DeviceRegistry name); empty = architecture-
         agnostic compile. Added within wire v1 (optional-with-default):
         older clients omit it and the field is only emitted when set.
@@ -152,8 +147,6 @@ struct BatchItemResult
 /** Batch-wide configuration. */
 struct BatchOptions
 {
-    std::string outDir = "out";
-
     /** Default mapping kinds: every discovered input fans out across all
         of them (manifest lines may override per input). */
     std::vector<std::string> mappings = {"hatt"};
@@ -163,15 +156,12 @@ struct BatchOptions
         match the path relative to the scanned directory. */
     std::string glob;
 
-    /** Per-batch worker cap layered over HATT_THREADS via
-        ScopedParallelThreads; 0 = inherit the pool configuration. */
-    unsigned jobs = 0;
-
     /**
      * Template for every item's compile: the format, caps, per-item
      * budget (each item gets its own deadline, so one pathological
      * input cannot starve the rest of the corpus), fallback and device
-     * apply to each item; path, mapping and outDir are set per item.
+     * apply to each item; path and mapping are set per item, and each
+     * item writes into <request.outDir>/<name>:<mapping>/.
      * The format applies only to inputs without a recognized
      * extension — a `.ops` / `.fcidump` file always parses as what its
      * extension says, so one forced format cannot misparse a mixed

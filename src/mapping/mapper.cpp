@@ -420,6 +420,15 @@ MapperRegistry::checkKind(const std::string &kind) const
     return Status::notFound(ss.str());
 }
 
+std::optional<StoreKey>
+MapperRegistry::storeKey(const MappingRequest &req) const
+{
+    const Mapper *mapper = find(req.kind);
+    if (!mapper || !req.contentHash)
+        return std::nullopt;
+    return StoreKey{effectiveContentHash(req), mapper->name()};
+}
+
 StatusOr<MappingResult>
 MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
 {
@@ -455,14 +464,13 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
     metrics::add("mapping.requests");
     trace::Span span("mapping", "build:" + mapper->name());
 
-    const bool consult_cache = cache && req.contentHash.has_value();
-    const uint64_t cache_key =
-        consult_cache ? effectiveContentHash(req) : 0;
+    const std::optional<StoreKey> key =
+        cache ? storeKey(req) : std::nullopt;
     double cache_seconds = 0.0;
-    if (consult_cache) {
+    if (key) {
         Timer lookup_timer;
         std::optional<MappingStore::Entry> hit =
-            cache->load(cache_key, mapper->name());
+            cache->load(key->contentHash, key->kind);
         cache_seconds = lookup_timer.seconds();
         metrics::observe("mapping.cache_lookup_seconds", cache_seconds);
         if (hit) {
@@ -504,13 +512,13 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
     if (built->metrics.candidates)
         metrics::add("mapping.candidates", *built->metrics.candidates);
 
-    if (consult_cache) {
+    if (key) {
         MappingStore::Entry entry;
         entry.mapping = built->mapping;
         entry.tree = built->tree;
         entry.candidates = built->metrics.candidates;
         try {
-            cache->save(cache_key, mapper->name(), entry);
+            cache->save(key->contentHash, key->kind, entry);
         } catch (const std::exception &) {
             // Persistence is best effort; the build already succeeded.
         }

@@ -182,6 +182,14 @@ class MappingStore
                       const Entry &entry) = 0;
 };
 
+/** The key a MappingStore is asked with: the request's content hash
+    with its option bag folded in, and the mapper's canonical name. */
+struct StoreKey
+{
+    uint64_t contentHash = 0;
+    std::string kind;
+};
+
 // --------------------------------------------------------------- registry
 
 /**
@@ -214,6 +222,12 @@ class MapperRegistry
 
     /** Canonical kind names, sorted. */
     std::vector<std::string> kinds() const;
+
+    /** The key build() consults a store with for @p req (so "HATT"
+        and "hatt", or bonsai on two devices, are told apart exactly as
+        the store sees them); nullopt when @p req carries no content
+        hash or names no registered kind. */
+    std::optional<StoreKey> storeKey(const MappingRequest &req) const;
 
     /**
      * Validate @p req, dispatch to the mapper, and (when @p cache is

@@ -526,29 +526,6 @@ TEST(Hattc, BatchComparesMappingKindsOnOneInput)
     fs::remove_all(dir);
 }
 
-TEST(Hattc, BatchJobsCapIsDeterministicAndScoped)
-{
-    // --jobs layers a per-invocation worker cap over HATT_THREADS via
-    // setParallelThreads() scoping: reports are byte-identical for
-    // jobs ∈ {1, 4} and the pool config is restored afterwards.
-    fs::path dir = scratchDir("jobs");
-    setParallelThreads(2);
-    ASSERT_EQ(run({"batch", dataDir(), "--jobs", "1", "-o",
-                   (dir / "j1").string()}),
-              0);
-    EXPECT_EQ(parallelThreads(), 2u);
-    ASSERT_EQ(run({"batch", dataDir(), "--jobs", "4", "-o",
-                   (dir / "j4").string()}),
-              0);
-    EXPECT_EQ(parallelThreads(), 2u);
-    setParallelThreads(0);
-
-    const std::string report = slurp(dir / "j1/batch_report.json");
-    ASSERT_FALSE(report.empty());
-    EXPECT_EQ(report, slurp(dir / "j4/batch_report.json"));
-    fs::remove_all(dir);
-}
-
 TEST(Hattc, BatchDiscoversRecursivelyAndFiltersWithGlob)
 {
     fs::path dir = scratchDir("glob");
@@ -769,7 +746,7 @@ TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
     // Library-level run() guards too: NON-adjacent duplicates in an
     // unsorted caller-supplied list must not race on one output dir.
     io::BatchOptions bopt;
-    bopt.outDir = (dir / "out3").string();
+    bopt.request.outDir = (dir / "out3").string();
     io::CompilationService service;
     io::BatchCompiler compiler(bopt, service);
     auto item = [&](const std::string &p) {
@@ -1215,31 +1192,36 @@ TEST(Hattc, MappingsAdvertiseDeviceAwareness)
 
 TEST(Hattc, DeviceAwareBatchEmitsRoutedCostBlock)
 {
+    // The routed-cost block is inside the byte-identity bar: the same
+    // corpus on the same device yields identical report bytes on one
+    // worker and on four.
     fs::path dir = scratchDir("devicebatch");
-    fs::path corpus = dir / "corpus";
-    fs::create_directories(corpus);
-    fs::copy_file(dataFile("eq3.ops"), corpus / "eq3.ops");
-    fs::copy_file(dataFile("h2.ops"), corpus / "h2.ops");
+    std::vector<std::string> reports;
+    for (unsigned threads : {1u, 4u}) {
+        setParallelThreads(threads);
+        const fs::path out = dir / ("out" + std::to_string(threads));
+        std::string text;
+        ASSERT_EQ(run({"batch", dataDir(), "-o", out.string(), "--mapping",
+                       "jw,bonsai", "--device", "line:8"},
+                      &text),
+                  0)
+            << text;
 
-    std::string text;
-    ASSERT_EQ(run({"batch", corpus.string(), "-o", (dir / "out").string(),
-                   "--mapping", "jw,bonsai", "--device", "line:8"},
-                  &text),
-              0)
-        << text;
-
-    JsonValue doc =
-        JsonValue::parse(slurp(dir / "out/batch_report.json"));
-    size_t rows = 0;
-    for (const JsonValue &rec : doc.at("inputs").asArray()) {
-        ++rows;
-        ASSERT_EQ(rec.at("status").asString(), "ok")
-            << rec.at("key").asString();
-        EXPECT_EQ(rec.at("device").asString(), "line:8");
-        EXPECT_GT(rec.at("routed_cnots").asInt(), 0);
-        EXPECT_GT(rec.at("routed_depth").asInt(), 0);
+        reports.push_back(slurp(out / "batch_report.json"));
+        JsonValue doc = JsonValue::parse(reports.back());
+        size_t rows = 0;
+        for (const JsonValue &rec : doc.at("inputs").asArray()) {
+            ++rows;
+            ASSERT_EQ(rec.at("status").asString(), "ok")
+                << rec.at("key").asString();
+            EXPECT_EQ(rec.at("device").asString(), "line:8");
+            EXPECT_GT(rec.at("routed_cnots").asInt(), 0);
+            EXPECT_GT(rec.at("routed_depth").asInt(), 0);
+        }
+        EXPECT_EQ(rows, 8u); // 4 inputs x {jw, bonsai}
     }
-    EXPECT_EQ(rows, 4u); // 2 inputs x {jw, bonsai}
+    setParallelThreads(0);
+    EXPECT_EQ(reports[0], reports[1]);
     fs::remove_all(dir);
 }
 

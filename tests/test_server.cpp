@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "io/cache.hpp"
 #include "io/json.hpp"
@@ -331,6 +332,69 @@ TEST(Server, ResponsesByteIdenticalToOneShotAcrossThreadCaps)
     // ... and the responses are cap-invariant too.
     ASSERT_EQ(per_cap.size(), 2u);
     EXPECT_EQ(per_cap[0], per_cap[1]);
+    fs::remove_all(dir);
+}
+
+TEST(Server, StatsDeterministicSectionInvariantAcrossThreads)
+{
+    // Two fresh daemons, the same request script, different worker
+    // counts: the deterministic counter section of the stats snapshot
+    // is byte-identical (the volatile section never is).
+    fs::path dir = scratchDir("statsthreads");
+    std::vector<std::string> sections;
+    for (unsigned threads : {1u, 4u}) {
+        setParallelThreads(threads);
+        metrics::reset();
+        const std::string tag = std::to_string(threads);
+        ServerConfig config;
+        config.cacheDir = (dir / ("dcache" + tag)).string();
+        config.outRoot = (dir / ("srv" + tag)).string();
+        Daemon daemon(config);
+        Client client(daemon.server.port());
+        for (int pass = 0; pass < 2; ++pass)
+            for (const char *input : {"h2", "hubbard2x2"}) {
+                JsonValue resp = client.rpc(compileFrame(
+                    dataFile(std::string(input) + ".ops"),
+                    std::string("w_") + input));
+                ASSERT_EQ(resp.at("format").asString(),
+                          "hatt-compile-response")
+                    << resp.dump(2);
+            }
+        JsonValue stats = client.rpc(opFrame("stats"));
+        ASSERT_EQ(stats.at("format").asString(), "hatt-stats");
+        const JsonValue &det = stats.at("metrics").at("deterministic");
+        EXPECT_EQ(det.at("server.compile_requests").asInt(), 4);
+        sections.push_back(det.dump(2));
+        EXPECT_EQ(daemon.stop(), 0);
+    }
+    setParallelThreads(0);
+    EXPECT_EQ(sections[0], sections[1]);
+    fs::remove_all(dir);
+}
+
+TEST(Server, RetiredJobsFieldIsAcceptedAndIgnored)
+{
+    // Older v1 clients still send the worker-cap hint `jobs`. The pool
+    // is sized by the daemon's HATT_THREADS alone, so the same frame
+    // with and without the field is served identically.
+    fs::path dir = scratchDir("jobs");
+    ServerConfig config;
+    config.outRoot = (dir / "srv").string();
+    Daemon daemon(config);
+    Client client(daemon.server.port());
+
+    const JsonValue plain = client.rpc(compileFrame(dataFile("h2.ops"), "a"));
+    JsonValue frame = compileFrame(dataFile("h2.ops"), "b");
+    frame.add("jobs", 4);
+    const JsonValue with_jobs = client.rpc(frame);
+    ASSERT_EQ(with_jobs.at("format").asString(), "hatt-compile-response")
+        << with_jobs.dump(2);
+    EXPECT_EQ(stripVolatile(with_jobs), stripVolatile(plain));
+    for (const char *suffix : {".mapping.json", ".tree.json", ".qubit.json"})
+        EXPECT_EQ(readFile(dir / "srv/b" / (std::string("h2") + suffix)),
+                  readFile(dir / "srv/a" / (std::string("h2") + suffix)))
+            << suffix;
+    EXPECT_EQ(daemon.stop(), 0);
     fs::remove_all(dir);
 }
 
@@ -695,6 +759,83 @@ TEST(Server, ShutdownLeavesALoadableCache)
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->tier, "disk");
     EXPECT_FALSE(fs::exists(fs::path(cache_dir) / "index.json"));
+    fs::remove_all(dir);
+}
+
+/** Overwrite every entry file in @p cache whose name ends in
+    @p suffix with a torn write; @return how many were damaged. */
+size_t
+tearEntries(const fs::path &cache, const std::string &suffix)
+{
+    size_t torn = 0;
+    for (const fs::directory_entry &de : fs::directory_iterator(cache)) {
+        const std::string name = de.path().filename().string();
+        if (name.size() >= suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+            std::ofstream(de.path(), std::ios::trunc) << "{ torn write\n";
+            ++torn;
+        }
+    }
+    return torn;
+}
+
+TEST(Server, QuarantinedCacheIsReportedByTheCompileThatMovedIt)
+{
+    // A restarted daemon over a cache with torn entries: the compile
+    // whose own lookup quarantined an entry says so, whatever spelling
+    // or option bag keyed it, and a later hit on the rebuilt entry
+    // does not.
+    fs::path dir = scratchDir("quarantine");
+    const fs::path cache = dir / "dcache";
+    ServerConfig config;
+    config.cacheDir = cache.string();
+    config.outRoot = (dir / "srv").string();
+    auto h2Frame = [&](const std::string &mapping,
+                       const std::string &device) {
+        CompileRequest req;
+        req.path = dataFile("h2.ops");
+        req.outDir = mapping;
+        req.mapping = mapping;
+        req.device = device;
+        return io::compileRequestToJson(req);
+    };
+    const JsonValue hatt = h2Frame("hatt", "");
+    const JsonValue bonsai = h2Frame("bonsai", "line:8");
+    auto quarantined = [](Client &client, const JsonValue &frame) {
+        const JsonValue resp = client.rpc(frame);
+        EXPECT_EQ(resp.at("format").asString(), "hatt-compile-response")
+            << resp.dump(2);
+        return resp.at("quarantined_cache").asBool();
+    };
+
+    {
+        Daemon warm(config);
+        Client client(warm.server.port());
+        EXPECT_FALSE(quarantined(client, hatt));
+        EXPECT_FALSE(quarantined(client, bonsai));
+        EXPECT_EQ(warm.stop(), 0);
+    }
+    ASSERT_EQ(tearEntries(cache, "-hatt.json"), 1u);
+    ASSERT_EQ(tearEntries(cache, "-bonsai.json"), 1u);
+    {
+        Daemon daemon(config);
+        Client client(daemon.server.port());
+        // (a) reported once: the repeat is a memory hit.
+        EXPECT_TRUE(quarantined(client, hatt));
+        EXPECT_FALSE(quarantined(client, hatt));
+        // (b) the device-keyed entry of a device-aware kind.
+        EXPECT_TRUE(quarantined(client, bonsai));
+        EXPECT_EQ(daemon.stop(), 0);
+    }
+    ASSERT_EQ(tearEntries(cache, "-hatt.json"), 1u);
+    {
+        // (c) a case variant of the kind.
+        Daemon daemon(config);
+        Client client(daemon.server.port());
+        EXPECT_TRUE(quarantined(client, h2Frame("HATT", "")));
+        EXPECT_EQ(daemon.stop(), 0);
+    }
     fs::remove_all(dir);
 }
 

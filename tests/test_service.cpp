@@ -20,11 +20,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <barrier>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -110,26 +113,41 @@ TEST(ServiceWire, CompileRequestJsonRoundTripsWithVersion)
     req.maxModes = 45;
     req.timeoutSeconds = 2.5;
     req.fallback = true;
-    req.jobs = 3;
+    req.device = "montreal";
 
     JsonValue doc = io::compileRequestToJson(req);
     EXPECT_EQ(doc.at("format").asString(), "hatt-compile-request");
     EXPECT_EQ(doc.at("version").asInt(), 1);
+    EXPECT_EQ(doc.find("jobs"), nullptr);
 
+    auto expectSameRequest = [&](const CompileRequest &back) {
+        EXPECT_EQ(back.path, req.path);
+        EXPECT_EQ(back.format, req.format);
+        EXPECT_EQ(back.mapping, req.mapping);
+        EXPECT_EQ(back.outDir, req.outDir);
+        EXPECT_EQ(back.emitQubit, req.emitQubit);
+        EXPECT_EQ(back.maxTerms, req.maxTerms);
+        EXPECT_EQ(back.maxModes, req.maxModes);
+        EXPECT_EQ(back.timeoutSeconds, req.timeoutSeconds);
+        EXPECT_EQ(back.fallback, req.fallback);
+        EXPECT_EQ(back.device, req.device);
+    };
     // Through text and back: the wire schema must survive an actual
     // serialize/parse cycle, not just an in-memory copy.
     CompileRequest back =
         io::compileRequestFromJson(JsonValue::parse(doc.dump(2)));
-    EXPECT_EQ(back.path, req.path);
-    EXPECT_EQ(back.format, req.format);
-    EXPECT_EQ(back.mapping, req.mapping);
-    EXPECT_EQ(back.outDir, req.outDir);
-    EXPECT_EQ(back.emitQubit, req.emitQubit);
-    EXPECT_EQ(back.maxTerms, req.maxTerms);
-    EXPECT_EQ(back.maxModes, req.maxModes);
-    EXPECT_EQ(back.timeoutSeconds, req.timeoutSeconds);
-    EXPECT_EQ(back.fallback, req.fallback);
-    EXPECT_EQ(back.jobs, req.jobs);
+    expectSameRequest(back);
+    EXPECT_EQ(io::compileRequestToJson(back).dump(), doc.dump());
+
+    // Older v1 clients still send the retired worker-cap hint `jobs`
+    // (e.g. `"jobs": 4`): the frame parses, every other field survives,
+    // and re-encoding drops the hint.
+    JsonValue with_jobs = doc;
+    with_jobs.add("jobs", 4);
+    CompileRequest from_jobs =
+        io::compileRequestFromJson(JsonValue::parse(with_jobs.dump()));
+    expectSameRequest(from_jobs);
+    EXPECT_EQ(io::compileRequestToJson(from_jobs).dump(), doc.dump());
 
     // Defaults round-trip too (auto format, empty-ish request).
     CompileRequest plain;
@@ -139,16 +157,7 @@ TEST(ServiceWire, CompileRequestJsonRoundTripsWithVersion)
     EXPECT_EQ(plain_back.format, "auto");
     EXPECT_EQ(plain_back.mapping, "hatt");
     EXPECT_TRUE(plain_back.emitQubit);
-    EXPECT_EQ(plain_back.jobs, 0u);
-
-    // `jobs` was added within v1: a frame from an older client that
-    // omits it still parses (the hint defaults to "inherit").
-    JsonValue old_doc = io::compileRequestToJson(plain);
-    JsonValue pruned = JsonValue::object();
-    for (const auto &[key, value] : old_doc.asObject())
-        if (key != "jobs")
-            pruned.add(key, value);
-    EXPECT_EQ(io::compileRequestFromJson(pruned).jobs, 0u);
+    EXPECT_TRUE(plain_back.device.empty());
 
     // A newer wire version must be rejected, not half-parsed.
     std::string text = io::compileRequestToJson(req).dump(2);
@@ -386,6 +395,85 @@ TEST(Service, CompileWithoutArgvAndMemoizeInProcess)
     ASSERT_FALSE(fmt.ok());
     EXPECT_EQ(fmt.status().code(), Status::Code::InvalidArgument);
 
+    fs::remove_all(dir);
+}
+
+TEST(Service, ConcurrentCompilesMatchASerialRun)
+{
+    // compile() is re-entrant: two threads share one service and its
+    // disk cache on a four-worker pool, first on different inputs, then
+    // racing on the same one. Every response (volatile fields aside)
+    // and every artifact equals what a serial run produces.
+    fs::path dir = scratchDir("reentrant");
+    setParallelThreads(4);
+    const std::vector<std::vector<std::string>> plan = {
+        {"h2.ops", "eq3.ops"}, {"hubbard2x2.ops", "eq3.ops"}};
+
+    auto compileInto = [&](CompilationService &service,
+                           const std::string &input,
+                           const fs::path &out) {
+        CompileRequest req;
+        req.path = dataFile(input);
+        req.outDir = out.string();
+        StatusOr<CompileResponse> resp = service.compile(req);
+        EXPECT_TRUE(resp.ok()) << input << ": " << resp.status().message();
+        if (!resp.ok())
+            return std::string();
+        const JsonValue doc = io::compileResponseToJson(resp.value());
+        JsonValue stripped = JsonValue::object();
+        for (const auto &[key, value] : doc.asObject())
+            if (key != "seconds" && key != "cache_seconds" &&
+                key != "cache_hit" && key != "cache_tier")
+                stripped.add(key, value);
+        return stripped.dump(2);
+    };
+    auto outDir = [&](const char *run, size_t t, size_t step) {
+        return dir / run / (std::to_string(t) + "_" + std::to_string(step));
+    };
+
+    CompilationService serial(ServiceConfig{(dir / "scache").string()});
+    std::vector<std::vector<std::string>> expected(plan.size());
+    for (size_t t = 0; t < plan.size(); ++t)
+        for (size_t step = 0; step < plan[t].size(); ++step)
+            expected[t].push_back(compileInto(serial, plan[t][step],
+                                              outDir("serial", t, step)));
+
+    CompilationService shared(ServiceConfig{(dir / "ccache").string()});
+    std::vector<std::vector<std::string>> got(plan.size());
+    std::barrier step_barrier(static_cast<std::ptrdiff_t>(plan.size()));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < plan.size(); ++t)
+        threads.emplace_back([&, t] {
+            for (size_t step = 0; step < plan[t].size(); ++step) {
+                step_barrier.arrive_and_wait();
+                got[t].push_back(compileInto(shared, plan[t][step],
+                                             outDir("concurrent", t, step)));
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    setParallelThreads(0);
+
+    auto slurp = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        EXPECT_TRUE(in.good()) << "cannot read " << path;
+        std::ostringstream out;
+        out << in.rdbuf();
+        return out.str();
+    };
+    for (size_t t = 0; t < plan.size(); ++t)
+        for (size_t step = 0; step < plan[t].size(); ++step) {
+            const std::string &input = plan[t][step];
+            ASSERT_FALSE(expected[t][step].empty()) << input;
+            EXPECT_EQ(got[t][step], expected[t][step]) << input;
+            const std::string stem = fs::path(input).stem().string();
+            for (const char *suffix :
+                 {".mapping.json", ".tree.json", ".qubit.json"})
+                EXPECT_EQ(
+                    slurp(outDir("concurrent", t, step) / (stem + suffix)),
+                    slurp(outDir("serial", t, step) / (stem + suffix)))
+                    << input << suffix;
+        }
     fs::remove_all(dir);
 }
 
@@ -734,7 +822,8 @@ TEST(Service, WarmBatchAllMemoryHitsReportByteIdentical)
         CompilationService service(ServiceConfig{}); // memory tier only
         BatchOptions bopt;
 
-        bopt.outDir = (dir / ("cold" + std::to_string(threads))).string();
+        bopt.request.outDir =
+            (dir / ("cold" + std::to_string(threads))).string();
         StatusOr<BatchOutcome> cold =
             service.compileBatch(dataDir(), bopt);
         ASSERT_TRUE(cold.ok()) << cold.status().message();
@@ -742,7 +831,8 @@ TEST(Service, WarmBatchAllMemoryHitsReportByteIdentical)
         EXPECT_EQ(cold->stats.at("summary").at("memory_hits").asInt(), 0);
         EXPECT_EQ(cold->stats.at("summary").at("cache_hits").asInt(), 0);
 
-        bopt.outDir = (dir / ("warm" + std::to_string(threads))).string();
+        bopt.request.outDir =
+            (dir / ("warm" + std::to_string(threads))).string();
         StatusOr<BatchOutcome> warm =
             service.compileBatch(dataDir(), bopt);
         ASSERT_TRUE(warm.ok());
@@ -778,7 +868,7 @@ TEST(Service, BatchRejectsBadSourceAsStatus)
     fs::path dir = scratchDir("badbatch");
     CompilationService service(ServiceConfig{});
     BatchOptions bopt;
-    bopt.outDir = (dir / "out").string();
+    bopt.request.outDir = (dir / "out").string();
 
     // An empty directory: no inputs is an InvalidArgument, not a crash.
     fs::create_directories(dir / "empty");
@@ -812,7 +902,7 @@ TEST(Service, BatchReportFileForCiCompare)
     fs::path dir = scratchDir("cireport");
     CompilationService service(ServiceConfig{});
     BatchOptions bopt;
-    bopt.outDir = (dir / "out").string();
+    bopt.request.outDir = (dir / "out").string();
     StatusOr<BatchOutcome> outcome = service.compileBatch(dataDir(), bopt);
     ASSERT_TRUE(outcome.ok()) << outcome.status().message();
     EXPECT_EQ(outcome->failed, 0u);

@@ -52,10 +52,12 @@ const char *const kUsage =
     "                      requests may tighten, never loosen\n"
     "  --max-modes N       server-side parse cap on modes (same rule)\n"
     "  --timeout S         server-side compile budget per request\n"
-    "  --jobs N            clamp on requests' `jobs` worker-cap hint\n"
     "  --trace FILE        write a Chrome trace-event JSON of the whole\n"
     "                      daemon lifetime (HATT_TRACE works too)\n"
-    "  --version           print build provenance and exit\n";
+    "  --version           print build provenance and exit\n"
+    "\n"
+    "environment: HATT_THREADS=N sizes the work pool (default: hardware\n"
+    "  threads); responses are identical for every N\n";
 
 hatt::io::Server *g_server = nullptr;
 
@@ -158,9 +160,6 @@ main(int argc, char **argv)
                     parseCount(a, value(), UINT32_MAX));
             } else if (a == "--timeout") {
                 config.timeoutSeconds = parseSeconds(a, value());
-            } else if (a == "--jobs") {
-                config.jobsCap = static_cast<unsigned>(
-                    parseCount(a, value(), 1u << 16));
             } else if (a == "--trace") {
                 trace_file = value();
                 if (trace_file.empty())
