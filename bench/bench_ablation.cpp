@@ -114,23 +114,16 @@ main()
         PauliSum hq = mapToQubits(poly, buildMapping("HATT", poly));
         PauliSum ordered =
             scheduleTerms(hq, ScheduleKind::Lexicographic);
-        for (auto style : {LadderStyle::Chain, LadderStyle::Star}) {
+        auto cnots = [&](LadderStyle style) {
             EvolutionOptions evo;
             evo.ladder = style;
             Circuit c = evolutionCircuit(ordered, evo);
             optimizeCircuit(c);
-            if (style == LadderStyle::Chain)
-                table.addRow({"hubbard 2x4",
-                              TablePrinter::num(static_cast<long long>(
-                                  c.cnotCount())),
-                              ""});
-            else {
-                table.addRow({"",
-                              "",
-                              TablePrinter::num(static_cast<long long>(
-                                  c.cnotCount()))});
-            }
-        }
+            return TablePrinter::num(
+                static_cast<long long>(c.cnotCount()));
+        };
+        table.addRow({"hubbard 2x4", cnots(LadderStyle::Chain),
+                      cnots(LadderStyle::Star)});
         table.print(std::cout);
     }
     return 0;

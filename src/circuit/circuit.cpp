@@ -1,22 +1,10 @@
 #include "circuit/circuit.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <stdexcept>
 
 namespace hatt {
-
-void
-Circuit::push(const Gate &g)
-{
-    assert(g.q0 >= 0 && g.q0 < static_cast<int>(num_qubits_));
-    if (g.isTwoQubit()) {
-        assert(g.q1 >= 0 && g.q1 < static_cast<int>(num_qubits_));
-        assert(g.q1 != g.q0);
-    }
-    gates_.push_back(g);
-}
 
 void
 Circuit::append(const Circuit &other)
@@ -66,7 +54,7 @@ Circuit::basisCounts() const
     GateCounts counts;
     // run_open[q]: the current maximal 1q run on wire q is still open
     // (no CNOT has touched the wire since the run began).
-    std::vector<bool> run_open(num_qubits_, false);
+    std::vector<uint8_t> run_open(num_qubits_, 0);
     std::vector<uint64_t> front(num_qubits_, 0);
 
     for (const auto &g : gates_) {

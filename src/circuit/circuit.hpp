@@ -10,6 +10,7 @@
  * form used for counting, mirroring Qiskit's basis translation).
  */
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,7 +59,17 @@ class Circuit
     {
         push({GateKind::CNOT, control, target, 0.0});
     }
-    void push(const Gate &g);
+    void push(const Gate &g)
+    {
+        assert(g.q0 >= 0 && g.q0 < static_cast<int>(num_qubits_));
+        assert(!g.isTwoQubit() || (g.q1 >= 0 && g.q1 != g.q0 &&
+                                   g.q1 < static_cast<int>(num_qubits_)));
+        gates_.push_back(g);
+    }
+    void reserve(size_t num_gates) { gates_.reserve(num_gates); }
+
+    /** For in-place rewrites (the optimizer); gates stay in range. */
+    std::vector<Gate> &mutableGates() { return gates_; }
 
     /** Append all gates of @p other (same width required). */
     void append(const Circuit &other);

@@ -1,5 +1,6 @@
 #include "route/coupling_map.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <stdexcept>
@@ -19,81 +20,64 @@ CouplingMap::CouplingMap(uint32_t num_qubits,
         adj_[a].push_back(b);
         adj_[b].push_back(a);
     }
-    buildDistances();
+    buildTables();
 }
 
 void
-CouplingMap::buildDistances()
+CouplingMap::buildTables()
 {
-    const int inf = 1 << 28;
-    dist_.assign(num_qubits_, std::vector<int>(num_qubits_, inf));
+    const size_t n = num_qubits_;
+    dist_.assign(n * n, kUnreachable);
+    hop_.assign(n * n, -1);
     for (uint32_t s = 0; s < num_qubits_; ++s) {
+        int *dist = &dist_[s * n];
+        int *hop = &hop_[s * n];
         std::deque<int> queue{static_cast<int>(s)};
-        dist_[s][s] = 0;
+        dist[s] = 0;
+        hop[s] = static_cast<int>(s);
         while (!queue.empty()) {
             int u = queue.front();
             queue.pop_front();
             for (int v : adj_[u]) {
-                if (dist_[s][v] > dist_[s][u] + 1) {
-                    dist_[s][v] = dist_[s][u] + 1;
+                if (dist[v] > dist[u] + 1) {
+                    dist[v] = dist[u] + 1;
+                    // BFS dequeues in adj_[s] order of first hop, so this
+                    // is s's earliest neighbour on a shortest path to v.
+                    hop[v] = u == static_cast<int>(s) ? v : hop[u];
                     queue.push_back(v);
                 }
             }
         }
     }
-}
-
-bool
-CouplingMap::adjacent(int a, int b) const
-{
-    if (a < 0 || b < 0 || a >= static_cast<int>(num_qubits_) ||
-        b >= static_cast<int>(num_qubits_))
-        return false;
-    return dist_[a][b] == 1;
+    connected_ = std::find(dist_.begin(), dist_.end(), kUnreachable) ==
+                 dist_.end();
 }
 
 int
 CouplingMap::distance(int a, int b) const
 {
-    const std::string device = name_.empty() ? "unnamed" : name_;
-    if (a < 0 || b < 0 || a >= static_cast<int>(num_qubits_) ||
-        b >= static_cast<int>(num_qubits_))
+    auto device = [&] { return name_.empty() ? "unnamed" : name_; };
+    if (!inRange(a) || !inRange(b))
         throw std::invalid_argument(
             "CouplingMap::distance: qubit pair (" + std::to_string(a) +
             ", " + std::to_string(b) + ") out of range for device '" +
-            device + "' with " + std::to_string(num_qubits_) + " qubits");
-    const int d = dist_[a][b];
-    if (d > static_cast<int>(num_qubits_))
+            device() + "' with " + std::to_string(num_qubits_) + " qubits");
+    const int d = dist_[index(a, b)];
+    if (d == kUnreachable)
         throw std::invalid_argument(
             "CouplingMap::distance: qubits " + std::to_string(a) +
             " and " + std::to_string(b) +
-            " are disconnected on device '" + device + "'");
+            " are disconnected on device '" + device() + "'");
     return d;
 }
 
 int
 CouplingMap::nextHop(int a, int b) const
 {
-    if (a == b && a >= 0 && a < static_cast<int>(num_qubits_))
+    if (a == b && inRange(a))
         return a;
-    const int d = distance(a, b); // bounds + connectivity checks
-    for (int v : adj_[a])
-        if (dist_[v][b] == d - 1)
-            return v;
-    throw std::invalid_argument(
-        "CouplingMap::nextHop: no shortest-path step from " +
-        std::to_string(a) + " to " + std::to_string(b) + " on device '" +
-        (name_.empty() ? "unnamed" : name_) + "'");
-}
-
-bool
-CouplingMap::connected() const
-{
-    for (uint32_t i = 0; i < num_qubits_; ++i)
-        for (uint32_t j = 0; j < num_qubits_; ++j)
-            if (dist_[i][j] > static_cast<int>(num_qubits_))
-                return false;
-    return true;
+    distance(a, b); // bounds + connectivity checks
+    return hopUnchecked(a, b);
 }
 
 CouplingMap

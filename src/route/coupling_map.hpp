@@ -31,7 +31,11 @@ class CouplingMap
     const std::vector<std::pair<int, int>> &edges() const { return edges_; }
     const std::vector<int> &neighbors(int q) const { return adj_[q]; }
 
-    bool adjacent(int a, int b) const;
+    /** Coupled pair; false for out-of-range ids. */
+    bool adjacent(int a, int b) const
+    {
+        return inRange(a) && inRange(b) && dist_[index(a, b)] == 1;
+    }
 
     /**
      * Hop distance between physical qubits (precomputed BFS).
@@ -48,8 +52,12 @@ class CouplingMap
      */
     int nextHop(int a, int b) const;
 
+    /** nextHop() unchecked: ids in range and connected (the router
+        validates the device up front). */
+    int hopUnchecked(int a, int b) const { return hop_[index(a, b)]; }
+
     /** Graph is connected (required by the router). */
-    bool connected() const;
+    bool connected() const { return connected_; }
 
     /** IBM Montreal: 27-qubit Falcon heavy-hex. */
     static CouplingMap ibmMontreal();
@@ -65,13 +73,24 @@ class CouplingMap
     static CouplingMap allToAll(uint32_t n);
 
   private:
-    void buildDistances();
+    static constexpr int kUnreachable = 1 << 28;
+
+    void buildTables();
+    bool inRange(int q) const
+    {
+        return q >= 0 && q < static_cast<int>(num_qubits_);
+    }
+    size_t index(int a, int b) const { return a * size_t{num_qubits_} + b; }
 
     uint32_t num_qubits_ = 0;
     std::string name_;
     std::vector<std::pair<int, int>> edges_;
     std::vector<std::vector<int>> adj_;
-    std::vector<std::vector<int>> dist_;
+    // Flat num_qubits^2 tables, row = source: BFS distance (kUnreachable
+    // when disconnected), first hop of a shortest path (-1 likewise).
+    std::vector<int> dist_;
+    std::vector<int> hop_;
+    bool connected_ = true;
 };
 
 } // namespace hatt

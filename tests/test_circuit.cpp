@@ -2,10 +2,17 @@
  * @file
  * Tests for the circuit IR, Pauli-evolution synthesis (verified against
  * exact exponentials on the state-vector simulator), scheduling, and the
- * peephole optimizer (unitary preservation + actual gate savings).
+ * peephole optimizer (unitary preservation + actual gate savings, and
+ * gate-for-gate agreement with a straightforward copying reference).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <string>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "circuit/optimize.hpp"
@@ -267,6 +274,359 @@ TEST(Optimize, ShrinksEvolutionCircuits)
     size_t before = c.size();
     optimizeCircuit(c);
     EXPECT_LT(c.size(), before);
+}
+
+// ------------------------------------------- optimizer reference oracle
+
+bool
+referenceInversePair(const Gate &a, const Gate &b)
+{
+    if (a.q0 != b.q0)
+        return false;
+    switch (a.kind) {
+      case GateKind::H: return b.kind == GateKind::H;
+      case GateKind::X: return b.kind == GateKind::X;
+      case GateKind::S: return b.kind == GateKind::Sdg;
+      case GateKind::Sdg: return b.kind == GateKind::S;
+      default: return false;
+    }
+}
+
+/** The straightforward pass: copy the gates, one index stack per wire,
+    rebuild the circuit from the survivors. */
+uint64_t
+referenceCancelPass(Circuit &c)
+{
+    const uint32_t nq = c.numQubits();
+    std::vector<Gate> gates = c.gates();
+    std::vector<bool> removed(gates.size(), false);
+    std::vector<std::vector<size_t>> wire(nq);
+
+    uint64_t cancelled = 0;
+    for (size_t i = 0; i < gates.size(); ++i) {
+        Gate &g = gates[i];
+        if (g.kind == GateKind::CNOT) {
+            auto &wc = wire[g.q0];
+            auto &wt = wire[g.q1];
+            if (!wc.empty() && !wt.empty() && wc.back() == wt.back()) {
+                const Gate &prev = gates[wc.back()];
+                if (prev.kind == GateKind::CNOT && prev.q0 == g.q0 &&
+                    prev.q1 == g.q1) {
+                    removed[wc.back()] = true;
+                    removed[i] = true;
+                    wc.pop_back();
+                    wt.pop_back();
+                    cancelled += 2;
+                    continue;
+                }
+            }
+            wc.push_back(i);
+            wt.push_back(i);
+        } else {
+            auto &w = wire[g.q0];
+            if (!w.empty()) {
+                Gate &prev = gates[w.back()];
+                if (!prev.isTwoQubit() && referenceInversePair(prev, g)) {
+                    removed[w.back()] = true;
+                    removed[i] = true;
+                    w.pop_back();
+                    cancelled += 2;
+                    continue;
+                }
+                if (!prev.isTwoQubit() && prev.kind == GateKind::RZ &&
+                    g.kind == GateKind::RZ) {
+                    prev.angle += g.angle;
+                    removed[i] = true;
+                    ++cancelled;
+                    if (std::abs(std::remainder(prev.angle,
+                                                4.0 * M_PI)) < 1e-14) {
+                        removed[w.back()] = true;
+                        w.pop_back();
+                        ++cancelled;
+                    }
+                    continue;
+                }
+            }
+            w.push_back(i);
+        }
+    }
+
+    Circuit out(nq);
+    for (size_t i = 0; i < gates.size(); ++i)
+        if (!removed[i])
+            out.push(gates[i]);
+    c = std::move(out);
+    return cancelled;
+}
+
+OptimizeStats
+referenceOptimize(Circuit &c, uint32_t max_passes)
+{
+    OptimizeStats stats;
+    for (uint32_t p = 0; p < max_passes; ++p) {
+        size_t before = c.size();
+        uint64_t cancelled = referenceCancelPass(c);
+        stats.removedGates += before - c.size();
+        ++stats.passes;
+        if (cancelled == 0)
+            break;
+    }
+    return stats;
+}
+
+::testing::AssertionResult
+sameGates(const Circuit &expected, const Circuit &actual)
+{
+    if (expected.numQubits() != actual.numQubits())
+        return ::testing::AssertionFailure() << "width differs";
+    const auto &a = expected.gates();
+    const auto &b = actual.gates();
+    auto describe = [](const Gate &g) {
+        return "kind " + std::to_string(static_cast<int>(g.kind)) + " q" +
+               std::to_string(g.q0) + "," + std::to_string(g.q1) +
+               " angle " + std::to_string(g.angle);
+    };
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (a[i].kind != b[i].kind || a[i].q0 != b[i].q0 ||
+            a[i].q1 != b[i].q1 ||
+            std::bit_cast<uint64_t>(a[i].angle) !=
+                std::bit_cast<uint64_t>(b[i].angle))
+            return ::testing::AssertionFailure()
+                   << "gate " << i << ": expected " << describe(a[i])
+                   << ", got " << describe(b[i]);
+    }
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "sizes differ: " << a.size() << " vs " << b.size();
+    return ::testing::AssertionSuccess();
+}
+
+/** A random 1q gate other than RZ. */
+Gate
+randomCliffordGate(Rng &rng, int q)
+{
+    static const GateKind kinds[] = {GateKind::H, GateKind::S,
+                                     GateKind::Sdg, GateKind::X};
+    return {kinds[rng.nextInt(4)], q, -1, 0.0};
+}
+
+Gate
+inverseOf(const Gate &g)
+{
+    Gate inv = g;
+    if (g.kind == GateKind::S)
+        inv.kind = GateKind::Sdg;
+    else if (g.kind == GateKind::Sdg)
+        inv.kind = GateKind::S;
+    else if (g.kind == GateKind::RZ)
+        inv.angle = -g.angle;
+    return inv;
+}
+
+/**
+ * A circuit biased toward what breaks per-wire stack logic: nested
+ * inverse pairs, CNOT pairs split by a 1q gate on one wire (or by
+ * unrelated CNOTs), and RZ chains that sum to a multiple of 4*pi.
+ */
+Circuit
+stackStressCircuit(Rng &rng)
+{
+    const uint32_t n = 3 + static_cast<uint32_t>(rng.nextInt(28));
+    const int nq = static_cast<int>(n);
+    Circuit c(n);
+    auto wire = [&] { return static_cast<int>(rng.nextInt(n)); };
+    auto pair = [&](int &a, int &b) {
+        a = wire();
+        do {
+            b = wire();
+        } while (b == a);
+    };
+    const int blocks = 20 + static_cast<int>(rng.nextInt(60));
+    for (int blk = 0; blk < blocks; ++blk) {
+        switch (rng.nextInt(7)) {
+          case 0: { // nested inverse pairs on one wire
+            const int q = wire();
+            std::vector<Gate> open;
+            const int depth = 1 + static_cast<int>(rng.nextInt(4));
+            for (int d = 0; d < depth; ++d) {
+                Gate g = rng.chance(0.25)
+                             ? Gate{GateKind::RZ, q, -1,
+                                    rng.nextDouble() * 6.0 - 3.0}
+                             : randomCliffordGate(rng, q);
+                open.push_back(g);
+                c.push(g);
+            }
+            if (rng.chance(0.3))
+                c.cnot(q, (q + 1) % nq); // sometimes a blocker
+            for (size_t d = open.size(); d-- > 0;)
+                c.push(inverseOf(open[d]));
+            break;
+          }
+          case 1: { // CNOT pair with a 1q gate on one wire in between
+            int a, b;
+            pair(a, b);
+            c.cnot(a, b);
+            const int on = rng.chance(0.5) ? a : b;
+            if (rng.chance(0.5))
+                c.push(randomCliffordGate(rng, on));
+            else
+                c.rz(on, rng.nextDouble());
+            c.cnot(a, b);
+            break;
+          }
+          case 2: { // nested CNOT pairs, optionally split by unrelated ones
+            int a, b;
+            pair(a, b);
+            c.cnot(a, b);
+            int x, y;
+            pair(x, y);
+            c.cnot(x, y);
+            if (rng.chance(0.5))
+                c.cnot(x, y);
+            c.cnot(a, b);
+            if (rng.chance(0.3))
+                c.cnot(b, a); // reversed pair never cancels
+            break;
+          }
+          case 3: { // RZ chain summing to a multiple of 4 pi
+            const int q = wire();
+            const int len = 2 + static_cast<int>(rng.nextInt(4));
+            const double goal =
+                4.0 * M_PI * static_cast<double>(rng.nextInt(3));
+            double sum = 0.0;
+            for (int k = 0; k + 1 < len; ++k) {
+                const double t = rng.nextDouble() * 4.0 - 2.0;
+                c.rz(q, t);
+                sum += t;
+            }
+            c.rz(q, goal - sum);
+            break;
+          }
+          case 4: { // exact quarter turns: pi * k lands on 4 pi exactly
+            const int q = wire();
+            const int len = 2 + static_cast<int>(rng.nextInt(5));
+            for (int k = 0; k < len; ++k)
+                c.rz(q, M_PI);
+            break;
+          }
+          case 5: { // plain random gate
+            if (rng.chance(0.5)) {
+                int a, b;
+                pair(a, b);
+                c.cnot(a, b);
+            } else {
+                c.push(randomCliffordGate(rng, wire()));
+            }
+            break;
+          }
+          default: { // an interrupted pair on one wire
+            const int q = wire();
+            Gate g = randomCliffordGate(rng, q);
+            c.push(g);
+            c.push(randomCliffordGate(rng, q));
+            c.push(inverseOf(g));
+            break;
+          }
+        }
+    }
+    return c;
+}
+
+TEST(Optimize, MatchesCopyingReferenceGateForGate)
+{
+    uint64_t removed = 0;
+    for (uint64_t seed = 0; seed < 250; ++seed) {
+        Rng rng(9000 + seed);
+        const Circuit input = stackStressCircuit(rng);
+        // Some runs stop short of the fixpoint, so a pass's partial
+        // result is compared too.
+        const uint32_t passes = seed % 5 == 0 ? 1 : (seed % 7 == 0 ? 2 : 16);
+        Circuit expected = input;
+        Circuit actual = input;
+        const OptimizeStats want = referenceOptimize(expected, passes);
+        const OptimizeStats got = optimizeCircuit(actual, passes);
+        EXPECT_EQ(got.removedGates, want.removedGates) << "seed " << seed;
+        EXPECT_EQ(got.passes, want.passes) << "seed " << seed;
+        EXPECT_TRUE(sameGates(expected, actual)) << "seed " << seed;
+        removed += want.removedGates;
+    }
+    EXPECT_GT(removed, 0u);
+}
+
+// ------------------------------------------- synthesis reference oracle
+
+/** Term synthesis reading every qubit through op(q). */
+void
+referenceEmitTerm(Circuit &c, const PauliString &s, double alpha,
+                  LadderStyle style)
+{
+    std::vector<int> support;
+    for (uint32_t q = 0; q < s.numQubits(); ++q)
+        if (s.op(q) != PauliOp::I)
+            support.push_back(static_cast<int>(q));
+    if (support.empty())
+        return;
+    for (int q : support) {
+        PauliOp op = s.op(static_cast<uint32_t>(q));
+        if (op == PauliOp::X) {
+            c.h(q);
+        } else if (op == PauliOp::Y) {
+            c.sdg(q);
+            c.h(q);
+        }
+    }
+    const int target = support.back();
+    auto ladder = [&](size_t i) {
+        c.cnot(support[i],
+               style == LadderStyle::Chain ? support[i + 1] : target);
+    };
+    for (size_t i = 0; i + 1 < support.size(); ++i)
+        ladder(i);
+    c.rz(target, 2.0 * alpha);
+    for (size_t i = support.size() - 1; i-- > 0;)
+        ladder(i);
+    for (int q : support) {
+        PauliOp op = s.op(static_cast<uint32_t>(q));
+        if (op == PauliOp::X) {
+            c.h(q);
+        } else if (op == PauliOp::Y) {
+            c.h(q);
+            c.s(q);
+        }
+    }
+}
+
+TEST(PauliEvolution, MatchesPerQubitReferenceOnWideStrings)
+{
+    // Up to three packed words per string, sparse and dense supports.
+    for (uint64_t seed = 0; seed < 40; ++seed) {
+        Rng rng(500 + seed);
+        const uint32_t n = 3 + static_cast<uint32_t>(rng.nextInt(190));
+        const double density = 0.02 + 0.5 * rng.nextDouble();
+        PauliSum h(n);
+        h.add(cplx{0.3, 0.0}, PauliString(n)); // identity: skipped
+        for (int t = 0; t < 12; ++t) {
+            std::vector<PauliOp> ops(n, PauliOp::I);
+            for (auto &op : ops)
+                if (rng.chance(density))
+                    op = static_cast<PauliOp>(1 + rng.nextInt(3));
+            h.add(cplx{rng.nextDouble() - 0.5, 0.0},
+                  PauliString::fromOps(ops));
+        }
+        for (LadderStyle style : {LadderStyle::Chain, LadderStyle::Star}) {
+            EvolutionOptions opt;
+            opt.ladder = style;
+            opt.trotterSteps = 2;
+            Circuit expected(n);
+            for (uint32_t step = 0; step < opt.trotterSteps; ++step)
+                for (const auto &term : h.terms())
+                    if (!term.string.isIdentity())
+                        referenceEmitTerm(expected, term.string,
+                                          term.coeff.real() * 0.5, style);
+            EXPECT_TRUE(sameGates(expected, evolutionCircuit(h, opt)))
+                << "seed " << seed;
+        }
+    }
 }
 
 } // namespace

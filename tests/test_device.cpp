@@ -366,6 +366,46 @@ TEST(HardwareCost, DeterministicExecutableMetrics)
     EXPECT_EQ(a->swaps, b->swaps);
 }
 
+TEST(HardwareCost, GoldenCostsPinned)
+{
+    // Routed costs recorded before the in-place optimizer and the flat
+    // coupling tables; any drift here is a behaviour change in the
+    // routed-cost kernel, not a speedup.
+    struct Golden
+    {
+        const char *device;
+        const char *kind;
+        uint64_t cnots, u3, depth, swaps;
+    };
+    const Golden golden[] = {
+        {"montreal", "jw", 436, 85, 360, 102},
+        {"montreal", "bk", 500, 84, 430, 122},
+        {"montreal", "hatt", 446, 73, 354, 108},
+        {"manhattan", "jw", 397, 85, 353, 89},
+        {"manhattan", "bk", 545, 85, 484, 137},
+        {"manhattan", "hatt", 518, 73, 425, 132},
+        {"line:27", "jw", 490, 85, 375, 120},
+        {"line:27", "bk", 521, 84, 426, 129},
+        {"line:27", "hatt", 524, 73, 402, 134},
+    };
+    MajoranaPolynomial poly = testPoly(8);
+    for (const Golden &g : golden) {
+        SCOPED_TRACE(std::string(g.device) + "/" + g.kind);
+        CouplingMap dev = device::resolveDevice(g.device).value();
+        MappingRequest req = deviceRequest(g.kind, poly, "");
+        StatusOr<MappingResult> built =
+            MapperRegistry::instance().build(req);
+        ASSERT_TRUE(built.ok()) << built.status().message();
+        StatusOr<device::HardwareCost> cost =
+            device::evaluateHardwareCost(poly, built->mapping, dev);
+        ASSERT_TRUE(cost.ok()) << cost.status().message();
+        EXPECT_EQ(cost->cnots, g.cnots);
+        EXPECT_EQ(cost->u3, g.u3);
+        EXPECT_EQ(cost->depth, g.depth);
+        EXPECT_EQ(cost->swaps, g.swaps);
+    }
+}
+
 TEST(HardwareCost, UndersizedDeviceIsAStatusNotAThrow)
 {
     CouplingMap tiny = CouplingMap::line(3);

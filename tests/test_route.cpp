@@ -2,10 +2,16 @@
  * @file
  * Tests for the coupling maps and the SWAP router: device shapes,
  * coupling compliance after routing, unitary preservation up to the
- * final layout permutation, and all-to-all being a routing no-op.
+ * final layout permutation, all-to-all being a routing no-op, and
+ * gate-for-gate agreement with a per-hop reference router.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <vector>
 
 #include "circuit/pauli_evolution.hpp"
 #include "common/rng.hpp"
@@ -128,6 +134,117 @@ TEST(Router, ThrowsWhenDeviceTooSmall)
     Circuit logical(10);
     EXPECT_THROW(routeCircuit(logical, CouplingMap::line(4)),
                  std::invalid_argument);
+}
+
+// ---------------------------------------------- router reference oracle
+
+/** First neighbour of @p a (adjacency order) one step closer to @p b,
+    searched through the checked distance() on every call. */
+int
+referenceHop(const CouplingMap &device, int a, int b)
+{
+    const int d = device.distance(a, b);
+    for (int v : device.neighbors(a))
+        if (device.distance(v, b) == d - 1)
+            return v;
+    ADD_FAILURE() << "no shortest-path step " << a << " -> " << b;
+    return a;
+}
+
+/** The router walked one checked hop at a time, one push per gate. */
+RoutedCircuit
+referenceRoute(const Circuit &logical, const CouplingMap &device)
+{
+    RoutedCircuit out;
+    out.initial = greedyLayout(logical, device);
+    std::vector<int> layout = out.initial;
+    std::vector<int> occupant(device.numQubits(), -1);
+    for (size_t l = 0; l < layout.size(); ++l)
+        occupant[layout[l]] = static_cast<int>(l);
+
+    Circuit routed(device.numQubits());
+    for (const auto &g : logical.gates()) {
+        if (!g.isTwoQubit()) {
+            Gate phys = g;
+            phys.q0 = layout[g.q0];
+            routed.push(phys);
+            continue;
+        }
+        while (device.distance(layout[g.q0], layout[g.q1]) != 1) {
+            const int pa = layout[g.q0];
+            const int pb = referenceHop(device, pa, layout[g.q1]);
+            routed.cnot(pa, pb);
+            routed.cnot(pb, pa);
+            routed.cnot(pa, pb);
+            const int la = occupant[pa], lb = occupant[pb];
+            occupant[pa] = lb;
+            occupant[pb] = la;
+            if (la >= 0)
+                layout[la] = pb;
+            if (lb >= 0)
+                layout[lb] = pa;
+            ++out.swapsInserted;
+        }
+        routed.cnot(layout[g.q0], layout[g.q1]);
+    }
+    out.circuit = std::move(routed);
+    out.final = layout;
+    return out;
+}
+
+TEST(Router, MatchesPerHopReferenceOnDevices)
+{
+    const CouplingMap devices[] = {
+        CouplingMap::ibmMontreal(), CouplingMap::ibmManhattan(),
+        CouplingMap::line(27), CouplingMap::grid(6, 5)};
+    uint64_t swaps = 0;
+    for (const CouplingMap &device : devices) {
+        const int np = static_cast<int>(device.numQubits());
+        // The table-driven hop agrees with the searched one everywhere.
+        for (int a = 0; a < np; ++a)
+            for (int b = 0; b < np; ++b) {
+                const int want = a == b ? a : referenceHop(device, a, b);
+                ASSERT_EQ(device.nextHop(a, b), want)
+                    << device.name() << " " << a << " -> " << b;
+                ASSERT_EQ(device.adjacent(a, b),
+                          device.distance(a, b) == 1);
+            }
+        for (uint64_t seed = 0; seed < 60; ++seed) {
+            Rng rng(700 + seed);
+            const uint32_t nl = 2 + static_cast<uint32_t>(rng.nextInt(
+                                        std::min<uint32_t>(np, 30) - 1));
+            Circuit logical(nl);
+            const int gates = 20 + static_cast<int>(rng.nextInt(200));
+            for (int k = 0; k < gates; ++k) {
+                const int a = static_cast<int>(rng.nextInt(nl));
+                const int b = static_cast<int>(rng.nextInt(nl));
+                if (a != b && rng.chance(0.6))
+                    logical.cnot(a, b);
+                else if (rng.chance(0.5))
+                    logical.rz(a, rng.nextDouble());
+                else
+                    logical.h(a);
+            }
+            SCOPED_TRACE(device.name() + " seed " + std::to_string(seed));
+            const RoutedCircuit want = referenceRoute(logical, device);
+            const RoutedCircuit got = routeCircuit(logical, device);
+            EXPECT_EQ(got.initial, want.initial);
+            EXPECT_EQ(got.final, want.final);
+            EXPECT_EQ(got.swapsInserted, want.swapsInserted);
+            ASSERT_EQ(got.circuit.size(), want.circuit.size());
+            for (size_t i = 0; i < want.circuit.size(); ++i) {
+                const Gate &w = want.circuit.gates()[i];
+                const Gate &g = got.circuit.gates()[i];
+                ASSERT_TRUE(w.kind == g.kind && w.q0 == g.q0 &&
+                            w.q1 == g.q1 &&
+                            std::bit_cast<uint64_t>(w.angle) ==
+                                std::bit_cast<uint64_t>(g.angle))
+                    << "gate " << i;
+            }
+            swaps += want.swapsInserted;
+        }
+    }
+    EXPECT_GT(swaps, 0u);
 }
 
 } // namespace
