@@ -36,8 +36,8 @@ struct Case
     const char *label;
 };
 
-/** Build @p kind through the registry, attaching the device option for
-    device-aware kinds (exactly what io/driver does for `--device`). */
+/** Build @p kind through the registry for @p device_name (the device
+    option only shapes device-aware kinds, as under `hattc --device`). */
 FermionQubitMapping
 buildForDevice(const std::string &kind, const MajoranaPolynomial &poly,
                const std::string &device_name)
@@ -45,9 +45,7 @@ buildForDevice(const std::string &kind, const MajoranaPolynomial &poly,
     MappingRequest req;
     req.kind = kind;
     req.poly = &poly;
-    const Mapper *mapper = MapperRegistry::instance().find(kind);
-    if (mapper && mapper->capabilities().deviceAware)
-        req.options["device"] = device_name;
+    req.options["device"] = device_name;
     StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
     if (!built.ok())
         throw std::invalid_argument("buildForDevice: " +

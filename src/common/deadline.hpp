@@ -48,7 +48,8 @@ class Deadline
   public:
     Deadline() = default;
 
-    /** A deadline @p seconds from now (clamped at >= 0). */
+    /** A deadline @p seconds from now (clamped at >= 0); unbounded
+        when @p seconds reaches past the clock's range. */
     static Deadline after(double seconds);
 
     /** Worker-safe poll: true once the budget is gone. Never throws. */

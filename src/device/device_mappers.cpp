@@ -25,18 +25,6 @@ resolveRequestDevice(const MappingRequest &req)
     return resolveDevice(it->second);
 }
 
-/** Option-bag validation shared by both kinds: only "device" is known. */
-Status
-checkDeviceOptions(const MappingRequest &req)
-{
-    for (const auto &[key, value] : req.options)
-        if (key != "device")
-            return Status::invalidArgument("mapping '" + req.kind +
-                                           "': unknown option '" + key +
-                                           "'");
-    return Status();
-}
-
 class BonsaiMapper final : public Mapper
 {
   public:
@@ -56,14 +44,11 @@ class BonsaiMapper final : public Mapper
     StatusOr<MappingResult>
     build(const MappingRequest &req) const override
     {
-        if (Status s = checkDeviceOptions(req); !s.ok())
-            return s;
         StatusOr<CouplingMap> dev = resolveRequestDevice(req);
         if (!dev.ok())
             return dev.status();
-        const uint32_t modes =
-            req.poly ? req.poly->numModes() : req.numModes;
-        StatusOr<BonsaiResult> grown = growBonsaiTree(modes, dev.value());
+        StatusOr<BonsaiResult> grown =
+            growBonsaiTree(req.poly->numModes(), dev.value());
         if (!grown.ok())
             return grown.status();
         MappingResult out;
@@ -98,8 +83,6 @@ class TreespilationMapper final : public Mapper
     StatusOr<MappingResult>
     build(const MappingRequest &req) const override
     {
-        if (Status s = checkDeviceOptions(req); !s.ok())
-            return s;
         StatusOr<CouplingMap> dev = resolveRequestDevice(req);
         if (!dev.ok())
             return dev.status();

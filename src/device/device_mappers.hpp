@@ -6,8 +6,8 @@
  * The device-aware mapper kinds ("bonsai", "treespilation") as
  * MapperRegistry strategies. Both consume the "device" option (a
  * DeviceRegistry name, required) and set the deviceAware capability
- * bit, so the registry folds the device into the cache key and the
- * compiler driver knows to thread `--device` through as an option.
+ * bit, so the registry folds the device into their cache key (and
+ * only theirs).
  *
  * registerDeviceMappers() is called from the registry's built-in
  * registration, so the kinds are always present — requesting one

@@ -113,15 +113,11 @@ struct Options
     std::optional<int64_t> maxAge;
 };
 
-/** Thrown for bad command lines; maps to exit code 64 with usage. */
-struct UsageError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
+} // namespace
 
 uint64_t
 parseUnsigned(const std::string &opt, const std::string &text,
-              uint64_t max_value = UINT64_MAX)
+              uint64_t max_value)
 {
     // Digits only, within [0, max_value]: stoull would happily wrap
     // "-5" to 2^64-5 (and 2^63 wraps negative through an int64 cast),
@@ -143,6 +139,8 @@ parseUnsigned(const std::string &opt, const std::string &text,
                          ", got '" + text + "'");
     }
 }
+
+namespace {
 
 Options
 parseArgs(const std::vector<std::string> &args_in)

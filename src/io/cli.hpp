@@ -27,7 +27,9 @@
  * the observability layer the compile path instruments.
  */
 
+#include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,20 @@ inline constexpr int kExitFailedCheck = 1;
 /** EX_USAGE: a bad command line never reaches the service layer, so it
     has no Status — the usage text and 64 are pure CLI surface. */
 inline constexpr int kExitUsage = 64;
+
+/** Thrown for bad command lines; maps to exit code 64 with usage. */
+struct UsageError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * The one count parser of both binaries' command lines: decimal digits
+ * only, within [0, @p max_value]. stoull alone would wrap "-5" to
+ * 2^64-5. @throws UsageError naming @p opt.
+ */
+uint64_t parseUnsigned(const std::string &opt, const std::string &text,
+                       uint64_t max_value = UINT64_MAX);
 
 /**
  * The Status -> sysexits mapping. The normative table — codes, wire

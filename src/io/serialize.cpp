@@ -22,7 +22,6 @@ namespace {
 constexpr int kTreeVersion = 1;
 constexpr int kMappingVersion = 1;
 constexpr int kPauliSumVersion = 1;
-constexpr int kMajoranaVersion = 1;
 
 JsonValue
 envelope(const std::string &format, int version)
@@ -297,54 +296,6 @@ pauliSumFromJson(const JsonValue &doc)
     for (size_t i = 0; i < terms.size(); ++i)
         sum.add(termFromJson(terms.at(i), nq));
     return sum;
-}
-
-JsonValue
-majoranaToJson(const MajoranaPolynomial &poly)
-{
-    JsonValue doc = envelope("hatt-majorana", kMajoranaVersion);
-    doc.add("num_modes", poly.numModes());
-    JsonValue terms = JsonValue::array();
-    for (const MajoranaMonomial &t : poly.terms()) {
-        JsonValue e = JsonValue::object();
-        e.add("coeff", complexToJson(t.coeff));
-        JsonValue idx = JsonValue::array();
-        for (uint32_t i : t.indices)
-            idx.push(i);
-        e.add("indices", std::move(idx));
-        terms.push(std::move(e));
-    }
-    doc.add("terms", std::move(terms));
-    return doc;
-}
-
-MajoranaPolynomial
-majoranaFromJson(const JsonValue &doc)
-{
-    checkEnvelope(doc, "hatt-majorana", kMajoranaVersion);
-    const uint32_t n =
-        static_cast<uint32_t>(doc.at("num_modes").asInt(0, 1 << 24));
-    MajoranaPolynomial poly(n);
-    const JsonValue &terms = doc.at("terms");
-    if (!terms.isArray())
-        throw ParseError("hatt-majorana: terms must be an array");
-    for (size_t i = 0; i < terms.size(); ++i) {
-        const JsonValue &e = terms.at(i);
-        cplx coeff = complexFromJson(e.at("coeff"));
-        const JsonValue &idx = e.at("indices");
-        std::vector<uint32_t> indices;
-        indices.reserve(idx.size());
-        for (size_t j = 0; j < idx.size(); ++j) {
-            uint32_t v = static_cast<uint32_t>(
-                idx.at(j).asInt(0, 2 * int64_t{n} - 1));
-            if (!indices.empty() && v <= indices.back())
-                throw ParseError("hatt-majorana: indices must be "
-                                 "strictly ascending");
-            indices.push_back(v);
-        }
-        poly.add(coeff, std::move(indices));
-    }
-    return poly;
 }
 
 uint64_t

@@ -10,8 +10,7 @@
  *    addInternal() so node ids round-trip exactly;
  *  - FermionQubitMapping ("hatt-mapping", v1): 2N Majorana Pauli terms
  *    with bit-exact coefficients;
- *  - PauliSum            ("hatt-pauli-sum", v1);
- *  - MajoranaPolynomial  ("hatt-majorana", v1).
+ *  - PauliSum            ("hatt-pauli-sum", v1).
  *
  * Every document carries {"format": ..., "version": n}; loaders reject
  * unknown formats and newer-than-supported versions up front, so older
@@ -48,9 +47,6 @@ FermionQubitMapping mappingFromJson(const JsonValue &doc);
 
 JsonValue pauliSumToJson(const PauliSum &sum);
 PauliSum pauliSumFromJson(const JsonValue &doc);
-
-JsonValue majoranaToJson(const MajoranaPolynomial &poly);
-MajoranaPolynomial majoranaFromJson(const JsonValue &doc);
 
 /** Stream treeToJson(tree) through @p w. */
 void writeTreeJson(JsonWriter &w, const TernaryTree &tree);

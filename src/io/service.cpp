@@ -52,12 +52,11 @@ parseContentHash(const std::string &hex)
     }
 }
 
-/** Build @p kind over @p problem through the MapperRegistry. @p device
-    becomes the request's "device" option only for deviceAware mappers,
-    so device-independent kinds (jw, btt, ...) keep device-independent
-    cache keys under `--device`. Sets @p quarantined when this build's
-    own lookup moved a corrupt @p disk entry aside, asking under the
-    key the store was consulted with. */
+/** Build @p kind over @p problem through the MapperRegistry, with
+    @p device (when set) as the request's "device" option; the registry
+    keeps it out of device-independent kinds' cache keys. Sets
+    @p quarantined when this build's own lookup moved a corrupt @p disk
+    entry aside, asking under the key the store was consulted with. */
 StatusOr<MappingResult>
 requestMapping(const std::string &kind, const LoadedProblem &problem,
                MappingStore *store, MappingCache *disk,
@@ -70,11 +69,8 @@ requestMapping(const std::string &kind, const LoadedProblem &problem,
     req.poly = &problem.poly;
     req.contentHash = problem.contentHash;
     req.deadline = deadline;
-    if (!device.empty()) {
-        const Mapper *mapper = registry.find(kind);
-        if (mapper && mapper->capabilities().deviceAware)
-            req.options["device"] = device;
-    }
+    if (!device.empty())
+        req.options["device"] = device;
     StatusOr<MappingResult> built = registry.build(req, store);
     if (disk)
         if (const std::optional<StoreKey> key = registry.storeKey(req))
@@ -307,10 +303,9 @@ CompilationService::compile(const CompileRequest &req)
                            deadline, resp.device, resp.quarantinedCache);
         if (!built.ok() && req.fallback &&
             built.status().code() == Status::Code::DeadlineExceeded) {
-            // The fallback kind is device-independent by design, so no
-            // device option is threaded through.
             built = requestMapping("btt", problem, store(), disk_.get(),
-                                   Deadline{}, "", resp.quarantinedCache);
+                                   Deadline{}, resp.device,
+                                   resp.quarantinedCache);
             resp.degraded = true;
         }
         if (!built.ok())

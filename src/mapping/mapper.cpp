@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,33 +28,9 @@ lowered(const std::string &s)
     return out;
 }
 
-/** Resolved mode count of a validated request (poly wins when present). */
-uint32_t
-requestModes(const MappingRequest &req)
-{
-    return req.poly ? req.poly->numModes() : req.numModes;
-}
-
-/** Reject option-bag keys outside @p allowed (typos must fail loudly). */
-Status
-checkOptionKeys(const MappingRequest &req,
-                std::initializer_list<const char *> allowed)
-{
-    for (const auto &[key, value] : req.options) {
-        bool known = false;
-        for (const char *a : allowed)
-            known = known || key == a;
-        if (!known)
-            return Status::invalidArgument(
-                "mapping '" + req.kind + "': unknown option '" + key +
-                "'");
-    }
-    return Status();
-}
-
 // ------------------------------------------------------ builtin mappers
 
-/** Modes-only closed-form constructions (JW, BK). */
+/** Modes-only closed-form constructions (JW, BK, BTT). */
 class FormulaMapper final : public Mapper
 {
   public:
@@ -76,10 +51,8 @@ class FormulaMapper final : public Mapper
     StatusOr<MappingResult>
     build(const MappingRequest &req) const override
     {
-        if (Status s = checkOptionKeys(req, {}); !s.ok())
-            return s;
         MappingResult out;
-        out.mapping = builder_(requestModes(req));
+        out.mapping = builder_(req.poly->numModes());
         return out;
     }
 
@@ -87,50 +60,6 @@ class FormulaMapper final : public Mapper
     std::string name_;
     MapperCapabilities caps_;
     Builder builder_;
-};
-
-/** Balanced ternary tree with the leaf-assignment policy as an option. */
-class BttMapper final : public Mapper
-{
-  public:
-    BttMapper()
-    {
-        caps_.needsHamiltonian = false;
-        caps_.producesTree = false;
-        caps_.vacuumPreserving = true; // the default "paired" policy
-        caps_.summary = "balanced ternary tree, ceil(log3(2N+1)) weight "
-                        "(options: assignment=paired|natural)";
-    }
-
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        if (Status s = checkOptionKeys(req, {"assignment"}); !s.ok())
-            return s;
-        BttAssignment policy = BttAssignment::Paired;
-        if (auto it = req.options.find("assignment");
-            it != req.options.end()) {
-            if (it->second == "paired")
-                policy = BttAssignment::Paired;
-            else if (it->second == "natural")
-                policy = BttAssignment::Natural;
-            else
-                return Status::invalidArgument(
-                    "mapping 'btt': assignment must be 'paired' or "
-                    "'natural', got '" +
-                    it->second + "'");
-        }
-        MappingResult out;
-        out.mapping = balancedTernaryTreeMapping(requestModes(req), policy);
-        return out;
-    }
-
-  private:
-    std::string name_ = "btt";
-    MapperCapabilities caps_;
 };
 
 /** The HATT family: Hamiltonian-adaptive, tree-producing, stats-rich. */
@@ -152,8 +81,6 @@ class HattMapper final : public Mapper
     StatusOr<MappingResult>
     build(const MappingRequest &req) const override
     {
-        if (Status s = checkOptionKeys(req, {}); !s.ok())
-            return s;
         HattOptions hopt;
         hopt.vacuumPairing = vacuumPairing_;
         hopt.descCache = vacuumPairing_;
@@ -175,48 +102,26 @@ class HattMapper final : public Mapper
     bool vacuumPairing_;
 };
 
-/** Parse a decimal unsigned option value; Status on junk. */
-Status
-parseUnsignedOption(const MappingRequest &req, const std::string &key,
-                    uint64_t min_v, uint64_t max_v, uint64_t &out)
-{
-    auto it = req.options.find(key);
-    if (it == req.options.end())
-        return Status();
-    const std::string &v = it->second;
-    if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
-        return Status::invalidArgument("mapping '" + req.kind +
-                                       "': option '" + key +
-                                       "' must be an unsigned integer, "
-                                       "got '" + v + "'");
-    const uint64_t parsed = std::strtoull(v.c_str(), nullptr, 10);
-    if (parsed < min_v || parsed > max_v)
-        return Status::invalidArgument(
-            "mapping '" + req.kind + "': option '" + key + "' must be in [" +
-            std::to_string(min_v) + ", " + std::to_string(max_v) +
-            "], got '" + v + "'");
-    out = parsed;
-    return Status();
-}
-
 /**
  * The Fermihedral stand-ins as registry kinds, so searches participate
  * in the compiler/batch/cache paths — and so a deadline can bound their
  * factorial walks. "fh-exact" is the exact minimum over all complete
- * ternary trees x leaf assignments (cost explodes factorially; a mode
- * ceiling rejects clearly-infeasible requests up front), "fh-stoch" is
- * the seeded random-restart hill climb.
+ * ternary trees x leaf assignments (cost explodes factorially, so more
+ * than kFhExactMaxModes modes is rejected up front), "fh-stoch" is the
+ * seeded random-restart hill climb.
  */
-class FhExactMapper final : public Mapper
+class SearchMapper final : public Mapper
 {
   public:
-    FhExactMapper()
+    using Search = StatusOr<SearchResult> (*)(const MappingRequest &);
+
+    SearchMapper(std::string name, std::string summary, Search search)
+        : name_(std::move(name)), search_(search)
     {
         caps_.needsHamiltonian = true;
         caps_.producesTree = false;
         caps_.vacuumPreserving = false;
-        caps_.summary = "exhaustive tree search (FH-optimal stand-in), "
-                        "factorial cost (options: max_modes<=8)";
+        caps_.summary = std::move(summary);
     }
 
     const std::string &name() const override { return name_; }
@@ -225,21 +130,9 @@ class FhExactMapper final : public Mapper
     StatusOr<MappingResult>
     build(const MappingRequest &req) const override
     {
-        if (Status s = checkOptionKeys(req, {"max_modes"}); !s.ok())
-            return s;
-        uint64_t ceiling = 6;
-        if (Status s = parseUnsignedOption(req, "max_modes", 1, 8, ceiling);
-            !s.ok())
-            return s;
-        std::optional<SearchResult> res = exhaustiveTreeSearch(
-            *req.poly, static_cast<uint32_t>(ceiling), req.deadline);
-        if (!res)
-            return Status::invalidArgument(
-                "mapping 'fh-exact': " +
-                std::to_string(req.poly->numModes()) +
-                " modes exceed the exhaustive-search ceiling (" +
-                std::to_string(ceiling) +
-                "); raise max_modes or use fh-stoch");
+        StatusOr<SearchResult> res = search_(req);
+        if (!res.ok())
+            return res.status();
         MappingResult out;
         out.mapping = std::move(res->mapping);
         out.metrics.candidates = res->evaluated;
@@ -248,52 +141,32 @@ class FhExactMapper final : public Mapper
     }
 
   private:
-    std::string name_ = "fh-exact";
+    std::string name_;
     MapperCapabilities caps_;
+    Search search_;
 };
 
-class FhStochMapper final : public Mapper
+constexpr uint32_t kFhExactMaxModes = 6;
+
+StatusOr<SearchResult>
+fhExactSearch(const MappingRequest &req)
 {
-  public:
-    FhStochMapper()
-    {
-        caps_.needsHamiltonian = true;
-        caps_.producesTree = false;
-        caps_.vacuumPreserving = false;
-        caps_.summary = "stochastic tree search (FH-approximate stand-in), "
-                        "seeded restarts (options: restarts, sweeps)";
-    }
+    std::optional<SearchResult> res =
+        exhaustiveTreeSearch(*req.poly, kFhExactMaxModes, req.deadline);
+    if (!res)
+        return Status::invalidArgument(
+            "mapping 'fh-exact': " + std::to_string(req.poly->numModes()) +
+            " modes exceed the exhaustive-search ceiling (" +
+            std::to_string(kFhExactMaxModes) + "); use fh-stoch");
+    return std::move(*res);
+}
 
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        if (Status s = checkOptionKeys(req, {"restarts", "sweeps"}); !s.ok())
-            return s;
-        uint64_t restarts = 8, sweeps = 30;
-        if (Status s =
-                parseUnsignedOption(req, "restarts", 1, 4096, restarts);
-            !s.ok())
-            return s;
-        if (Status s = parseUnsignedOption(req, "sweeps", 1, 4096, sweeps);
-            !s.ok())
-            return s;
-        SearchResult res = stochasticTreeSearch(
-            *req.poly, static_cast<uint32_t>(restarts),
-            static_cast<uint32_t>(sweeps), 1234, req.deadline);
-        MappingResult out;
-        out.mapping = std::move(res.mapping);
-        out.metrics.candidates = res.evaluated;
-        out.metrics.counters["weight"] = res.weight;
-        return out;
-    }
-
-  private:
-    std::string name_ = "fh-stoch";
-    MapperCapabilities caps_;
-};
+StatusOr<SearchResult>
+fhStochSearch(const MappingRequest &req)
+{
+    return stochasticTreeSearch(*req.poly, /*restarts=*/8, /*sweeps=*/30,
+                                1234, req.deadline);
+}
 
 void
 registerBuiltinMappers(MapperRegistry &reg)
@@ -304,7 +177,9 @@ registerBuiltinMappers(MapperRegistry &reg)
     reg.add(std::make_unique<FormulaMapper>(
         "bk", "Bravyi-Kitaev over the Fenwick tree, O(log N) weight",
         bravyiKitaevMapping));
-    reg.add(std::make_unique<BttMapper>());
+    reg.add(std::make_unique<FormulaMapper>(
+        "btt", "balanced ternary tree, ceil(log3(2N+1)) weight",
+        [](uint32_t n) { return balancedTernaryTreeMapping(n); }));
     reg.add(std::make_unique<HattMapper>(
         "hatt",
         "Hamiltonian-adaptive ternary tree (Alg. 2+3), vacuum-preserving",
@@ -313,8 +188,14 @@ registerBuiltinMappers(MapperRegistry &reg)
         "hatt-unopt",
         "Hamiltonian-adaptive ternary tree (Alg. 1), free triples",
         false));
-    reg.add(std::make_unique<FhExactMapper>());
-    reg.add(std::make_unique<FhStochMapper>());
+    reg.add(std::make_unique<SearchMapper>(
+        "fh-exact",
+        "exhaustive tree search (FH-optimal stand-in), factorial cost",
+        fhExactSearch));
+    reg.add(std::make_unique<SearchMapper>(
+        "fh-stoch",
+        "stochastic tree search (FH-approximate stand-in), seeded restarts",
+        fhStochSearch));
     device::registerDeviceMappers(reg); // bonsai + treespilation
 }
 
@@ -341,18 +222,21 @@ fnv1a(const std::string &s)
 }
 
 /**
- * The cache key: the canonical content hash with the request's option
- * bag folded in, so two requests for the same Hamiltonian that differ
- * only in options (e.g. bonsai device=line:8 vs device=montreal) never
- * collide in a MappingStore. An empty bag leaves the hash untouched,
- * preserving every pre-option cache entry and pinned hash.
+ * The cache key: the canonical content hash, with the device folded in
+ * for device-aware kinds so the same Hamiltonian on two devices (bonsai
+ * on line:8 vs montreal) never collides in a MappingStore. Every other
+ * kind, and a device-aware request without a device, keys by the
+ * content hash alone.
  */
 uint64_t
-effectiveContentHash(const MappingRequest &req)
+effectiveContentHash(const Mapper &mapper, const MappingRequest &req)
 {
     uint64_t h = *req.contentHash;
-    for (const auto &[key, value] : req.options) // std::map: sorted order
-        h = mix64(h ^ mix64(fnv1a(key)) ^ (fnv1a(value) * 0x100000001b3ULL));
+    if (!mapper.capabilities().deviceAware)
+        return h;
+    if (auto it = req.options.find("device"); it != req.options.end())
+        h = mix64(h ^ mix64(fnv1a(it->first)) ^
+                  (fnv1a(it->second) * 0x100000001b3ULL));
     return h;
 }
 
@@ -426,7 +310,7 @@ MapperRegistry::storeKey(const MappingRequest &req) const
     const Mapper *mapper = find(req.kind);
     if (!mapper || !req.contentHash)
         return std::nullopt;
-    return StoreKey{effectiveContentHash(req), mapper->name()};
+    return StoreKey{effectiveContentHash(*mapper, req), mapper->name()};
 }
 
 StatusOr<MappingResult>
@@ -435,24 +319,16 @@ MapperRegistry::build(const MappingRequest &req, MappingStore *cache) const
     const Mapper *mapper = find(req.kind);
     if (!mapper)
         return checkKind(req.kind);
-    const MapperCapabilities &caps = mapper->capabilities();
-    if (caps.needsHamiltonian && !req.poly)
+    for (const auto &[key, value] : req.options)
+        if (key != "device")
+            return Status::invalidArgument("mapping '" + mapper->name() +
+                                           "': unknown option '" + key +
+                                           "'");
+    if (!req.poly)
         return Status::invalidArgument(
             "mapping '" + mapper->name() +
-            "' is Hamiltonian-adaptive: the request must carry a "
-            "MajoranaPolynomial");
-    if (!req.poly && req.numModes == 0)
-        return Status::invalidArgument(
-            "request needs numModes or a MajoranaPolynomial");
-    if (req.poly && req.numModes != 0 &&
-        req.numModes != req.poly->numModes()) {
-        std::ostringstream ss;
-        ss << "request numModes (" << req.numModes
-           << ") disagrees with the Hamiltonian's mode count ("
-           << req.poly->numModes() << ")";
-        return Status::invalidArgument(ss.str());
-    }
-    if (requestModes(req) == 0)
+            "': the request must carry a MajoranaPolynomial");
+    if (req.poly->numModes() == 0)
         return Status::invalidArgument("cannot map zero modes");
     // Admission control: reject an already-spent budget before any
     // construction (or cache) work.

@@ -10,13 +10,15 @@
  *
  *   MappingRequest req;
  *   req.kind = "hatt";
- *   req.poly = &poly;                    // Hamiltonian-adaptive kinds
+ *   req.poly = &poly;                    // every kind
+ *   req.options["device"] = "montreal";  // read by device-aware kinds
  *   StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
  *
  * A `Mapper` is a polymorphic strategy: it names itself, declares its
- * capabilities (needs-Hamiltonian vs. modes-only, produces a tree,
- * vacuum-preserving, device-aware), and builds a `MappingResult` from a
- * `MappingRequest`. Every mapper is deterministic and cacheable. The
+ * capabilities (reads the Hamiltonian's terms or only its mode count,
+ * produces a tree, vacuum-preserving, device-aware), and builds a
+ * `MappingResult` from a `MappingRequest`. The capabilities hold for
+ * every request. Every mapper is deterministic and cacheable. The
  * process-wide `MapperRegistry` owns one instance per kind,
  * self-registers the built-ins, dispatches by (case-insensitive) kind
  * string, and layers content-addressed caching over every mapper
@@ -25,10 +27,11 @@
  * and caching path.
  *
  * Errors are Status/StatusOr values (common/status.hpp, included here),
- * not exceptions: an unknown kind, a missing Hamiltonian, or a bad
- * option bag comes back as a descriptive non-ok Status that travels
- * unchanged through the compile driver and the CompilationService to
- * the CLI exit code, the wire frame or the batch report row.
+ * not exceptions: an unknown kind, a missing Hamiltonian, or an option
+ * other than "device" comes back as a descriptive non-ok Status that
+ * travels unchanged through the compile driver and the
+ * CompilationService to the CLI exit code, the wire frame or the batch
+ * report row.
  */
 
 #include <cstdint>
@@ -51,19 +54,18 @@ namespace hatt {
 // ---------------------------------------------------------------- request
 
 /**
- * A uniform construction request. Modes-only mappers (JW, BK, BTT) need
- * only numModes (or derive it from poly when given); Hamiltonian-adaptive
- * mappers (HATT family) require poly. The option bag carries per-kind
- * string options (e.g. btt's "assignment" = "paired" | "natural");
- * mappers reject unknown keys so typos fail loudly.
+ * A uniform construction request: the Hamiltonian (required for every
+ * kind; modes-only kinds read just its mode count) and an option bag
+ * whose one key is "device" (a DeviceRegistry name). Device-aware kinds
+ * require it; every other kind ignores it. Any other key is
+ * InvalidArgument, so typos fail loudly.
  */
 struct MappingRequest
 {
     std::string kind;        //!< registry key, e.g. "hatt", "jw"
-    uint32_t numModes = 0;   //!< 0 = derive from poly
     const MajoranaPolynomial *poly = nullptr; //!< borrowed, not owned
 
-    /** Per-kind option bag; unknown keys are InvalidArgument. */
+    /** Option bag: "device" only. */
     std::map<std::string, std::string> options;
 
     /**
@@ -115,13 +117,13 @@ struct MappingResult
 /** What a mapper requires and guarantees. */
 struct MapperCapabilities
 {
-    bool needsHamiltonian = false; //!< requires MappingRequest::poly
+    bool needsHamiltonian = false; //!< reads the terms, not just the modes
     bool producesTree = false;     //!< MappingResult::tree is populated
     bool vacuumPreserving = true;  //!< a_j|0...0> = 0 for every mode
     /** Consumes the "device" option (a DeviceRegistry name): the tree
-        is shaped by the device coupling graph, so the option is part of
-        the cache identity (the registry folds the option bag into the
-        content hash). */
+        is shaped by the device coupling graph, so the device is part of
+        the cache identity (the registry folds it into the content
+        hash). Other kinds never see the device in their key. */
     bool deviceAware = false;
     std::string summary;           //!< one line for `hattc mappings`
 };
@@ -138,10 +140,10 @@ class Mapper
     virtual const MapperCapabilities &capabilities() const = 0;
 
     /**
-     * Build a mapping. The registry has already validated the generic
-     * request shape (kind resolves here, poly present when required,
-     * modes consistent); implementations validate their own option bag
-     * and return InvalidArgument for unknown keys/values.
+     * Build a mapping. The registry has already validated the request
+     * shape (kind resolves here, poly present with at least one mode,
+     * no option but "device"); device-aware implementations validate
+     * the device value.
      */
     virtual StatusOr<MappingResult> build(const MappingRequest &req) const = 0;
 };
@@ -183,7 +185,8 @@ class MappingStore
 };
 
 /** The key a MappingStore is asked with: the request's content hash
-    with its option bag folded in, and the mapper's canonical name. */
+    (with the device folded in for device-aware kinds) and the mapper's
+    canonical name. */
 struct StoreKey
 {
     uint64_t contentHash = 0;
@@ -224,17 +227,18 @@ class MapperRegistry
     std::vector<std::string> kinds() const;
 
     /** The key build() consults a store with for @p req (so "HATT"
-        and "hatt", or bonsai on two devices, are told apart exactly as
-        the store sees them); nullopt when @p req carries no content
-        hash or names no registered kind. */
+        and "hatt" are one key, bonsai on two devices are two, and jw
+        with or without a device is one); nullopt when @p req carries no
+        content hash or names no registered kind. */
     std::optional<StoreKey> storeKey(const MappingRequest &req) const;
 
     /**
-     * Validate @p req, dispatch to the mapper, and (when @p cache is
-     * given and the request carries a content hash) consult/populate
-     * the store. Metrics carry wall clock and
-     * cache provenance. Never throws: construction failures surface as
-     * non-ok Status.
+     * Validate @p req (an option other than "device" is
+     * InvalidArgument naming it), dispatch to the mapper, and (when
+     * @p cache is given and the request carries a content hash)
+     * consult/populate the store. Metrics carry wall clock and cache
+     * provenance. Never throws: construction failures surface as non-ok
+     * Status.
      */
     StatusOr<MappingResult> build(const MappingRequest &req,
                                   MappingStore *cache = nullptr) const;

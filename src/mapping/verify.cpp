@@ -73,8 +73,7 @@ verifyMapperResult(const Mapper &mapper, const MappingRequest &request,
                    const MappingResult &result)
 {
     const MapperCapabilities &caps = mapper.capabilities();
-    const uint32_t modes =
-        request.poly ? request.poly->numModes() : request.numModes;
+    const uint32_t modes = request.poly->numModes();
 
     MappingCheck check = verifyMapping(result.mapping);
     if (!check.valid)

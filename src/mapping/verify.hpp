@@ -44,8 +44,7 @@ bool preservesVacuum(const FermionQubitMapping &map);
  * the returned tree is present and re-derives exactly the returned
  * Majorana strings, either in the natural leaf order (mappingFromTree)
  * or under the vacuum-pairing permutation (vacuumPairingAssignment, the
- * assembly the device-aware mappers ship). Capabilities describe the
- * default option bag, so callers run this on requests without overrides.
+ * assembly the device-aware mappers ship).
  */
 MappingCheck verifyMapperResult(const Mapper &mapper,
                                 const MappingRequest &request,

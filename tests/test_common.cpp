@@ -181,6 +181,17 @@ TEST(Deadline, UnboundedNeverExpires)
     EXPECT_EQ(expirations(), 0u);
 }
 
+TEST(Deadline, BudgetBeyondClockRangeIsUnbounded)
+{
+    // steady_clock nanoseconds overflow past ~9.2e9 s; such a budget
+    // must not wrap into an already-expired deadline.
+    for (double seconds : {1e10, 1e300}) {
+        const Deadline far = Deadline::after(seconds);
+        EXPECT_FALSE(far.expired()) << seconds;
+        EXPECT_NO_THROW(far.check()) << seconds;
+    }
+}
+
 TEST(Deadline, SpentBudgetExpiresAndCheckThrowsOnce)
 {
     for (double seconds : {0.0, -1.0}) {

@@ -92,9 +92,10 @@ slurp(const fs::path &path)
 MappingResult
 buildBtt(uint32_t modes)
 {
+    const MajoranaPolynomial poly(modes);
     MappingRequest req;
     req.kind = "btt";
-    req.numModes = modes;
+    req.poly = &poly;
     StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
     EXPECT_TRUE(built.ok()) << built.status().message();
     return std::move(built).value();
@@ -262,9 +263,10 @@ TEST_F(FaultTest, RegistrySaveIsAdvisoryUnderWriteFault)
     // The registry-facing save is best-effort: a failed persist cannot
     // fail the build that produced the mapping.
     ASSERT_EQ(fault::configure("cache.write=fail"), "");
+    const MajoranaPolynomial poly(4);
     MappingRequest req;
     req.kind = "btt";
-    req.numModes = 4;
+    req.poly = &poly;
     req.contentHash = 0xabcd;
     StatusOr<MappingResult> built =
         MapperRegistry::instance().build(req, &cache);

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -661,34 +662,59 @@ TEST(Hattc, BatchForcedFormatOnlyAppliesToExtensionlessInputs)
 
 TEST(Hattc, MappingsSubcommandListsTheRegistry)
 {
-    // `hattc mappings` and hattcMappingKinds() read the same
-    // MapperRegistry — the CLI's single source of truth.
+    // `hattc mappings`, --mapping and the unknown-kind diagnostic all
+    // read the same MapperRegistry — the CLI's single source of truth.
+    const std::vector<std::string> expected = {
+        "bk",   "bonsai",     "btt", "fh-exact", "fh-stoch",
+        "hatt", "hatt-unopt", "jw",  "treespilation"};
+    EXPECT_EQ(io::hattcMappingKinds(), expected);
     std::string text;
     ASSERT_EQ(run({"mappings"}, &text), 0);
-    for (const std::string &kind : io::hattcMappingKinds())
+    for (const std::string &kind : expected)
         EXPECT_NE(text.find(kind + "\n"), std::string::npos) << kind;
+    EXPECT_NE(text.find("device-aware"), std::string::npos);
 
     ASSERT_EQ(run({"mappings", "--json"}, &text), 0);
     JsonValue doc = JsonValue::parse(text);
-    const JsonValue &arr = doc.at("mappings");
-    ASSERT_EQ(arr.size(), io::hattcMappingKinds().size());
-    for (size_t i = 0; i < arr.size(); ++i) {
-        const JsonValue &rec = arr.at(i);
-        EXPECT_EQ(rec.at("name").asString(), io::hattcMappingKinds()[i]);
-    }
-    // Capability spot checks: hatt is Hamiltonian-adaptive and emits a
-    // tree; jw is modes-only.
-    for (const JsonValue &rec : arr.asArray()) {
-        if (rec.at("name").asString() == "hatt") {
+    std::vector<std::string> names, device_aware;
+    for (const JsonValue &rec : doc.at("mappings").asArray()) {
+        const std::string name = rec.at("name").asString();
+        names.push_back(name);
+        if (rec.at("device_aware").asBool())
+            device_aware.push_back(name);
+        // Capability spot checks: hatt is Hamiltonian-adaptive and
+        // emits a tree; jw is modes-only; hatt-unopt breaks the vacuum.
+        if (name == "hatt") {
             EXPECT_TRUE(rec.at("needs_hamiltonian").asBool());
             EXPECT_TRUE(rec.at("produces_tree").asBool());
             EXPECT_TRUE(rec.at("vacuum_preserving").asBool());
-        }
-        if (rec.at("name").asString() == "jw")
+        } else if (name == "jw") {
             EXPECT_FALSE(rec.at("needs_hamiltonian").asBool());
-        if (rec.at("name").asString() == "hatt-unopt")
+        } else if (name == "hatt-unopt") {
             EXPECT_FALSE(rec.at("vacuum_preserving").asBool());
+        }
     }
+    EXPECT_EQ(names, expected);
+    EXPECT_EQ(device_aware,
+              (std::vector<std::string>{"bonsai", "treespilation"}));
+
+    // Every listed kind maps a real input (device-aware kinds onto a
+    // line), and an unknown kind is a usage error naming all of them.
+    fs::path dir = scratchDir("kinds");
+    for (const std::string &kind : names) {
+        std::vector<std::string> args = {"map", dataFile("eq3.ops"),
+                                         "--mapping", kind, "-o",
+                                         (dir / kind).string()};
+        if (std::ranges::count(device_aware, kind))
+            args.insert(args.end(), {"--device", "line:8"});
+        EXPECT_EQ(run(args, &text), 0) << kind << ": " << text;
+    }
+    EXPECT_EQ(run({"map", dataFile("eq3.ops"), "--mapping", "bogus"},
+                  &text),
+              64);
+    for (const std::string &kind : names)
+        EXPECT_NE(text.find(kind), std::string::npos) << kind;
+    fs::remove_all(dir);
 }
 
 TEST(Hattc, BatchIsolatesFailingInputsAndFlagsDuplicates)
@@ -858,6 +884,12 @@ TEST(Hattc, TimeoutExpiresAndFallbackDegrades)
         io::loadJsonFile((dir / "ok/eq3.metrics.json").string());
     EXPECT_FALSE(
         ok_metrics.at("records").at(size_t{0}).at("degraded").asBool());
+    // A budget past the monotonic clock's range is unbounded, not spent.
+    EXPECT_EQ(run({"compile", dataFile("h2.ops"), "--timeout", "1e10", "-o",
+                   (dir / "far").string()},
+                  &text),
+              0)
+        << text;
 
     // Budget option validation.
     EXPECT_EQ(run({"compile", slow, "--timeout", "0"}, &text), 64);
@@ -1105,6 +1137,11 @@ TEST(Hattc, DeviceAwareCompileReportsRoutedCost)
     EXPECT_NE(text.find("device:       montreal -> "), std::string::npos)
         << text;
     EXPECT_NE(text.find("SWAPs inserted"), std::string::npos) << text;
+    EXPECT_EQ(run({"verify", "--require-vacuum",
+                   (dir / "ts/h2.mapping.json").string()},
+                  &text),
+              0)
+        << text;
 
     // Device-independent kinds accept --device too: they map
     // agnostically and pay whatever routing costs.
@@ -1165,29 +1202,6 @@ TEST(Hattc, DeviceUsageErrorsAreDiagnosedAtParseTime)
     // --device is a compile-path option.
     EXPECT_EQ(run({"mappings", "--device", "montreal"}, &text), 64);
     EXPECT_EQ(run({"devices", "--device", "montreal"}, &text), 64);
-}
-
-TEST(Hattc, MappingsAdvertiseDeviceAwareness)
-{
-    std::string text;
-    ASSERT_EQ(run({"mappings", "--json"}, &text), 0);
-    JsonValue doc = JsonValue::parse(text);
-    bool saw_bonsai = false, saw_jw = false;
-    for (const JsonValue &rec : doc.at("mappings").asArray()) {
-        const std::string name = rec.at("name").asString();
-        if (name == "bonsai" || name == "treespilation") {
-            EXPECT_TRUE(rec.at("device_aware").asBool()) << name;
-            saw_bonsai = saw_bonsai || name == "bonsai";
-        } else {
-            EXPECT_FALSE(rec.at("device_aware").asBool()) << name;
-            saw_jw = saw_jw || name == "jw";
-        }
-    }
-    EXPECT_TRUE(saw_bonsai);
-    EXPECT_TRUE(saw_jw);
-
-    ASSERT_EQ(run({"mappings"}, &text), 0);
-    EXPECT_NE(text.find("device-aware"), std::string::npos);
 }
 
 TEST(Hattc, DeviceAwareBatchEmitsRoutedCostBlock)

@@ -699,18 +699,9 @@ TEST(Serialize, PauliSumRoundTripsBitExactly)
     EXPECT_EQ(sumHash(back), sumHash(hq));
 }
 
-TEST(Serialize, MajoranaRoundTripAndOrderIndependentHash)
+TEST(Serialize, MajoranaContentHashIsOrderIndependent)
 {
     MajoranaPolynomial poly = randomMajoranaPolynomial(5, 12, 7);
-    MajoranaPolynomial back = io::majoranaFromJson(
-        JsonValue::parse(io::majoranaToJson(poly).dump()));
-    ASSERT_EQ(back.size(), poly.size());
-    for (size_t i = 0; i < poly.size(); ++i) {
-        EXPECT_TRUE(std::ranges::equal(back[i].indices, poly[i].indices));
-        EXPECT_EQ(back[i].coeff, poly[i].coeff);
-    }
-    EXPECT_EQ(io::majoranaContentHash(back),
-              io::majoranaContentHash(poly));
 
     // Hash is invariant under term reordering but not under changes.
     MajoranaPolynomial shuffled(poly.numModes());
@@ -806,24 +797,6 @@ TEST(Serialize, RejectsMalformedDocuments)
         EXPECT_THROW(io::mappingFromJson(JsonValue::parse(t)),
                      std::exception);
     }
-
-    // Majorana: non-ascending indices must be rejected.
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[2,1]}]})")),
-        ParseError);
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[0,0]}]})")),
-        ParseError);
-    // ...and out-of-range indices.
-    EXPECT_THROW(
-        io::majoranaFromJson(JsonValue::parse(
-            R"({"format":"hatt-majorana","version":1,"num_modes":2,)"
-            R"("terms":[{"coeff":[1,0],"indices":[4]}]})")),
-        ParseError);
 }
 
 // ------------------------------------------------------- streaming writer

@@ -147,12 +147,11 @@ TEST(MapperRegistry, BuildsBitIdenticalToDirectConstruction)
               stringsHash(buildHattMapping(poly, unopt).mapping));
 }
 
-TEST(MapperRegistry, ModesOnlyMappersBuildWithoutHamiltonian)
+TEST(MapperRegistry, ModesOnlyMappersReadOnlyTheModeCount)
 {
-    MappingRequest req;
-    req.kind = "jw";
-    req.numModes = 6;
-    StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
+    const MajoranaPolynomial no_terms(6);
+    StatusOr<MappingResult> built =
+        MapperRegistry::instance().build(requestFor("jw", no_terms));
     ASSERT_TRUE(built.ok()) << built.status().message();
     EXPECT_EQ(built->mapping.numModes, 6u);
     EXPECT_EQ(stringsHash(built->mapping),
@@ -166,9 +165,7 @@ TEST(MapperRegistry, RejectsMalformedRequestsWithStatuses)
     const MapperRegistry &reg = MapperRegistry::instance();
     MajoranaPolynomial poly = testPoly(3);
 
-    MappingRequest unknown;
-    unknown.kind = "fermihedral";
-    unknown.numModes = 4;
+    MappingRequest unknown = requestFor("fermihedral", poly);
     StatusOr<MappingResult> r1 = reg.build(unknown);
     ASSERT_FALSE(r1.ok());
     EXPECT_EQ(r1.status().code(), Status::Code::NotFound);
@@ -176,54 +173,75 @@ TEST(MapperRegistry, RejectsMalformedRequestsWithStatuses)
     for (const std::string &k : reg.kinds())
         EXPECT_NE(r1.status().message().find(k), std::string::npos);
 
-    MappingRequest no_poly;
-    no_poly.kind = "hatt";
-    no_poly.numModes = 4;
-    StatusOr<MappingResult> r2 = reg.build(no_poly);
-    ASSERT_FALSE(r2.ok());
-    EXPECT_EQ(r2.status().code(), Status::Code::InvalidArgument);
+    // Every kind needs the Hamiltonian, if only for its mode count.
+    for (const std::string &kind : reg.kinds()) {
+        MappingRequest no_poly;
+        no_poly.kind = kind;
+        StatusOr<MappingResult> r2 = reg.build(no_poly);
+        ASSERT_FALSE(r2.ok()) << kind;
+        EXPECT_EQ(r2.status().code(), Status::Code::InvalidArgument);
+    }
 
-    MappingRequest empty;
-    empty.kind = "jw";
-    StatusOr<MappingResult> r3 = reg.build(empty);
+    const MajoranaPolynomial no_modes;
+    StatusOr<MappingResult> r3 = reg.build(requestFor("jw", no_modes));
     ASSERT_FALSE(r3.ok());
     EXPECT_EQ(r3.status().code(), Status::Code::InvalidArgument);
-
-    MappingRequest mismatch = requestFor("jw", poly);
-    mismatch.numModes = poly.numModes() + 1;
-    StatusOr<MappingResult> r4 = reg.build(mismatch);
-    ASSERT_FALSE(r4.ok());
-    EXPECT_EQ(r4.status().code(), Status::Code::InvalidArgument);
-
-    MappingRequest bad_option = requestFor("hatt", poly);
-    bad_option.options["vaccum"] = "true"; // typo must fail loudly
-    StatusOr<MappingResult> r5 = reg.build(bad_option);
-    ASSERT_FALSE(r5.ok());
-    EXPECT_EQ(r5.status().code(), Status::Code::InvalidArgument);
-    EXPECT_NE(r5.status().message().find("vaccum"), std::string::npos);
-
-    MappingRequest bad_value = requestFor("btt", poly);
-    bad_value.options["assignment"] = "sideways";
-    StatusOr<MappingResult> r6 = reg.build(bad_value);
-    ASSERT_FALSE(r6.ok());
-    EXPECT_EQ(r6.status().code(), Status::Code::InvalidArgument);
 }
 
-TEST(MapperRegistry, BttAssignmentOptionSelectsPolicy)
+TEST(MapperRegistry, DeviceIsTheOnlyOptionKey)
 {
+    // The option keys the mappers once read, and a typo: every one is
+    // an InvalidArgument naming the key, for every kind (device-aware
+    // kinds included, even when the device itself is valid).
+    const MapperRegistry &reg = MapperRegistry::instance();
+    MajoranaPolynomial poly = testPoly(3);
+    for (const std::string &kind : reg.kinds()) {
+        for (const char *key :
+             {"assignment", "max_modes", "restarts", "sweeps", "vaccum"}) {
+            SCOPED_TRACE(kind + " " + key);
+            MappingRequest req = requestFor(kind, poly);
+            req.options["device"] = "line:8";
+            req.options[key] = "1";
+            StatusOr<MappingResult> built = reg.build(req);
+            ASSERT_FALSE(built.ok());
+            EXPECT_EQ(built.status().code(), Status::Code::InvalidArgument);
+            EXPECT_NE(built.status().message().find(std::string("'") +
+                                                    key + "'"),
+                      std::string::npos)
+                << built.status().message();
+        }
+    }
+}
+
+TEST(MapperRegistry, DeviceOnADeviceIndependentKindIsIgnored)
+{
+    // The registry, not each caller, decides who sees the device: jw on
+    // montreal is jw, with jw's store key.
+    const MapperRegistry &reg = MapperRegistry::instance();
     MajoranaPolynomial poly = testPoly(5);
-    MappingRequest natural = requestFor("btt", poly);
-    natural.options["assignment"] = "natural";
-    StatusOr<MappingResult> built =
-        MapperRegistry::instance().build(natural);
-    ASSERT_TRUE(built.ok()) << built.status().message();
-    EXPECT_EQ(stringsHash(built->mapping),
-              stringsHash(balancedTernaryTreeMapping(
-                  poly.numModes(), BttAssignment::Natural)));
-    // The natural policy gives up vacuum preservation (capabilities
-    // describe the default bag, so this is allowed to differ).
-    EXPECT_TRUE(verifyMapping(built->mapping).valid);
-    EXPECT_FALSE(preservesVacuum(built->mapping));
+    MappingRequest plain = requestFor("jw", poly);
+    plain.contentHash = 42;
+    MappingRequest on_device = plain;
+    on_device.options["device"] = "montreal";
+
+    StatusOr<MappingResult> a = reg.build(plain);
+    StatusOr<MappingResult> b = reg.build(on_device);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    ASSERT_TRUE(b.ok()) << b.status().message();
+    EXPECT_EQ(stringsHash(a->mapping), stringsHash(b->mapping));
+
+    const std::optional<StoreKey> ka = reg.storeKey(plain);
+    const std::optional<StoreKey> kb = reg.storeKey(on_device);
+    ASSERT_TRUE(ka && kb);
+    EXPECT_EQ(ka->contentHash, 42u);
+    EXPECT_EQ(kb->contentHash, ka->contentHash);
+    EXPECT_EQ(kb->kind, ka->kind);
+
+    // A device-aware kind folds it in.
+    MappingRequest bonsai = on_device;
+    bonsai.kind = "bonsai";
+    ASSERT_TRUE(reg.storeKey(bonsai));
+    EXPECT_NE(reg.storeKey(bonsai)->contentHash, 42u);
 }
 
 // ------------------------------------------------------------- the store
@@ -332,9 +350,8 @@ class LyingMapper final : public Mapper
     build(const MappingRequest &req) const override
     {
         MappingResult out;
-        out.mapping = balancedTernaryTreeMapping(
-            req.poly ? req.poly->numModes() : req.numModes,
-            BttAssignment::Natural);
+        out.mapping = balancedTernaryTreeMapping(req.poly->numModes(),
+                                                 BttAssignment::Natural);
         return out;
     }
 
@@ -356,9 +373,8 @@ TEST(MapperRegistry, CustomMappersRegisterAndCollide)
     EXPECT_EQ(dup.code(), Status::Code::AlreadyExists);
     EXPECT_EQ(reg.kinds(), std::vector<std::string>{"liar"});
 
-    MappingRequest req;
-    req.kind = "liar";
-    req.numModes = 3;
+    const MajoranaPolynomial poly(3);
+    MappingRequest req = requestFor("liar", poly);
     StatusOr<MappingResult> built = reg.build(req);
     ASSERT_TRUE(built.ok());
 
@@ -388,10 +404,8 @@ TEST(MapperRegistry, ThrowingMapperSurfacesAsInternalStatus)
     };
     MapperRegistry reg;
     ASSERT_TRUE(reg.add(std::make_unique<ThrowingMapper>()).ok());
-    MappingRequest req;
-    req.kind = "boom";
-    req.numModes = 2;
-    StatusOr<MappingResult> built = reg.build(req);
+    const MajoranaPolynomial poly(2);
+    StatusOr<MappingResult> built = reg.build(requestFor("boom", poly));
     ASSERT_FALSE(built.ok());
     EXPECT_EQ(built.status().code(), Status::Code::Internal);
     EXPECT_NE(built.status().message().find("exploded"),

@@ -87,9 +87,10 @@ scratchDir(const std::string &tag)
 MappingStore::Entry
 sampleEntry(uint32_t num_modes = 3)
 {
+    const MajoranaPolynomial poly(num_modes);
     MappingRequest req;
     req.kind = "jw";
-    req.numModes = num_modes;
+    req.poly = &poly;
     StatusOr<MappingResult> built =
         MapperRegistry::instance().build(req, nullptr);
     EXPECT_TRUE(built.ok());

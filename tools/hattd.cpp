@@ -22,11 +22,11 @@
 #include "common/buildinfo.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "io/cli.hpp"
 #include "io/server.hpp"
 
 namespace {
 
-constexpr int kExitUsage = 64;       // EX_USAGE
 constexpr int kExitUnavailable = 69; // EX_UNAVAILABLE: bind/listen failed
 constexpr int kExitInternal = 70;    // EX_SOFTWARE
 
@@ -68,22 +68,6 @@ onSignal(int)
     // one write() on the wake pipe).
     if (g_server != nullptr)
         g_server->requestStop();
-}
-
-uint64_t
-parseCount(const std::string &flag, const std::string &value, uint64_t max)
-{
-    size_t used = 0;
-    unsigned long long n = 0;
-    try {
-        n = std::stoull(value, &used);
-    } catch (const std::exception &) {
-        throw std::runtime_error(flag + " needs a non-negative integer");
-    }
-    if (used != value.size() || n > max)
-        throw std::runtime_error(flag + " needs an integer in [0, " +
-                                 std::to_string(max) + "]");
-    return n;
 }
 
 double
@@ -133,7 +117,7 @@ main(int argc, char **argv)
                 config.host = value();
             } else if (a == "--port") {
                 config.port = static_cast<uint16_t>(
-                    parseCount(a, value(), 65535));
+                    io::parseUnsigned(a, value(), 65535));
             } else if (a == "--cache") {
                 config.cacheDir = value();
             } else if (a == "--out-root") {
@@ -142,22 +126,24 @@ main(int argc, char **argv)
                     throw std::runtime_error(
                         "--out-root needs a non-empty path");
             } else if (a == "--max-frame-bytes") {
-                config.maxFrameBytes = parseCount(a, value(), 1u << 30);
+                config.maxFrameBytes =
+                    io::parseUnsigned(a, value(), 1u << 30);
                 if (config.maxFrameBytes < 64)
                     throw std::runtime_error(
                         "--max-frame-bytes must be at least 64");
             } else if (a == "--max-connections") {
-                config.maxConnections = parseCount(a, value(), 1u << 16);
+                config.maxConnections =
+                    io::parseUnsigned(a, value(), 1u << 16);
                 if (config.maxConnections == 0)
                     throw std::runtime_error(
                         "--max-connections must be positive");
             } else if (a == "--frame-timeout") {
                 config.frameTimeoutSeconds = parseSeconds(a, value());
             } else if (a == "--max-terms") {
-                config.limits.maxTerms = parseCount(a, value(), UINT64_MAX);
+                config.limits.maxTerms = io::parseUnsigned(a, value());
             } else if (a == "--max-modes") {
                 config.limits.maxModes = static_cast<uint32_t>(
-                    parseCount(a, value(), UINT32_MAX));
+                    io::parseUnsigned(a, value(), UINT32_MAX));
             } else if (a == "--timeout") {
                 config.timeoutSeconds = parseSeconds(a, value());
             } else if (a == "--trace") {
@@ -171,7 +157,7 @@ main(int argc, char **argv)
         }
     } catch (const std::exception &e) {
         std::cerr << "hattd: " << e.what() << "\n\n" << kUsage;
-        return kExitUsage;
+        return io::kExitUsage;
     }
 
     // The daemon's metrics window opens once, at startup: `stats`
@@ -191,7 +177,7 @@ main(int argc, char **argv)
     if (!bound.ok()) {
         std::cerr << "hattd: " << bound.message() << "\n";
         return bound.code() == Status::Code::InvalidArgument
-                   ? kExitUsage
+                   ? io::kExitUsage
                    : kExitUnavailable;
     }
 
