@@ -212,8 +212,9 @@ recordName(std::string label)
 /**
  * Build one (case, mapping) cell and log a BENCH record named
  * "<case>/<kind>" with the wall-clock of mapping construction +
- * Hamiltonian mapping (+ circuit compilation when enabled) and the
- * achieved Pauli weight. Keep the names stable across PRs — the CI
+ * Hamiltonian mapping (+ circuit compilation when enabled), the
+ * achieved Pauli weight and, for the HATT kinds, the candidates the
+ * construction evaluated. Keep the names stable across PRs — the CI
  * trajectory check (scripts/check_perf_trajectory.py) joins on them.
  */
 inline CellMetrics
@@ -223,11 +224,12 @@ timedCell(JsonReporter &rep, const std::string &case_label,
           bool compile_circuit = true)
 {
     Timer timer;
-    FermionQubitMapping map = buildMapping(kind, poly);
-    CellMetrics m = compileMetrics(poly, map, sched, compile_circuit);
+    MappingResult built = buildMappingResult(kind, poly);
+    CellMetrics m =
+        compileMetrics(poly, built.mapping, sched, compile_circuit);
     m.buildSeconds = timer.seconds();
     rep.add(recordName(case_label) + "/" + kind, m.buildSeconds,
-            m.pauliWeight);
+            m.pauliWeight, built.metrics.candidates);
     return m;
 }
 

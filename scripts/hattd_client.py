@@ -11,9 +11,10 @@ protocol's pipelining contract). Blank input lines are skipped. The
 connection closes when stdin is exhausted; if one of the requests was
 {"op": "shutdown"}, the daemon's close races our own and both are fine.
 
-This is the driver for the CI daemon-smoke job; it deliberately has no
-retries, no concurrency and no cleverness, so a hang or a mismatched
-response count is the daemon's bug, not the client's feature.
+It is meant for poking a running daemon by hand (README); it
+deliberately has no retries, no concurrency and no cleverness, so a
+hang or a mismatched response count is the daemon's bug, not the
+client's feature.
 
 Exit codes: 0 all requests answered, 1 protocol failure (EOF before
 all responses arrived, unparseable response), 64 usage error.

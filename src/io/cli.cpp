@@ -355,6 +355,16 @@ serviceConfigFor(const Options &opt)
     return config;
 }
 
+/** Summary tag of a store hit, naming the tier that served it. */
+std::string
+cacheHitNote(const CompileResponse &res)
+{
+    if (!res.cacheHit)
+        return "";
+    return res.cacheTier.empty() ? " [cache hit]"
+                                 : " [cache hit: " + res.cacheTier + "]";
+}
+
 int
 cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
 {
@@ -373,7 +383,7 @@ cmdMapOrCompile(const Options &opt, std::ostream &out, std::ostream &err)
     out << "content hash: " << hashToHex(res.contentHash) << "\n";
     out << "mapping:      " << opt.request.mapping << " -> " << res.numQubits
         << " qubits"
-        << (res.cacheHit ? " [cache hit]" : "")
+        << cacheHitNote(res)
         << (res.degraded ? " [degraded to btt: deadline expired]" : "")
         << "\n";
     if (res.pauliWeight)
@@ -426,7 +436,7 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
                 ++degraded;
             out << "  ok    " << r.item.key() << " -> " << res.numQubits
                 << " qubits, weight " << res.pauliWeight.value_or(0)
-                << (res.cacheHit ? "  [cache hit]" : "")
+                << (res.cacheHit ? " " + cacheHitNote(res) : "")
                 << (res.degraded ? "  [degraded]" : "")
                 << (res.quarantinedCache ? "  [cache quarantined]" : "")
                 << "\n";

@@ -108,6 +108,11 @@ writeMetricsJson(JsonWriter &w, const std::string &name,
     optional(resp.candidates);
     w.key("cache_hit");
     w.boolean(resp.cacheHit);
+    w.key("cache_tier");
+    if (resp.cacheTier.empty())
+        w.null();
+    else
+        w.string(resp.cacheTier);
     w.key("degraded");
     w.boolean(resp.degraded);
     w.endObject();

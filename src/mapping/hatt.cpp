@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -22,20 +23,40 @@ using detail::TermCounts;
 /**
  * The candidate scans below never evaluate every triple. For a fixed
  * prefix (two chosen nodes with summed count `base`), the weight of
- * completing the triple with node v at active-position p is
+ * completing the triple with node v is
  *
- *     w(p) = base + cnt1[p] - corrections(p)
+ *     w(v) = base + cnt1[v] - corrections(v)
  *
- * where corrections(p) > 0 only for the sparse set of positions adjacent
+ * where corrections(v) > 0 only for the sparse set of nodes adjacent
  * (via a nonzero pair count) to the two chosen nodes. Since corrections
- * are strictly positive, the first-argmin over all p is obtained exactly
+ * are strictly positive, the first-argmin over all v is obtained exactly
  * by combining
- *   - the explicit first-argmin over the corrected positions, and
- *   - the first-argmin of plain cnt1 over the range (precomputed once per
- *     step as a suffix-argmin array / top-3 table),
- * with value-then-position tie-breaking. This reproduces the seed's
+ *   - the explicit first-argmin over the corrected nodes, and
+ *   - the first-argmin of plain cnt1 over the rest (a suffix-argmin
+ *     array / top-3 table, rebuilt once per step),
+ * with value-then-scan-order tie-breaking. This reproduces the seed's
  * "first strict minimum in scan order" selection bit-exactly while doing
  * O(adjacency) work per prefix instead of O(active).
+ *
+ * The Algorithm 1 scan indexes the scratch by active position; the
+ * pairing scan indexes it by node id. `active` is sorted by id, so the
+ * two orders agree.
+ *
+ * The pairing scan (Algorithms 2/3) has one prefix per unpaired leaf
+ * pair, whose two holders become OX and OY. Each pair is scored once,
+ * from its lower holder: the visit from the other holder gives the same
+ * triple and weight, so it cannot displace the first strict minimum,
+ * and its m - 2 candidates are counted without being scored. A pair's
+ * score (base and corrected first-argmin, keyed by node id) is carried
+ * across steps: a merge changes only the rows of the nodes that shared
+ * a term with the merged triple (TermCounts::merge reports them), and
+ * only the pairs they hold are rescored. The top-3 cnt1 table is
+ * rebuilt every step, O(1) per pair. On a sparse lattice a few percent
+ * of the pairs are rescored per step; on a dense input nearly all are,
+ * through the same code. The pairing scan runs on the calling thread:
+ * past the first step a sparse lattice rescores a few dozen pairs per
+ * step, and a dense input has one pair per mode, too little work per
+ * step to hand to the pool.
  */
 struct ScanScratch
 {
@@ -61,17 +82,15 @@ struct ScanScratch
     }
 
     void
-    add(int pos, int64_t count)
+    add(int key, int64_t count)
     {
-        if (stamp[pos] != epoch) {
-            stamp[pos] = epoch;
-            corr[pos] = 0;
-            cand.push_back(pos);
+        if (stamp[key] != epoch) {
+            stamp[key] = epoch;
+            corr[key] = 0;
+            cand.push_back(key);
         }
-        corr[pos] += count;
+        corr[key] += count;
     }
-
-    bool corrected(int pos) const { return stamp[pos] == epoch; }
 };
 
 thread_local ScanScratch tls_scratch;
@@ -100,20 +119,57 @@ combineChunks(ChunkResult acc, const ChunkResult &next)
     return acc;
 }
 
-/** First-argmin over corrected positions: lex-min of (value, position). */
+/** First-argmin over corrected keys: lex-min of (value, key). */
+template <typename Count1>
 std::pair<int64_t, int>
-correctedBest(const ScanScratch &s, const std::vector<int64_t> &cnt1pos)
+correctedBest(const ScanScratch &s, Count1 &&cnt1)
 {
     int64_t cv = std::numeric_limits<int64_t>::max();
     int cp = std::numeric_limits<int>::max();
-    for (int p : s.cand) {
-        int64_t v = cnt1pos[p] - s.corr[p];
-        if (v < cv || (v == cv && p < cp)) {
+    for (int k : s.cand) {
+        int64_t v = cnt1(k) - s.corr[k];
+        if (v < cv || (v == cv && k < cp)) {
             cv = v;
-            cp = p;
+            cp = k;
         }
     }
     return {cv, cp};
+}
+
+/**
+ * Score of one unpaired leaf pair in the pairing scan: its holders
+ * (cx on the X branch, cy on Y), base = cnt1[cx] + cnt1[cy] -
+ * pair(cx, cy), and the corrected first-argmin (zv, zid) over the OZ
+ * nodes adjacent to cx or cy. All of it depends only on the rows of
+ * cx and cy and on cnt1 of their neighbours, so it is carried across
+ * steps until one of those changes (see the merge in the step loop).
+ */
+struct PairScore
+{
+    int cx = -1, cy = -1;
+    int64_t base = 0;
+    int64_t zv = std::numeric_limits<int64_t>::max();
+    int zid = std::numeric_limits<int>::max();
+};
+
+void
+scorePair(PairScore &s, const TermCounts &counts, ScanScratch &scr)
+{
+    int64_t pair_xy = 0;
+    scr.begin();
+    for (const auto &[id, cv] : counts.adjacency(s.cx)) {
+        if (id == s.cy)
+            pair_xy = cv;
+        else
+            scr.add(id, cv);
+    }
+    for (const auto &[id, cv] : counts.adjacency(s.cy)) {
+        if (id != s.cx)
+            scr.add(id, cv);
+    }
+    s.base = counts.count1(s.cx) + counts.count1(s.cy) - pair_xy;
+    std::tie(s.zv, s.zid) =
+        correctedBest(scr, [&](int id) { return counts.count1(id); });
 }
 
 } // namespace
@@ -174,11 +230,20 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
         return id;
     };
 
-    // Per-step scan tables, allocated once.
+    // Algorithm 1 per-step scan tables, allocated once.
     std::vector<int> pos_of(max_id, -1);
     std::vector<int64_t> cnt1pos;
     std::vector<int64_t> sufv; // suffix-argmin of cnt1pos (value)
     std::vector<int> sufp;     //   ... and its position
+
+    // Pairing scan state: scores carried across steps, keyed by leaf
+    // pair (x / 2), and per node the last step whose scan must rescore
+    // the pair it holds.
+    std::vector<PairScore> pair_scores(options.vacuumPairing ? n : 0);
+    std::vector<uint32_t> dirty(max_id, 0);
+    ScanScratch pair_scratch;
+    if (options.vacuumPairing)
+        pair_scratch.prepare(max_id);
 
     const unsigned threads = parallelThreads();
     const Deadline &deadline = options.deadline;
@@ -188,18 +253,17 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
         // the scan chunks below only poll and bail, worker-safely.
         deadline.check();
         const size_t m = active.size();
-        cnt1pos.resize(m);
-        for (size_t p = 0; p < m; ++p) {
-            pos_of[active[p]] = static_cast<int>(p);
-            cnt1pos[p] = counts.count1(active[p]);
-        }
-
         ChunkResult scan;
 
         if (!options.vacuumPairing) {
             // Algorithm 1: free choice of three nodes. The weight on the
             // new qubit does not depend on which child is X/Y/Z, so
             // combinations suffice; children are assigned in id order.
+            cnt1pos.resize(m);
+            for (size_t p = 0; p < m; ++p) {
+                pos_of[active[p]] = static_cast<int>(p);
+                cnt1pos[p] = counts.count1(active[p]);
+            }
             sufv.resize(m);
             sufp.resize(m);
             sufv[m - 1] = cnt1pos[m - 1];
@@ -243,7 +307,8 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
                         int64_t best_v = sufv[j + 1];
                         int best_p = sufp[j + 1];
                         if (!scr.cand.empty()) {
-                            auto [cv, cp] = correctedBest(scr, cnt1pos);
+                            auto [cv, cp] = correctedBest(
+                                scr, [&](int p) { return cnt1pos[p]; });
                             if (cv < best_v) {
                                 best_v = cv;
                                 best_p = cp;
@@ -267,107 +332,73 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
             scan = parallelReduceChunks(m, grain, ChunkResult{}, scan_chunk,
                                         combineChunks);
         } else {
-            // Algorithm 2/3: OX free, OY forced by the pairing rule,
-            // OZ free among the rest. Per OX the OZ scan reduces to a
-            // top-3 lookup (2 possible exclusions) plus corrections.
+            // Algorithm 2/3: OX and OY hold an unpaired leaf pair, OZ
+            // is free among the other m - 2 active nodes. Pair scores
+            // are carried across steps (see the comment at the top);
+            // only the uncorrected OZ (top-3 cnt1, two possible
+            // exclusions) is looked up afresh.
             struct Entry
             {
                 int64_t v = std::numeric_limits<int64_t>::max();
-                int p = std::numeric_limits<int>::max();
+                int id = std::numeric_limits<int>::max();
             };
+            // Ids ascend in `active`, so a new node enters the top-3
+            // only with a strictly smaller cnt1 than the third entry.
             Entry top[3];
-            for (size_t p = 0; p < m; ++p) {
-                Entry e{cnt1pos[p], static_cast<int>(p)};
+            for (const int id : active) {
+                Entry e{counts.count1(id), id};
+                if (e.v >= top[2].v)
+                    continue;
                 for (auto &slot : top) {
-                    if (e.v < slot.v || (e.v == slot.v && e.p < slot.p))
+                    if (e.v < slot.v || (e.v == slot.v && e.id < slot.id))
                         std::swap(e, slot);
                 }
             }
 
-            auto scan_chunk = [&](size_t lo, size_t hi) {
-                ScanScratch &scr = tls_scratch;
-                scr.prepare(m);
-                ChunkResult local;
-                if (deadline.expired())
-                    return local; // discarded: the step check() throws
-                for (size_t p = lo; p < hi; ++p) {
-                    const int ox = active[p];
-                    const int x = desc_z(ox);
-                    assert(!paired[x]);
-                    if (x == last_leaf)
-                        continue; // S_2N is discarded and never paired
-                    const int y = (x % 2 == 0) ? x + 1 : x - 1;
-                    assert(!paired[y]);
-                    const int oy = traverse_up(y);
-                    assert(oy != ox);
-                    // Even leaf goes on the X branch -> pair reads (X, Y).
-                    const int cx = (x % 2 == 0) ? ox : oy;
-                    const int cy = (x % 2 == 0) ? oy : ox;
-                    const int pox = static_cast<int>(p);
-                    const int poy = pos_of[oy];
-
-                    int64_t pair_xy = 0;
-                    scr.begin();
-                    for (const auto &[id, cv] : counts.adjacency(cx)) {
-                        if (id == cy)
-                            pair_xy = cv;
-                        else
-                            scr.add(pos_of[id], cv);
-                    }
-                    for (const auto &[id, cv] : counts.adjacency(cy)) {
-                        if (id != cx)
-                            scr.add(pos_of[id], cv);
-                    }
-
-                    // First top entry not excluded by {pox, poy}.
-                    const Entry *e = nullptr;
-                    for (const auto &slot : top) {
-                        if (slot.p != pox && slot.p != poy) {
-                            e = &slot;
-                            break;
-                        }
-                    }
-                    assert(e && e->p < static_cast<int>(m));
-
-                    int64_t best_v;
-                    int best_p;
-                    if (scr.cand.empty()) {
-                        best_v = e->v;
-                        best_p = e->p;
-                    } else if (scr.corrected(e->p)) {
-                        // Every uncorrected candidate is strictly above
-                        // the corrected minimum (corrections > 0).
-                        std::tie(best_v, best_p) =
-                            correctedBest(scr, cnt1pos);
-                    } else {
-                        auto [cv, cp] = correctedBest(scr, cnt1pos);
-                        best_v = e->v;
-                        best_p = e->p;
-                        if (cv < best_v) {
-                            best_v = cv;
-                            best_p = cp;
-                        } else if (cv == best_v) {
-                            best_p = std::min(best_p, cp);
-                        }
-                    }
-
-                    const int64_t w = counts.count1(cx) + counts.count1(cy) -
-                                      pair_xy + best_v;
-                    local.candidates += m - 2;
-                    if (local.best.w < 0 || w < local.best.w)
-                        local.best = {w, cx, cy, active[best_p]};
+            for (const int ox : active) {
+                const int x = desc_z(ox);
+                assert(!paired[x]);
+                if (x == last_leaf)
+                    continue; // S_2N is discarded and never paired
+                const int y = x ^ 1;
+                assert(!paired[y]);
+                const int oy = traverse_up(y);
+                assert(oy != ox);
+                scan.candidates += m - 2;
+                if (oy < ox)
+                    continue; // scored from its lower holder
+                // Even leaf goes on the X branch -> pair reads (X, Y).
+                PairScore &ps = pair_scores[x / 2];
+                const int cx = (x % 2 == 0) ? ox : oy;
+                const int cy = (x % 2 == 0) ? oy : ox;
+                if (ps.cx != cx || ps.cy != cy || dirty[cx] == step ||
+                    dirty[cy] == step) {
+                    ps.cx = cx;
+                    ps.cy = cy;
+                    scorePair(ps, counts, pair_scratch);
                 }
-                return local;
-            };
 
-            const size_t grain =
-                threads <= 1 ? m : std::max<size_t>(1, m / (4 * threads));
-            scan = parallelReduceChunks(m, grain, ChunkResult{}, scan_chunk,
-                                        combineChunks);
+                // First top entry that is neither holder.
+                const Entry *e = top;
+                while (e->id == cx || e->id == cy)
+                    ++e;
+                assert(e < top + 3);
+                // Corrections are > 0, so a corrected top entry loses
+                // to the corrected minimum and the lex-min is exact.
+                int64_t zv = e->v;
+                int zid = e->id;
+                if (ps.zv < zv || (ps.zv == zv && ps.zid < zid)) {
+                    zv = ps.zv;
+                    zid = ps.zid;
+                }
+                const int64_t w = ps.base + zv;
+                if (scan.best.w < 0 || w < scan.best.w)
+                    scan.best = {w, cx, cy, zid};
+            }
         }
 
-        // If any chunk bailed, the scan is incomplete: expiry is
-        // monotonic, so this throws before the step can commit it.
+        // If an Algorithm 1 chunk bailed, the scan is incomplete: expiry
+        // is monotonic, so this throws before the step can commit it.
         deadline.check();
 
         stats.candidatesEvaluated += scan.candidates;
@@ -407,7 +438,14 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
                      active.end());
         active.push_back(parent);
 
-        counts.merge(bx, by, bz, parent);
+        const std::vector<int> &changed = counts.merge(bx, by, bz, parent);
+        // A pair score reads its holders' rows and their neighbours'
+        // cnt1. A merge never changes cnt1 of a surviving id (every term
+        // keeps its other ids and its multiplicity), and a new neighbour
+        // changes the holder's row, so the changed ids are exactly the
+        // holders whose pairs must be rescored.
+        for (const int id : changed)
+            dirty[id] = step + 1;
 
         stats.stepWeights.push_back(static_cast<uint64_t>(best_w));
         stats.predictedWeight += static_cast<uint64_t>(best_w);

@@ -46,9 +46,9 @@ struct HattOptions
     bool vacuumPairing = true;
     /** Use the O(1) descZ/up caches (Alg. 3); requires vacuumPairing. */
     bool descCache = true;
-    /** Run budget, polled at candidate-scan chunk boundaries and
-        checked (throwing DeadlineExceededError) at every step boundary
-        on the calling thread. */
+    /** Run budget, polled at Algorithm 1's candidate-scan chunk
+        boundaries and checked (throwing DeadlineExceededError) at
+        every step boundary on the calling thread. */
     Deadline deadline = {};
 };
 

@@ -15,7 +15,7 @@ constexpr uint32_t kWordBits = 64;
 TermCounts::TermCounts(uint32_t max_id)
     : max_id_(max_id), words_((max_id + kWordBits - 1) / kWordBits),
       dedup_(16, MaskSetHash{this}, MaskSetEq{this}), cnt1_(max_id, 0),
-      adj_(max_id), inv_(max_id)
+      adj_(max_id), inv_(max_id), changed_stamp_(max_id, 0)
 {
     if (words_ == 0)
         words_ = 1;
@@ -24,10 +24,13 @@ TermCounts::TermCounts(uint32_t max_id)
 uint64_t
 TermCounts::maskHash(uint32_t term) const
 {
+    // Supports hold a handful of ids, so most words are zero: mix only
+    // the nonzero ones, tagged with their index.
     const uint64_t *m = maskOf(term);
     uint64_t h = 0x9e3779b97f4a7c15ULL ^ words_;
     for (uint32_t w = 0; w < words_; ++w)
-        h = splitmix64(h ^ m[w]);
+        if (m[w] != 0)
+            h = splitmix64(h ^ m[w] ^ (uint64_t{w} << 32));
     return h;
 }
 
@@ -152,11 +155,13 @@ TermCounts::finalize()
     }
 }
 
-void
+const std::vector<int> &
 TermCounts::merge(int a, int b, int c, int parent)
 {
     assert(parent >= 0 && static_cast<uint32_t>(parent) < max_id_);
     ++stamp_;
+    changed_.assign(1, parent);
+    changed_stamp_[parent] = stamp_;
 
     // Gather live terms whose support intersects {a, b, c}. The inverted
     // index may hold stale entries (dead terms, moved supports); filter by
@@ -180,6 +185,15 @@ TermCounts::merge(int a, int b, int c, int parent)
         const int64_t mult = mult_[t];
         maskIds(t, scratch_ids_);
         removeCounts(scratch_ids_, mult);
+        // Each id here shared a term with a, b or c, so its adjacency
+        // row loses that entry: it changes whatever the term becomes.
+        for (int id : scratch_ids_) {
+            if (changed_stamp_[id] != stamp_ && id != a && id != b &&
+                id != c) {
+                changed_stamp_[id] = stamp_;
+                changed_.push_back(id);
+            }
+        }
         dedup_.erase(t);
         --live_terms_;
         mult_[t] = 0;
@@ -213,6 +227,7 @@ TermCounts::merge(int a, int b, int c, int parent)
         // When folded into an existing term, that term already has inverted
         // index entries for exactly this support.
     }
+    return changed_;
 }
 
 std::vector<std::pair<std::vector<int>, int64_t>>

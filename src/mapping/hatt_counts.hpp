@@ -63,8 +63,15 @@ class TermCounts
     /** Build cnt1 / pair adjacency / inverted index from the terms. */
     void finalize();
 
-    /** Merge nodes (a, b, c) into @p parent, updating counts by deltas. */
-    void merge(int a, int b, int c, int parent);
+    /**
+     * Merge nodes (a, b, c) into @p parent, updating counts by deltas.
+     * Returns @p parent and the surviving ids whose adjacency row
+     * changed: every other id of a support that held a, b or c (it
+     * loses that pair). count1 of a surviving id never changes, since
+     * every term keeps its other ids and its multiplicity. The list is
+     * valid until the next merge().
+     */
+    const std::vector<int> &merge(int a, int b, int c, int parent);
 
     /** Summed multiplicity of live terms containing @p id. */
     int64_t count1(int id) const { return cnt1_[id]; }
@@ -148,6 +155,8 @@ class TermCounts
 
     std::vector<uint32_t> touch_stamp_; //!< per-term stamp for merge dedup
     uint32_t stamp_ = 0;
+    std::vector<uint32_t> changed_stamp_; //!< per-id stamp for changed_
+    std::vector<int> changed_;
 
     std::vector<int> scratch_ids_;
     std::vector<uint32_t> scratch_terms_;

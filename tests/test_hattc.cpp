@@ -31,6 +31,7 @@
 #include "io/cli.hpp"
 #include "io/fermion_text.hpp"
 #include "io/serialize.hpp"
+#include "io/service.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/verify.hpp"
 
@@ -248,6 +249,47 @@ TEST(Hattc, CacheSkipsReoptimizationAndReproducesOutputsExactly)
     };
     EXPECT_EQ(slurp(dir / "a/hubbard2x2.qubit.json"),
               slurp(dir / "b/hubbard2x2.qubit.json"));
+    fs::remove_all(dir);
+}
+
+TEST(Hattc, MetricsAndSummaryNameTheServingCacheTier)
+{
+    // Two compiles on one service: a build, then a memory-tier hit. A
+    // new hattc invocation starts with an empty memory tier, so the
+    // same cache directory serves it from disk.
+    fs::path dir = scratchDir("cachetier");
+    const std::string input = dataFile("hubbard2x2.ops");
+    const std::string cache = (dir / "cache").string();
+    auto record = [&](const std::string &sub) {
+        return io::loadJsonFile(
+                   (dir / sub / "hubbard2x2.metrics.json").string())
+            .at("records")
+            .at(size_t{0});
+    };
+
+    io::ServiceConfig config;
+    config.cacheDir = cache;
+    config.memoryStore = true;
+    io::CompilationService service(config);
+    io::CompileRequest req;
+    req.path = input;
+    req.outDir = (dir / "a").string();
+    ASSERT_TRUE(service.compile(req).ok());
+    req.outDir = (dir / "b").string();
+    ASSERT_TRUE(service.compile(req).ok());
+    EXPECT_FALSE(record("a").at("cache_hit").asBool());
+    EXPECT_TRUE(record("a").at("cache_tier").isNull());
+    EXPECT_TRUE(record("b").at("cache_hit").asBool());
+    EXPECT_EQ(record("b").at("cache_tier").asString(), "memory");
+
+    std::string text;
+    ASSERT_EQ(run({"compile", input, "--cache", cache, "-o",
+                   (dir / "c").string()},
+                  &text),
+              0)
+        << text;
+    EXPECT_NE(text.find("[cache hit: disk]"), std::string::npos) << text;
+    EXPECT_EQ(record("c").at("cache_tier").asString(), "disk");
     fs::remove_all(dir);
 }
 

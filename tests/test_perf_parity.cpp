@@ -9,7 +9,8 @@
  *    tree-for-tree against the optimized implementation;
  *  - recorded seed weights/string hashes for H2/LiH-scale inputs pin the
  *    outputs across future refactors;
- *  - TermCounts (incremental) is checked against recounting its snapshot;
+ *  - TermCounts (incremental) is checked against recounting its snapshot,
+ *    and the ids each merge reports against the rows that changed;
  *  - DeltaWeightEvaluator is checked against full path-counting;
  *  - results must be identical for every work-pool thread count.
  */
@@ -19,6 +20,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -416,7 +419,25 @@ TEST(PerfParity, TermCountsMatchNaiveRecountThroughMerges)
                 active.erase(active.begin() + static_cast<long>(idx));
             }
             std::sort(picked.begin(), picked.end());
-            counts.merge(picked[0], picked[1], picked[2], parent);
+            std::vector<int64_t> cnt1_before(max_id);
+            std::vector<std::unordered_map<int, int64_t>> rows_before;
+            for (uint32_t id = 0; id < max_id; ++id) {
+                cnt1_before[id] = counts.count1(static_cast<int>(id));
+                rows_before.push_back(counts.adjacency(static_cast<int>(id)));
+            }
+            const std::vector<int> &reported =
+                counts.merge(picked[0], picked[1], picked[2], parent);
+            // The report is the parent plus exactly the surviving ids
+            // whose row changed; no surviving count1 moves.
+            std::set<int> want_changed{parent};
+            for (int id : active) {
+                EXPECT_EQ(counts.count1(id), cnt1_before[id]) << "id " << id;
+                if (counts.adjacency(id) != rows_before[id])
+                    want_changed.insert(id);
+            }
+            EXPECT_EQ(reported.size(), want_changed.size());
+            EXPECT_EQ(std::set<int>(reported.begin(), reported.end()),
+                      want_changed);
             ref = refReduce(ref, picked[0], picked[1], picked[2], parent);
             active.push_back(parent++);
             check();

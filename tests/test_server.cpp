@@ -11,16 +11,24 @@
  * requestStop() all drain to a clean run() == 0.
  *
  * The server runs in-process on a background thread (bind() happens on
- * the test thread first, so connects never race the listener). The CI
- * daemon-smoke job covers the real fork/exec + SIGTERM path.
+ * the test thread first, so connects never race the listener), except
+ * in Hattd.RealDaemonRoundTripWarmTierParityAndSigterm, which drives
+ * the shipped `hattd` binary end to end: port 0, the warm memory tier,
+ * artifact parity with `hattc compile`, and a clean exit on SIGTERM.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+#include <chrono>
+#include <csignal>
 
 #include <filesystem>
 #include <fstream>
@@ -850,6 +858,145 @@ TEST(Server, RequestStopDrainsToACleanExit)
               "pong"); // ensure it was accepted, not just backlogged
     EXPECT_EQ(daemon.stop(), 0); // the drain must not wait for it
     EXPECT_TRUE(idle.recvEof());
+    fs::remove_all(dir);
+}
+
+// ------------------------------------------------- the shipped binary
+
+/** Start @p argv with stdout and stderr appended to @p log; returns the
+    child's pid (-1 when it could not be started). */
+pid_t
+spawnLogged(const std::vector<std::string> &argv, const fs::path &log)
+{
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, log.c_str(),
+                                     O_WRONLY | O_CREAT | O_APPEND, 0644);
+    posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+    std::vector<char *> args;
+    for (const std::string &a : argv)
+        args.push_back(const_cast<char *>(a.c_str()));
+    args.push_back(nullptr);
+    pid_t pid = -1;
+    if (posix_spawn(&pid, args[0], &actions, nullptr, args.data(),
+                    environ) != 0)
+        pid = -1;
+    posix_spawn_file_actions_destroy(&actions);
+    return pid;
+}
+
+/** Exit code of @p pid, or -1 when it did not exit normally. */
+int
+waitExit(pid_t pid)
+{
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+/** Kills and reaps a child that a failed assertion left running. */
+struct ChildGuard
+{
+    pid_t pid;
+
+    ~ChildGuard()
+    {
+        if (pid > 0 && ::waitpid(pid, nullptr, WNOHANG) == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
+};
+
+TEST(Hattd, RealDaemonRoundTripWarmTierParityAndSigterm)
+{
+    fs::path dir = scratchDir("binary");
+    const fs::path log = dir / "hattd.log";
+    const pid_t daemon = spawnLogged(
+        {HATTD_BINARY, "--port", "0", "--cache", (dir / "dcache").string(),
+         "--out-root", (dir / "srv").string()},
+        log);
+    ASSERT_GT(daemon, 0);
+    ChildGuard guard{daemon};
+
+    // Port 0: the daemon picks one and announces it.
+    const std::string listening = "listening on 127.0.0.1:";
+    std::string text;
+    size_t at = std::string::npos;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((at = (text = readFile(log)).find(listening)) ==
+               std::string::npos &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_NE(at, std::string::npos) << text;
+    const uint16_t port = static_cast<uint16_t>(
+        std::stoi(text.substr(at + listening.size())));
+
+    // h2 and hubbard2x2 twice on one connection, then ping and stats.
+    // The h2 frame still carries the retired `jobs: 0` field, as older
+    // v1 clients send it.
+    const std::vector<std::string> inputs = {"h2", "hubbard2x2"};
+    std::vector<JsonValue> frames;
+    for (const std::string &inp : inputs)
+        frames.push_back(compileFrame(dataFile(inp + ".ops"), "w_" + inp));
+    frames[0].add("jobs", 0);
+    std::vector<JsonValue> replies;
+    {
+        Client client(port);
+        for (int pass = 0; pass < 2; ++pass)
+            for (const JsonValue &frame : frames)
+                replies.push_back(client.rpc(frame));
+        replies.push_back(client.rpc(opFrame("ping")));
+        replies.push_back(client.rpc(opFrame("stats")));
+    }
+    ASSERT_EQ(replies.size(), 6u);
+    for (size_t i = 0; i < 4; ++i)
+        ASSERT_EQ(replies[i].at("format").asString(),
+                  "hatt-compile-response")
+            << replies[i].dump(2);
+
+    // The paper's H2/STO-3G row over the wire, built cold.
+    EXPECT_EQ(replies[0].at("num_qubits").asInt(), 4);
+    EXPECT_EQ(replies[0].at("pauli_weight").asInt(), 32);
+    EXPECT_FALSE(replies[0].at("cache_hit").asBool());
+    // The repeat pass is served by the warm memory tier and is the cold
+    // response, volatile fields aside.
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(replies[i + 2].at("cache_hit").asBool());
+        EXPECT_EQ(replies[i + 2].at("cache_tier").asString(), "memory");
+        EXPECT_EQ(stripVolatile(replies[i + 2]), stripVolatile(replies[i]));
+    }
+    EXPECT_EQ(replies[4].at("message").asString(), "pong");
+    EXPECT_EQ(replies[5].at("format").asString(), "hatt-stats");
+    EXPECT_EQ(replies[5]
+                  .at("metrics")
+                  .at("deterministic")
+                  .at("server.compile_requests")
+                  .asInt(),
+              4);
+
+    // The daemon's artifacts are byte-identical to one-shot hattc runs.
+    for (const std::string &inp : inputs) {
+        const fs::path one = dir / "one" / inp;
+        ASSERT_EQ(waitExit(spawnLogged({HATTC_BINARY, "compile",
+                                        dataFile(inp + ".ops"), "-o",
+                                        one.string()},
+                                       dir / "hattc.log")),
+                  0)
+            << readFile(dir / "hattc.log");
+        for (const char *kind : {".mapping.json", ".tree.json", ".qubit.json"})
+            EXPECT_EQ(readFile(dir / "srv" / ("w_" + inp) / (inp + kind)),
+                      readFile(one / (inp + kind)))
+                << inp << kind;
+    }
+
+    // SIGTERM drains to a clean exit.
+    ASSERT_EQ(::kill(daemon, SIGTERM), 0);
+    EXPECT_EQ(waitExit(daemon), 0);
+    EXPECT_NE(readFile(log).find("shut down cleanly"), std::string::npos)
+        << readFile(log);
     fs::remove_all(dir);
 }
 

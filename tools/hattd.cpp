@@ -187,8 +187,8 @@ main(int argc, char **argv)
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
 
-    // The `listening` line is the readiness signal scripts wait for
-    // (scripts/hattd_client.py, the daemon-smoke CI job).
+    // The `listening` line is the readiness signal scripts and tests
+    // wait for (Hattd.RealDaemonRoundTripWarmTierParityAndSigterm).
     std::cout << "hattd: listening on " << config.host << ":"
               << server.port() << "\n"
               << std::flush;
