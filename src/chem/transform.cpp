@@ -1,6 +1,7 @@
 #include "chem/transform.hpp"
 
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace hatt {
@@ -57,18 +58,25 @@ freezeCore(const MoIntegrals &mo, uint32_t num_frozen, uint32_t num_active)
     return out;
 }
 
-FermionHamiltonian
-secondQuantize(const MoIntegrals &mo, double coeff_tol)
+void
+secondQuantizeInto(const MoIntegrals &mo,
+                   const std::function<void(const FermionTerm &)> &emit,
+                   double coeff_tol)
 {
     const uint32_t n = mo.numOrbitals;
-    FermionHamiltonian hf(2 * n);
     // Block spin ordering: alpha modes [0, n), beta modes [n, 2n).
     auto mode = [&](uint32_t p, int spin) {
         return p + static_cast<uint32_t>(spin) * n;
     };
+    FermionTerm term;
+    auto put = [&](double coeff, std::initializer_list<FermionOp> ops) {
+        term.coeff = coeff;
+        term.ops.assign(ops);
+        emit(term);
+    };
 
     if (mo.coreEnergy != 0.0)
-        hf.add(mo.coreEnergy, {});
+        put(mo.coreEnergy, {});
 
     for (uint32_t p = 0; p < n; ++p) {
         for (uint32_t q = 0; q < n; ++q) {
@@ -76,8 +84,7 @@ secondQuantize(const MoIntegrals &mo, double coeff_tol)
             if (std::abs(h) < coeff_tol)
                 continue;
             for (int spin = 0; spin < 2; ++spin)
-                hf.add(h, {create(mode(p, spin)),
-                           annihilate(mode(q, spin))});
+                put(h, {create(mode(p, spin)), annihilate(mode(q, spin))});
         }
     }
 
@@ -95,15 +102,22 @@ secondQuantize(const MoIntegrals &mo, double coeff_tol)
                             uint32_t mr = mode(r, s1), ms = mode(s, s2);
                             if (mp == mq || mr == ms)
                                 continue; // a†a† / aa on same mode = 0
-                            hf.add(0.5 * g,
-                                   {create(mp), create(mq),
-                                    annihilate(ms), annihilate(mr)});
+                            put(0.5 * g, {create(mp), create(mq),
+                                          annihilate(ms), annihilate(mr)});
                         }
                     }
                 }
             }
         }
     }
+}
+
+FermionHamiltonian
+secondQuantize(const MoIntegrals &mo, double coeff_tol)
+{
+    FermionHamiltonian hf(2 * mo.numOrbitals);
+    secondQuantizeInto(
+        mo, [&](const FermionTerm &term) { hf.add(term); }, coeff_tol);
     return hf;
 }
 

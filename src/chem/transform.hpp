@@ -9,6 +9,8 @@
  * "frz" benchmark variants to reproduce the paper's mode counts.
  */
 
+#include <functional>
+
 #include "chem/scf.hpp"
 #include "fermion/fermion_op.hpp"
 
@@ -36,6 +38,13 @@ MoIntegrals freezeCore(const MoIntegrals &mo, uint32_t num_frozen,
  */
 FermionHamiltonian secondQuantize(const MoIntegrals &mo,
                                   double coeff_tol = 1e-10);
+
+/** secondQuantize()'s terms handed to @p emit one at a time, in the
+    same order, without building the Hamiltonian (2 * numOrbitals
+    modes). The term passed to @p emit is reused for the next one. */
+void secondQuantizeInto(const MoIntegrals &mo,
+                        const std::function<void(const FermionTerm &)> &emit,
+                        double coeff_tol = 1e-10);
 
 } // namespace hatt
 

@@ -1,128 +1,149 @@
 #include "circuit/optimize.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-#include <vector>
+#include <stdexcept>
 
 namespace hatt {
 
 namespace {
 
+constexpr uint32_t kEmpty = UINT32_MAX; //!< link below a wire's bottom
+
 bool
-inversePair(const Gate &a, const Gate &b)
+inversePair(GateKind a, GateKind b)
 {
-    if (a.q0 != b.q0)
-        return false;
-    switch (a.kind) {
-      case GateKind::H: return b.kind == GateKind::H;
-      case GateKind::X: return b.kind == GateKind::X;
-      case GateKind::S: return b.kind == GateKind::Sdg;
-      case GateKind::Sdg: return b.kind == GateKind::S;
+    switch (a) {
+      case GateKind::H: return b == GateKind::H;
+      case GateKind::X: return b == GateKind::X;
+      case GateKind::S: return b == GateKind::Sdg;
+      case GateKind::Sdg: return b == GateKind::S;
       default: return false;
     }
 }
 
-constexpr uint32_t kNone = UINT32_MAX;
-
-/** Per-wire stacks of surviving gates threaded through the gate list:
-    below[2i + k] is the gate under gate i on its wire q0 (k = 0) or q1
-    (k = 1); top[w] heads wire w's stack. Reused across passes. */
-struct WireStacks
-{
-    std::vector<uint32_t> top, below;
-    std::vector<uint8_t> removed;
-};
-
-/** One forward pass, in place; returns number of gates removed. */
-uint64_t
-cancelPass(Circuit &c, WireStacks &st)
-{
-    std::vector<Gate> &gates = c.mutableGates();
-    const size_t n = gates.size();
-    assert(n < kNone);
-    st.top.assign(c.numQubits(), kNone);
-    st.below.resize(2 * n);
-    st.removed.assign(n, 0);
-    auto push = [&](size_t i, int w, int slot) {
-        st.below[2 * i + slot] = st.top[w];
-        st.top[w] = static_cast<uint32_t>(i);
-    };
-    auto pop = [&](int w) { // the top's link on w: slot 1 iff w is its q1
-        st.top[w] = st.below[2 * st.top[w] + (gates[st.top[w]].q0 != w)];
-    };
-
-    uint64_t cancelled = 0;
-    for (size_t i = 0; i < n; ++i) {
-        Gate &g = gates[i];
-        if (g.kind == GateKind::CNOT) {
-            const uint32_t t = st.top[g.q0];
-            if (t != kNone && t == st.top[g.q1]) {
-                const Gate &prev = gates[t];
-                if (prev.kind == GateKind::CNOT && prev.q0 == g.q0 &&
-                    prev.q1 == g.q1) {
-                    st.removed[t] = st.removed[i] = 1;
-                    pop(g.q0);
-                    pop(g.q1);
-                    cancelled += 2;
-                    continue;
-                }
-            }
-            push(i, g.q0, 0);
-            push(i, g.q1, 1);
-        } else {
-            const uint32_t t = st.top[g.q0];
-            if (t != kNone) {
-                Gate &prev = gates[t];
-                if (!prev.isTwoQubit() && inversePair(prev, g)) {
-                    st.removed[t] = st.removed[i] = 1;
-                    pop(g.q0);
-                    cancelled += 2;
-                    continue;
-                }
-                if (!prev.isTwoQubit() && prev.kind == GateKind::RZ &&
-                    g.kind == GateKind::RZ) {
-                    prev.angle += g.angle;
-                    st.removed[i] = 1;
-                    ++cancelled; // merged, not strictly removed
-                    if (std::abs(std::remainder(prev.angle,
-                                                4.0 * M_PI)) < 1e-14) {
-                        st.removed[t] = 1;
-                        pop(g.q0);
-                        ++cancelled;
-                    }
-                    continue;
-                }
-            }
-            push(i, g.q0, 0);
-        }
-    }
-
-    if (cancelled != 0) {
-        size_t kept = 0;
-        for (size_t i = 0; i < n; ++i)
-            if (!st.removed[i])
-                gates[kept++] = gates[i];
-        gates.resize(kept);
-    }
-    return cancelled;
-}
-
 } // namespace
 
-OptimizeStats
-optimizeCircuit(Circuit &c, uint32_t max_passes)
+CancellationStacks::CancellationStacks(uint32_t num_qubits)
+    : top_(num_qubits, Top{kEmpty, 0, GateKind::CNOT})
 {
-    OptimizeStats stats;
-    WireStacks stacks;
-    for (uint32_t p = 0; p < max_passes; ++p) {
-        size_t before = c.size();
-        uint64_t cancelled = cancelPass(c, stacks);
-        stats.removedGates += before - c.size();
-        ++stats.passes;
-        if (cancelled == 0)
-            break;
+}
+
+CancellationStacks::Top
+CancellationStacks::topAt(uint32_t link) const
+{
+    if (link == kEmpty)
+        return {kEmpty, 0, GateKind::CNOT};
+    const Entry &e = entry(link >> 1);
+    return {link, e.depth(), e.kind()};
+}
+
+inline uint32_t
+CancellationStacks::append(uint32_t below0, uint32_t below1, uint32_t depth,
+                           GateKind kind)
+{
+    if ((size_ & (kBlockSize - 1)) == 0) [[unlikely]] {
+        // A depth (at most the entry count) must fit 29 bits; that also
+        // keeps every link (id << 1 | slot) below kEmpty.
+        if (size_ + kBlockSize > (1u << 29))
+            throw std::length_error("CancellationStacks: too many gates");
+        blocks_.push_back(
+            std::make_unique_for_overwrite<Entry[]>(kBlockSize));
     }
-    return stats;
+    blocks_.back()[size_ & (kBlockSize - 1)] = {
+        {below0, below1}, depth << 3 | static_cast<uint32_t>(kind)};
+    return size_++;
+}
+
+bool
+CancellationStacks::push(const Gate &g)
+{
+    if (g.kind == GateKind::CNOT) {
+        Top &c = top_[g.q0], &t = top_[g.q1];
+        // The same CNOT tops both wires, with g's control in its slot 0
+        // (only a CNOT holds a slot 1).
+        if ((c.link & 1) == 0 && t.link == c.link + 1) {
+            Entry &prev = entry(c.link >> 1);
+            prev.tag &= 7;
+            c = topAt(prev.below[0]);
+            t = topAt(prev.below[1]);
+            --cnot_;
+            return false;
+        }
+        const uint32_t depth = std::max(c.depth, t.depth) + 1;
+        const uint32_t id = append(c.link, t.link, depth, g.kind);
+        c = {id << 1, depth, g.kind};
+        t = {id << 1 | 1, depth, g.kind};
+        ++cnot_;
+        return true;
+    }
+
+    Top &top = top_[g.q0];
+    bool popped = inversePair(top.kind, g.kind);
+    if (!popped && top.kind == GateKind::RZ && g.kind == GateKind::RZ) {
+        double &angle = angles_[entry(top.link >> 1).below[1]];
+        angle += g.angle;
+        popped = std::abs(std::remainder(angle, 4.0 * M_PI)) < 1e-14;
+        if (!popped)
+            return false; // merged
+    }
+    if (popped) {
+        Entry &prev = entry(top.link >> 1);
+        prev.tag &= 7;
+        top = topAt(prev.below[0]);
+        if (top.kind == GateKind::CNOT) // prev had opened a U3 run
+            --u3_;
+        return false;
+    }
+    // A 1q gate opens a U3 run unless it lands on one.
+    const bool opens = top.kind == GateKind::CNOT;
+    uint32_t angle_index = 0;
+    if (g.kind == GateKind::RZ) {
+        angle_index = static_cast<uint32_t>(angles_.size());
+        angles_.push_back(g.angle);
+    }
+    const uint32_t depth = top.depth + (opens ? 1 : 0);
+    const uint32_t id = append(top.link, angle_index, depth, g.kind);
+    top = {id << 1, depth, g.kind};
+    if (opens)
+        ++u3_;
+    return true;
+}
+
+GateCounts
+CancellationStacks::counts() const
+{
+    GateCounts counts;
+    counts.cnot = cnot_;
+    counts.u3 = u3_;
+    for (const Top &t : top_)
+        counts.depth = std::max<uint64_t>(counts.depth, t.depth);
+    return counts;
+}
+
+uint64_t
+optimizeCircuit(Circuit &c)
+{
+    std::vector<Gate> &gates = c.mutableGates();
+    CancellationStacks stacks(c.numQubits());
+    // Pushed gate k moves down to gates[k] (k <= i) ...
+    uint32_t pushed = 0;
+    for (size_t i = 0; i < gates.size(); ++i)
+        if (stacks.push(gates[i]))
+            gates[pushed++] = gates[i];
+    // ... and the survivors among them down again, in circuit order.
+    size_t kept = 0;
+    for (uint32_t k = 0; k < pushed; ++k) {
+        if (!stacks.survives(k))
+            continue;
+        gates[kept] = gates[k];
+        if (gates[kept].kind == GateKind::RZ)
+            gates[kept].angle = stacks.angle(k);
+        ++kept;
+    }
+    const uint64_t removed = gates.size() - kept;
+    gates.resize(kept);
+    return removed;
 }
 
 } // namespace hatt

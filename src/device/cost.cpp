@@ -10,35 +10,47 @@
 
 namespace hatt::device {
 
+namespace {
+
+std::string
+deviceLabel(const CouplingMap &device)
+{
+    return "hardware cost on device '" +
+           (device.name().empty() ? std::string("unnamed") : device.name()) +
+           "': ";
+}
+
+} // namespace
+
+StatusOr<HardwareCost>
+RoutedCostSink::cost(uint64_t swaps) const
+{
+    // A 2q gate on an uncoupled pair is a router bug, not an input error.
+    if (uncoupled_)
+        return Status::internal(deviceLabel(device_) +
+                                "routed circuit violates the coupling map");
+    const GateCounts counts = stacks_.counts();
+    HardwareCost cost;
+    cost.cnots = counts.cnot;
+    cost.u3 = counts.u3;
+    cost.depth = counts.depth;
+    cost.swaps = swaps;
+    return cost;
+}
+
 StatusOr<HardwareCost>
 evaluateHardwareCost(const PauliSum &hq, const CouplingMap &device)
 {
     try {
-        PauliSum ordered = scheduleTerms(hq, ScheduleKind::Lexicographic);
-        Circuit c = evolutionCircuit(ordered);
+        Circuit c =
+            evolutionCircuit(scheduleTerms(hq, ScheduleKind::Lexicographic));
         optimizeCircuit(c);
-        RoutedCircuit routed = routeCircuit(c, device);
-        optimizeCircuit(routed.circuit);
-        // Every cost this evaluator reports is for a circuit that is
-        // actually executable on the device — a 2q gate on an uncoupled
-        // pair here is a router/optimizer bug, not an input error.
-        if (!respectsCoupling(routed.circuit, device))
-            return Status::internal(
-                std::string("hardware cost on device '") +
-                (device.name().empty() ? "unnamed" : device.name()) +
-                "': routed circuit violates the coupling map");
-        const GateCounts counts = routed.circuit.basisCounts();
-        HardwareCost cost;
-        cost.cnots = counts.cnot;
-        cost.u3 = counts.u3;
-        cost.depth = counts.depth;
-        cost.swaps = routed.swapsInserted;
-        return cost;
+        std::vector<int> layout = greedyLayout(c, device);
+        RoutedCostSink sink(device);
+        const uint64_t swaps = swapWalk(c, device, layout, sink);
+        return sink.cost(swaps);
     } catch (const std::invalid_argument &e) {
-        return Status::invalidArgument(
-            std::string("hardware cost on device '") +
-            (device.name().empty() ? "unnamed" : device.name()) + "': " +
-            e.what());
+        return Status::invalidArgument(deviceLabel(device) + e.what());
     }
 }
 

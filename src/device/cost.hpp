@@ -9,9 +9,13 @@
  *
  * evaluateHardwareCost() runs the full deterministic pipeline
  *   mapToQubits -> scheduleTerms(Lexicographic) -> evolutionCircuit
- *   -> optimizeCircuit -> routeCircuit -> optimizeCircuit
+ *   -> optimizeCircuit -> route -> cancel
  * and reports the routed circuit's CNOT / U3 / depth counts plus the
- * SWAPs the router inserted. Every stage is deterministic, so the
+ * SWAPs the router inserted. The last two stages are one streaming
+ * walk: the router hands each physical gate to a RoutedCostSink, so
+ * the routed circuit is never built. The counts equal routeCircuit ->
+ * optimizeCircuit -> Circuit::basisCounts (tests/test_device.cpp keeps
+ * that path as a reference). Every stage is deterministic, so the
  * numbers are bit-identical across thread counts and suitable for
  * byte-compared reports and committed bench baselines.
  *
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 
+#include "circuit/optimize.hpp"
 #include "fermion/majorana.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/mapping.hpp"
@@ -38,6 +43,38 @@ struct HardwareCost
     uint64_t u3 = 0;     //!< single-qubit gates after optimization
     uint64_t depth = 0;  //!< routed circuit depth
     uint64_t swaps = 0;  //!< SWAPs the router inserted
+};
+
+/**
+ * The routed-cost sink: swapWalk() hands it every physical gate. Each
+ * CNOT is checked against the device, and every gate goes through
+ * CancellationStacks, which keep the optimized routed circuit's CNOT
+ * count, U3 run count and depth current without building it.
+ */
+class RoutedCostSink
+{
+  public:
+    explicit RoutedCostSink(const CouplingMap &device)
+        : device_(device), stacks_(device.numQubits())
+    {
+    }
+
+    void operator()(const Gate &g)
+    {
+        if (g.isTwoQubit() && !device_.adjacent(g.q0, g.q1))
+            uncoupled_ = true;
+        stacks_.push(g);
+    }
+
+    /** Cost of the gates fed so far, with @p swaps SWAPs. Internal once
+        any CNOT acted on an uncoupled pair: a cost this evaluator
+        reports is for a circuit that is executable on the device. */
+    StatusOr<HardwareCost> cost(uint64_t swaps) const;
+
+  private:
+    const CouplingMap &device_;
+    CancellationStacks stacks_;
+    bool uncoupled_ = false;
 };
 
 /**

@@ -120,13 +120,16 @@ loadProblem(const std::string &path, InputFormat format,
             problem.fermionTerms = info.numTerms;
         } else {
             problem.format = "fcidump";
-            FermionHamiltonian hf = secondQuantize(parseFcidump(in, limits));
-            metrics::add("parse.fcidump_files");
-            metrics::add("parse.fcidump_terms", hf.size());
-            for (const FermionTerm &term : hf.terms())
+            const MoIntegrals mo = parseFcidump(in, limits);
+            size_t terms = 0;
+            secondQuantizeInto(mo, [&](const FermionTerm &term) {
                 acc.add(term);
-            acc.ensureModes(hf.numModes());
-            problem.fermionTerms = hf.size();
+                ++terms;
+            });
+            acc.ensureModes(2 * mo.numOrbitals);
+            metrics::add("parse.fcidump_files");
+            metrics::add("parse.fcidump_terms", terms);
+            problem.fermionTerms = terms;
         }
     } catch (const std::invalid_argument &e) {
         // Data-shape violations from the Majorana expansion (e.g. a term

@@ -42,16 +42,16 @@ struct LoadedProblem
 };
 
 /**
- * Parse @p path (streaming for .ops) and preprocess into Majorana form:
- * every term is expanded and folded into one serial
- * StreamingMajoranaAccumulator as it is read, so the term list is never
- * buffered. The path is opened exactly once (non-blocking, so a FIFO
- * cannot stall the open); type, size and content all come from that
- * one descriptor. The size is checked against ParseLimits::maxFileBytes
- * before a byte is parsed; the term/mode/line caps are enforced by the
- * format parsers as they stream. Auto resolves by extension, then by
- * the first non-blank character (FCIDUMP files open with an &FCI
- * namelist).
+ * Parse @p path and preprocess into Majorana form: every term is
+ * expanded and folded into one serial StreamingMajoranaAccumulator as
+ * it is read (.ops) or second-quantized from the FCIDUMP integrals, so
+ * the term list is never buffered. The path is opened exactly once
+ * (non-blocking, so a FIFO cannot stall the open); type, size and
+ * content all come from that one descriptor. The size is checked
+ * against ParseLimits::maxFileBytes before a byte is parsed; the
+ * term/mode/line caps are enforced by the format parsers as they
+ * stream. Auto resolves by extension, then by the first non-blank
+ * character (FCIDUMP files open with an &FCI namelist).
  * @throws ParseError on unreadable/malformed/over-cap input, or a path
  *         that is not a regular file (FIFO, device, directory).
  */

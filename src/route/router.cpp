@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 namespace hatt {
 
@@ -46,50 +45,15 @@ degreeOrderedLayout(const std::vector<uint64_t> &degree,
     return layout;
 }
 
-/** routeCircuit()'s walk: hands each physical gate to @p emit (a SWAP
-    as three CNOTs), keeps @p layout (logical -> physical) current and
-    returns the SWAP count. */
-template <class Emit>
-uint64_t
-swapWalk(const Circuit &logical, const CouplingMap &device,
-         std::vector<int> &layout, Emit &&emit)
-{
-    // physical -> logical (only for occupied qubits).
-    std::vector<int> occupant(device.numQubits(), -1);
-    for (size_t l = 0; l < layout.size(); ++l)
-        occupant[layout[l]] = static_cast<int>(l);
-
-    uint64_t swaps = 0;
-    for (const Gate &g : logical.gates()) {
-        if (!g.isTwoQubit()) {
-            Gate phys = g;
-            phys.q0 = layout[g.q0];
-            emit(phys);
-            continue;
-        }
-        while (!device.adjacent(layout[g.q0], layout[g.q1])) {
-            const int pa = layout[g.q0];
-            const int pb = device.hopUnchecked(pa, layout[g.q1]);
-            emit(Gate{GateKind::CNOT, pa, pb, 0.0});
-            emit(Gate{GateKind::CNOT, pb, pa, 0.0});
-            emit(Gate{GateKind::CNOT, pa, pb, 0.0});
-            std::swap(occupant[pa], occupant[pb]);
-            if (occupant[pa] >= 0)
-                layout[occupant[pa]] = pa;
-            if (occupant[pb] >= 0)
-                layout[occupant[pb]] = pb;
-            ++swaps;
-        }
-        emit(Gate{GateKind::CNOT, layout[g.q0], layout[g.q1], 0.0});
-    }
-    return swaps;
-}
-
 } // namespace
 
 std::vector<int>
 greedyLayout(const Circuit &logical, const CouplingMap &device)
 {
+    if (logical.numQubits() > device.numQubits())
+        throw std::invalid_argument("router: device too small");
+    if (!device.connected())
+        throw std::invalid_argument("router: disconnected device");
     std::vector<uint64_t> degree(logical.numQubits(), 0);
     for (const auto &g : logical.gates()) {
         if (g.isTwoQubit()) {
@@ -103,21 +67,10 @@ greedyLayout(const Circuit &logical, const CouplingMap &device)
 RoutedCircuit
 routeCircuit(const Circuit &logical, const CouplingMap &device)
 {
-    if (logical.numQubits() > device.numQubits())
-        throw std::invalid_argument("routeCircuit: device too small");
-    if (!device.connected())
-        throw std::invalid_argument("routeCircuit: disconnected device");
-
     RoutedCircuit out;
     out.initial = greedyLayout(logical, device);
-    // A counting walk first, so the output is allocated once at its
-    // final size (every SWAP is three CNOTs).
     out.final = out.initial;
-    const uint64_t swaps =
-        swapWalk(logical, device, out.final, [](const Gate &) {});
     out.circuit = Circuit(device.numQubits());
-    out.circuit.reserve(logical.size() + 3 * swaps);
-    out.final = out.initial;
     out.swapsInserted = swapWalk(logical, device, out.final,
                                  [&](const Gate &g) { out.circuit.push(g); });
     return out;

@@ -2,8 +2,10 @@
  * @file
  * Tests for the circuit IR, Pauli-evolution synthesis (verified against
  * exact exponentials on the state-vector simulator), scheduling, and the
- * peephole optimizer (unitary preservation + actual gate savings, and
- * gate-for-gate agreement with a straightforward copying reference).
+ * peephole optimizer (unitary preservation + actual gate savings,
+ * gate-for-gate agreement with a straightforward copying reference run
+ * to its fixpoint, running counts equal to a recount, and one pass
+ * being a fixpoint).
  */
 
 #include <gtest/gtest.h>
@@ -359,19 +361,12 @@ referenceCancelPass(Circuit &c)
     return cancelled;
 }
 
-OptimizeStats
-referenceOptimize(Circuit &c, uint32_t max_passes)
+/** Reference passes until one removes nothing. */
+void
+referenceOptimizeToFixpoint(Circuit &c)
 {
-    OptimizeStats stats;
-    for (uint32_t p = 0; p < max_passes; ++p) {
-        size_t before = c.size();
-        uint64_t cancelled = referenceCancelPass(c);
-        stats.removedGates += before - c.size();
-        ++stats.passes;
-        if (cancelled == 0)
-            break;
+    while (referenceCancelPass(c) != 0) {
     }
-    return stats;
 }
 
 ::testing::AssertionResult
@@ -443,7 +438,7 @@ stackStressCircuit(Rng &rng)
     };
     const int blocks = 20 + static_cast<int>(rng.nextInt(60));
     for (int blk = 0; blk < blocks; ++blk) {
-        switch (rng.nextInt(7)) {
+        switch (rng.nextInt(8)) {
           case 0: { // nested inverse pairs on one wire
             const int q = wire();
             std::vector<Gate> open;
@@ -519,6 +514,22 @@ stackStressCircuit(Rng &rng)
             }
             break;
           }
+          case 7: { // a CNOT cascade and its mirror, sometimes split
+            std::vector<int> wires;
+            const int len = 3 + static_cast<int>(rng.nextInt(5));
+            for (int k = 0; k < len; ++k) {
+                const int w = wire();
+                if (wires.empty() || w != wires.back())
+                    wires.push_back(w);
+            }
+            for (size_t k = 0; k + 1 < wires.size(); ++k)
+                c.cnot(wires[k], wires[k + 1]);
+            if (rng.chance(0.3))
+                c.rz(wires.back(), rng.nextDouble());
+            for (size_t k = wires.size() - 1; k-- > 0;)
+                c.cnot(wires[k], wires[k + 1]);
+            break;
+          }
           default: { // an interrupted pair on one wire
             const int q = wire();
             Gate g = randomCliffordGate(rng, q);
@@ -534,23 +545,49 @@ stackStressCircuit(Rng &rng)
 
 TEST(Optimize, MatchesCopyingReferenceGateForGate)
 {
+    // One optimizeCircuit pass equals the reference run to its fixpoint,
+    // and CancellationStacks' running counts equal basisCounts() of it.
     uint64_t removed = 0;
     for (uint64_t seed = 0; seed < 250; ++seed) {
         Rng rng(9000 + seed);
         const Circuit input = stackStressCircuit(rng);
-        // Some runs stop short of the fixpoint, so a pass's partial
-        // result is compared too.
-        const uint32_t passes = seed % 5 == 0 ? 1 : (seed % 7 == 0 ? 2 : 16);
         Circuit expected = input;
         Circuit actual = input;
-        const OptimizeStats want = referenceOptimize(expected, passes);
-        const OptimizeStats got = optimizeCircuit(actual, passes);
-        EXPECT_EQ(got.removedGates, want.removedGates) << "seed " << seed;
-        EXPECT_EQ(got.passes, want.passes) << "seed " << seed;
+        referenceOptimizeToFixpoint(expected);
+        const uint64_t got = optimizeCircuit(actual);
+        EXPECT_EQ(got, input.size() - expected.size()) << "seed " << seed;
         EXPECT_TRUE(sameGates(expected, actual)) << "seed " << seed;
-        removed += want.removedGates;
+        removed += got;
+
+        // The counts kept while pushing equal a recount of the survivors.
+        CancellationStacks stacks(input.numQubits());
+        for (const Gate &g : input.gates())
+            stacks.push(g);
+        const GateCounts want = expected.basisCounts();
+        const GateCounts kept = stacks.counts();
+        EXPECT_EQ(kept.cnot, want.cnot) << "seed " << seed;
+        EXPECT_EQ(kept.u3, want.u3) << "seed " << seed;
+        EXPECT_EQ(kept.depth, want.depth) << "seed " << seed;
     }
     EXPECT_GT(removed, 0u);
+}
+
+TEST(Optimize, OnePassIsAFixpoint)
+{
+    // A gate that survives a pass met, on each wire, the gate that ends
+    // up as its predecessor, so a second pass finds nothing. The stress
+    // circuits carry RZ chains summing to 4 pi, nested inverse 1q
+    // pairs and CNOT cascades with their mirrors.
+    uint64_t removed = 0;
+    for (uint64_t seed = 0; seed < 4000; ++seed) {
+        Rng rng(40000 + seed);
+        Circuit c = stackStressCircuit(rng);
+        removed += optimizeCircuit(c);
+        Circuit again = c;
+        ASSERT_EQ(referenceCancelPass(again), 0u) << "seed " << seed;
+        ASSERT_EQ(optimizeCircuit(c), 0u) << "seed " << seed;
+    }
+    EXPECT_GT(removed, 10000u);
 }
 
 // ------------------------------------------- synthesis reference oracle

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "circuit/optimize.hpp"
 #include "circuit/pauli_evolution.hpp"
 #include "circuit/schedule.hpp"
+#include "common/rng.hpp"
 #include "device/bonsai.hpp"
 #include "device/cost.hpp"
 #include "device/device.hpp"
@@ -421,26 +423,93 @@ TEST(HardwareCost, UndersizedDeviceIsAStatusNotAThrow)
         << cost.status().message();
 }
 
-TEST(HardwareCost, RoutedBenchPipelineRespectsCoupling)
+/** The materialising routed-cost path the streaming walk replaced:
+    route into a circuit, optimize it to its fixpoint, then count it
+    and check it against the device. */
+device::HardwareCost
+referenceHardwareCost(const PauliSum &hq, const CouplingMap &dev)
 {
-    // The exact pipeline bench_table_device and the evaluator share:
-    // the routed + optimized circuit must only touch coupled pairs.
-    CouplingMap dev = device::resolveDevice("montreal").value();
-    MajoranaPolynomial poly = testPoly(8);
-    for (const char *kind : {"jw", "hatt"}) {
-        MappingRequest req = deviceRequest(kind, poly, "");
-        StatusOr<MappingResult> built =
-            MapperRegistry::instance().build(req);
-        ASSERT_TRUE(built.ok());
-        PauliSum hq = mapToQubits(poly, built->mapping);
-        PauliSum ordered =
-            scheduleTerms(hq, ScheduleKind::Lexicographic);
-        Circuit c = evolutionCircuit(ordered);
-        optimizeCircuit(c);
-        RoutedCircuit routed = routeCircuit(c, dev);
-        optimizeCircuit(routed.circuit);
-        EXPECT_TRUE(respectsCoupling(routed.circuit, dev)) << kind;
+    Circuit c =
+        evolutionCircuit(scheduleTerms(hq, ScheduleKind::Lexicographic));
+    optimizeCircuit(c);
+    RoutedCircuit routed = routeCircuit(c, dev);
+    while (optimizeCircuit(routed.circuit) != 0) {
     }
+    EXPECT_TRUE(respectsCoupling(routed.circuit, dev));
+    const GateCounts counts = routed.circuit.basisCounts();
+    return {counts.cnot, counts.u3, counts.depth, routed.swapsInserted};
+}
+
+/** A seeded random Pauli sum over @p n qubits, mixing low- and
+    high-weight strings so consecutive ladders share prefixes. */
+PauliSum
+randomPauliSum(uint32_t n, Rng &rng)
+{
+    PauliSum h(n);
+    const int terms = 5 + static_cast<int>(rng.nextInt(60));
+    for (int t = 0; t < terms; ++t) {
+        PauliString s(n);
+        const double density = rng.chance(0.5) ? 0.2 : 0.7;
+        for (uint32_t q = 0; q < n; ++q)
+            if (rng.chance(density))
+                s.setOp(q, static_cast<PauliOp>(1 + rng.nextInt(3)));
+        h.add(cplx{rng.nextDouble() - 0.5, 0.0}, s);
+    }
+    return h;
+}
+
+TEST(HardwareCost, StreamingCostMatchesMaterialisingReference)
+{
+    uint64_t swaps = 0;
+    for (const char *name : {"montreal", "manhattan", "line:27", "grid:6x5",
+                             "all-to-all:12"}) {
+        const CouplingMap dev = device::resolveDevice(name).value();
+        const uint32_t max_n = std::min<uint32_t>(dev.numQubits(), 24);
+        for (uint64_t seed = 0; seed < 40; ++seed) {
+            SCOPED_TRACE(std::string(name) + " seed " +
+                         std::to_string(seed));
+            Rng rng(5000 + seed);
+            const uint32_t n =
+                2 + static_cast<uint32_t>(rng.nextInt(max_n - 1));
+            const PauliSum hq = randomPauliSum(n, rng);
+            const device::HardwareCost want = referenceHardwareCost(hq, dev);
+            StatusOr<device::HardwareCost> got =
+                device::evaluateHardwareCost(hq, dev);
+            ASSERT_TRUE(got.ok()) << got.status().message();
+            EXPECT_EQ(got->cnots, want.cnots);
+            EXPECT_EQ(got->u3, want.u3);
+            EXPECT_EQ(got->depth, want.depth);
+            EXPECT_EQ(got->swaps, want.swaps);
+            swaps += want.swaps;
+        }
+    }
+    EXPECT_GT(swaps, 0u);
+}
+
+TEST(HardwareCost, UncoupledCnotFailsTheCostSink)
+{
+    const CouplingMap dev = CouplingMap::line(3);
+    device::RoutedCostSink coupled(dev);
+    coupled(Gate{GateKind::H, 0, -1, 0.0});
+    coupled(Gate{GateKind::CNOT, 0, 1, 0.0});
+    coupled(Gate{GateKind::CNOT, 2, 1, 0.0});
+    StatusOr<device::HardwareCost> ok = coupled.cost(0);
+    ASSERT_TRUE(ok.ok()) << ok.status().message();
+    EXPECT_EQ(ok->cnots, 2u);
+    EXPECT_EQ(ok->u3, 1u);
+    EXPECT_EQ(ok->depth, 3u);
+
+    // Even a CNOT that a later one cancels is checked as it arrives.
+    device::RoutedCostSink sink(dev);
+    sink(Gate{GateKind::CNOT, 0, 1, 0.0});
+    sink(Gate{GateKind::CNOT, 0, 2, 0.0});
+    sink(Gate{GateKind::CNOT, 0, 2, 0.0});
+    StatusOr<device::HardwareCost> bad = sink.cost(0);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), Status::Code::Internal);
+    EXPECT_NE(bad.status().message().find("violates the coupling map"),
+              std::string::npos)
+        << bad.status().message();
 }
 
 // --------------------------------------------------------- treespilation

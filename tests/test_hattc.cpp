@@ -169,6 +169,20 @@ TEST(Hattc, CompileRoundTripMatchesInMemoryPipeline)
     EXPECT_EQ(rec.at("name").asString(), "h2/hatt");
     EXPECT_EQ(rec.at("pauli_weight").asInt(), 32);
     EXPECT_FALSE(rec.at("cache_hit").asBool());
+    EXPECT_EQ(mapping.numQubits, 4u);
+
+    // The version banner, stats on the input, and the strict check
+    // that the compiled HATT mapping preserves the vacuum.
+    std::string text;
+    EXPECT_EQ(run({"--version"}, &text), 0) << text;
+    EXPECT_EQ(text.rfind("hattc ", 0), 0u) << text;
+    EXPECT_EQ(run({"stats", input}, &text), 0) << text;
+    EXPECT_EQ(run({"verify", "--require-vacuum",
+                   (dir / "h2.mapping.json").string()},
+                  &text),
+              0)
+        << text;
+    EXPECT_NE(text.find("vacuum:   preserved"), std::string::npos) << text;
     fs::remove_all(dir);
 }
 
