@@ -27,7 +27,7 @@ main()
                             "identical output"});
         for (uint32_t n : {32u, 64u, 96u, 128u}) {
             MajoranaPolynomial poly = majoranaChain(n);
-            HattOptions walk{true, false};
+            HattOptions walk{HattAlgorithm::Walked};
             Timer t1;
             HattResult a = buildHattMapping(poly, walk);
             double walk_s = t1.seconds();

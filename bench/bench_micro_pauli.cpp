@@ -160,8 +160,7 @@ writeJsonLog()
                  res.stats.predictedWeight, res.stats.candidatesEvaluated);
 
         HattOptions unopt;
-        unopt.vacuumPairing = false;
-        unopt.descCache = false;
+        unopt.algorithm = HattAlgorithm::Unpaired;
         Timer t2;
         HattResult res2 = buildHattMapping(poly, unopt);
         json.add("hatt_unopt_build_chain" + std::to_string(n), t2.seconds(),

@@ -42,11 +42,8 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
     // assembly — HATT in particular pairs leaves during construction,
     // and re-deriving the pairing from the bare tree loses that.
     {
-        HattOptions hopt;
-        hopt.vacuumPairing = true;
-        hopt.descCache = true;
-        hopt.deadline = deadline;
-        HattResult hatt = buildHattMapping(poly, hopt);
+        HattResult hatt =
+            buildHattMapping(poly, {HattAlgorithm::Cached, deadline});
         candidates.push_back(
             {"hatt", std::move(hatt.tree), std::move(hatt.mapping)});
     }

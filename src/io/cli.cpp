@@ -435,9 +435,10 @@ cmdBatch(const Options &opt, std::ostream &out, std::ostream &err)
             if (res.degraded)
                 ++degraded;
             out << "  ok    " << r.item.key() << " -> " << res.numQubits
-                << " qubits, weight " << res.pauliWeight.value_or(0)
-                << (res.cacheHit ? " " + cacheHitNote(res) : "")
-                << (res.degraded ? "  [degraded]" : "")
+                << " qubits, weight " << res.pauliWeight.value_or(0);
+            if (res.cacheHit)
+                out << " " << cacheHitNote(res);
+            out << (res.degraded ? "  [degraded]" : "")
                 << (res.quarantinedCache ? "  [cache quarantined]" : "")
                 << "\n";
         } else {

@@ -180,9 +180,6 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
     const uint32_t n = poly.numModes();
     if (n == 0)
         throw std::invalid_argument("buildHattMapping: zero modes");
-    if (options.descCache && !options.vacuumPairing)
-        throw std::invalid_argument(
-            "buildHattMapping: descCache requires vacuumPairing");
 
     Timer timer;
     trace::Span span("mapping", "hatt_construct");
@@ -197,7 +194,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
     for (int i = 0; i < num_leaves; ++i)
         active[i] = i;
 
-    // Reduced Hamiltonian: packed supports + incremental counts.
+    // Reduced Hamiltonian: sorted id spans + incremental counts.
     TermCounts counts(static_cast<uint32_t>(max_id));
     for (const auto &t : poly.terms()) {
         if (t.indices.empty())
@@ -214,15 +211,17 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
     }
 
     std::vector<bool> paired(num_leaves, false);
+    const bool pairing = options.algorithm != HattAlgorithm::Unpaired;
+    const bool cached = options.algorithm == HattAlgorithm::Cached;
 
     HattStats stats;
     stats.stepWeights.reserve(n);
 
     auto desc_z = [&](int id) {
-        return options.descCache ? mdown[id] : tree.zDescendant(id);
+        return cached ? mdown[id] : tree.zDescendant(id);
     };
     auto traverse_up = [&](int leaf) {
-        if (options.descCache)
+        if (cached)
             return mup[leaf];
         int id = leaf;
         while (tree.node(id).parent != -1)
@@ -239,10 +238,10 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
     // Pairing scan state: scores carried across steps, keyed by leaf
     // pair (x / 2), and per node the last step whose scan must rescore
     // the pair it holds.
-    std::vector<PairScore> pair_scores(options.vacuumPairing ? n : 0);
+    std::vector<PairScore> pair_scores(pairing ? n : 0);
     std::vector<uint32_t> dirty(max_id, 0);
     ScanScratch pair_scratch;
-    if (options.vacuumPairing)
+    if (pairing)
         pair_scratch.prepare(max_id);
 
     const unsigned threads = parallelThreads();
@@ -255,7 +254,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
         const size_t m = active.size();
         ChunkResult scan;
 
-        if (!options.vacuumPairing) {
+        if (!pairing) {
             // Algorithm 1: free choice of three nodes. The weight on the
             // new qubit does not depend on which child is X/Y/Z, so
             // combinations suffice; children are assigned in id order.
@@ -412,9 +411,9 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
         const int parent = tree.addInternal(qubit, bx, by, bz);
         assert(parent == static_cast<int>(2 * n + 1 + step));
 
-        if (options.vacuumPairing) {
-            int px = options.descCache ? mdown[bx] : tree.zDescendant(bx);
-            int py = options.descCache ? mdown[by] : tree.zDescendant(by);
+        if (pairing) {
+            int px = desc_z(bx);
+            int py = desc_z(by);
             assert(px % 2 == 0 && py == px + 1);
             paired[px] = true;
             paired[py] = true;
@@ -456,7 +455,7 @@ buildHattMapping(const MajoranaPolynomial &poly, const HattOptions &options)
 
     HattResult result{FermionQubitMapping{}, std::move(tree), stats};
     result.mapping = mappingFromTree(
-        result.tree, options.vacuumPairing ? "HATT" : "HATT-unopt");
+        result.tree, pairing ? "HATT" : "HATT-unopt");
     result.stats.seconds = timer.seconds();
     // Bulk-added once per construction, never per candidate: the totals
     // are pinned deterministic by the parity tests.

@@ -18,15 +18,7 @@
  * non-identity operator; zero or all three produce identity), so every
  * candidate is O(1) after per-step counting.
  *
- * Three variants, all exposed through HattOptions:
- *  - Algorithm 1 (vacuumPairing = false): free triple selection, O(N^4),
- *    does not guarantee vacuum-state preservation ("HATT (unopt)").
- *  - Algorithm 2 (vacuumPairing = true, descCache = false): only (OX, OZ)
- *    are free; OY is forced by the Z-descendant pairing rule so every
- *    Majorana pair (M_2l, M_2l+1) shares an (X,Y) on one qubit — vacuum
- *    preserving. Z-descendants found by walking the tree.
- *  - Algorithm 3 (vacuumPairing = true, descCache = true): same output as
- *    Algorithm 2 but with O(1) descZ / traverse-up maps, O(N^3) total.
+ * Three variants, selected by HattOptions::algorithm (HattAlgorithm).
  */
 
 #include <cstdint>
@@ -39,13 +31,26 @@
 
 namespace hatt {
 
-/** Variant switches for the HATT construction. */
+/** The paper's three construction algorithms. */
+enum class HattAlgorithm
+{
+    /** Algorithm 1: free triple selection, O(N^4); does not guarantee
+        vacuum-state preservation ("HATT (unopt)"). */
+    Unpaired,
+    /** Algorithm 2: only (OX, OZ) are free; OY is forced by the
+        Z-descendant pairing rule, so every Majorana pair (M_2l, M_2l+1)
+        shares an (X,Y) on one qubit — vacuum preserving. Z-descendants
+        are found by walking the tree. */
+    Walked,
+    /** Algorithm 3: Algorithm 2's output with O(1) descZ / traverse-up
+        maps, O(N^3) total. */
+    Cached,
+};
+
+/** Options of the HATT construction. */
 struct HattOptions
 {
-    /** Enforce vacuum-state preservation via operator pairing (Alg. 2). */
-    bool vacuumPairing = true;
-    /** Use the O(1) descZ/up caches (Alg. 3); requires vacuumPairing. */
-    bool descCache = true;
+    HattAlgorithm algorithm = HattAlgorithm::Cached;
     /** Run budget, polled at Algorithm 1's candidate-scan chunk
         boundaries and checked (throwing DeadlineExceededError) at
         every step boundary on the calling thread. */

@@ -1,77 +1,36 @@
 #include "mapping/hatt_counts.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace hatt::detail {
 
-namespace {
-
-constexpr uint32_t kWordBits = 64;
-
-} // namespace
-
-TermCounts::TermCounts(uint32_t max_id)
-    : max_id_(max_id), words_((max_id + kWordBits - 1) / kWordBits),
-      dedup_(16, MaskSetHash{this}, MaskSetEq{this}), cnt1_(max_id, 0),
-      adj_(max_id), inv_(max_id), changed_stamp_(max_id, 0)
+size_t
+TermCounts::SupportHash::operator()(uint32_t t) const
 {
-    if (words_ == 0)
-        words_ = 1;
-}
-
-uint64_t
-TermCounts::maskHash(uint32_t term) const
-{
-    // Supports hold a handful of ids, so most words are zero: mix only
-    // the nonzero ones, tagged with their index.
-    const uint64_t *m = maskOf(term);
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ words_;
-    for (uint32_t w = 0; w < words_; ++w)
-        if (m[w] != 0)
-            h = splitmix64(h ^ m[w] ^ (uint64_t{w} << 32));
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (int id : owner->support(t))
+        h = splitmix64(h ^ static_cast<uint64_t>(id));
     return h;
 }
 
 bool
-TermCounts::masksEqual(uint32_t lhs, uint32_t rhs) const
+TermCounts::SupportEq::operator()(uint32_t a, uint32_t b) const
 {
-    const uint64_t *a = maskOf(lhs);
-    const uint64_t *b = maskOf(rhs);
-    for (uint32_t w = 0; w < words_; ++w)
-        if (a[w] != b[w])
-            return false;
-    return true;
+    return std::ranges::equal(owner->support(a), owner->support(b));
 }
 
-void
-TermCounts::maskIds(uint32_t term, std::vector<int> &out) const
+TermCounts::TermCounts(uint32_t max_id)
+    : dedup_(16, SupportHash{this}, SupportEq{this}), cnt1_(max_id, 0),
+      adj_(max_id), inv_(max_id), changed_stamp_(max_id, 0)
 {
-    out.clear();
-    const uint64_t *m = maskOf(term);
-    for (uint32_t w = 0; w < words_; ++w) {
-        uint64_t word = m[w];
-        while (word) {
-            int bit = std::countr_zero(word);
-            out.push_back(static_cast<int>(w * kWordBits) + bit);
-            word &= word - 1;
-        }
-    }
 }
 
 void
 TermCounts::adjAdd(int a, int b, int64_t mult)
 {
-    auto bump = [&](int u, int v) {
-        auto [it, inserted] = adj_[u].try_emplace(v, 0);
-        it->second += mult;
-        assert(it->second >= 0);
-        if (it->second == 0)
-            adj_[u].erase(it); // keep every stored count strictly positive
-    };
-    bump(a, b);
-    bump(b, a);
+    adj_[a][b] += mult;
+    adj_[b][a] += mult;
 }
 
 int64_t
@@ -82,34 +41,12 @@ TermCounts::pairCount(int a, int b) const
     return it == row.end() ? 0 : it->second;
 }
 
-void
-TermCounts::addCounts(const std::vector<int> &ids, int64_t mult)
-{
-    for (size_t i = 0; i < ids.size(); ++i) {
-        cnt1_[ids[i]] += mult;
-        for (size_t j = i + 1; j < ids.size(); ++j)
-            adjAdd(ids[i], ids[j], mult);
-    }
-}
-
-void
-TermCounts::removeCounts(const std::vector<int> &ids, int64_t mult)
-{
-    for (size_t i = 0; i < ids.size(); ++i) {
-        cnt1_[ids[i]] -= mult;
-        assert(cnt1_[ids[i]] >= 0);
-        for (size_t j = i + 1; j < ids.size(); ++j)
-            adjAdd(ids[i], ids[j], -mult);
-    }
-}
-
 bool
 TermCounts::dedupInsert(uint32_t term, int64_t mult)
 {
     auto [it, inserted] = dedup_.insert(term);
     if (inserted) {
         mult_[term] = mult;
-        ++live_terms_;
         return true;
     }
     mult_[*it] += mult;
@@ -120,25 +57,20 @@ TermCounts::dedupInsert(uint32_t term, int64_t mult)
 void
 TermCounts::addTerm(std::span<const uint32_t> support, int64_t mult)
 {
-    assert(!support.empty());
+    assert(!support.empty() && mult > 0);
+    assert(std::ranges::is_sorted(support) && support.back() < cnt1_.size());
     const uint32_t term = static_cast<uint32_t>(mult_.size());
-    bits_.resize(bits_.size() + words_, 0);
+    off_.push_back(ids_.size());
+    len_.push_back(static_cast<uint32_t>(support.size()));
+    ids_.insert(ids_.end(), support.begin(), support.end());
     mult_.push_back(0);
-    hash_.push_back(0);
-    touch_stamp_.push_back(0);
-    uint64_t *m = maskOf(term);
-    for (uint32_t id : support) {
-        assert(id < max_id_);
-        m[id / kWordBits] |= 1ULL << (id % kWordBits);
-    }
-    hash_[term] = maskHash(term);
     if (!dedupInsert(term, mult)) {
         // Folded into an existing equal support: drop the tentative slot
         // (dedupInsert left it out of the dedup set).
-        bits_.resize(bits_.size() - words_);
+        ids_.resize(off_.back());
+        off_.pop_back();
+        len_.pop_back();
         mult_.pop_back();
-        hash_.pop_back();
-        touch_stamp_.pop_back();
     }
 }
 
@@ -146,86 +78,79 @@ void
 TermCounts::finalize()
 {
     for (uint32_t t = 0; t < mult_.size(); ++t) {
-        if (mult_[t] == 0)
-            continue;
-        maskIds(t, scratch_ids_);
-        addCounts(scratch_ids_, mult_[t]);
-        for (int id : scratch_ids_)
-            inv_[id].push_back(t);
+        const std::span<const int> s = support(t);
+        for (size_t i = 0; i < s.size(); ++i) {
+            cnt1_[s[i]] += mult_[t];
+            inv_[s[i]].push_back(t);
+            for (size_t j = i + 1; j < s.size(); ++j)
+                adjAdd(s[i], s[j], mult_[t]);
+        }
     }
 }
 
 const std::vector<int> &
 TermCounts::merge(int a, int b, int c, int parent)
 {
-    assert(parent >= 0 && static_cast<uint32_t>(parent) < max_id_);
+    assert(parent >= 0 && static_cast<size_t>(parent) < cnt1_.size());
     ++stamp_;
     changed_.assign(1, parent);
     changed_stamp_[parent] = stamp_;
 
-    // Gather live terms whose support intersects {a, b, c}. The inverted
-    // index may hold stale entries (dead terms, moved supports); filter by
-    // re-checking the mask bit.
-    scratch_terms_.clear();
-    for (int id : {a, b, c}) {
-        for (uint32_t t : inv_[id]) {
-            if (t >= mult_.size() || mult_[t] == 0 ||
-                touch_stamp_[t] == stamp_)
+    // Reduce every live term holding a, b or c. The inverted index keeps
+    // dead slots, and a term reached from a's list no longer holds b when
+    // b's list reaches it: skip both.
+    for (int merged : {a, b, c}) {
+        for (uint32_t t : inv_[merged]) {
+            if (mult_[t] == 0 ||
+                !std::ranges::binary_search(support(t), merged))
                 continue;
-            const uint64_t *m = maskOf(t);
-            if (!(m[id / kWordBits] >> (id % kWordBits) & 1))
-                continue;
-            touch_stamp_[t] = stamp_;
-            scratch_terms_.push_back(t);
+            const int64_t mult = mult_[t];
+            dedup_.erase(t);
+
+            // Seed reduction rule: drop a/b/c, append parent iff odd.
+            int *first = ids_.data() + off_[t];
+            uint32_t len = 0;
+            int present = 0;
+            for (uint32_t i = 0; i < len_[t]; ++i) {
+                const int id = first[i];
+                if (id == a || id == b || id == c) {
+                    ++present;
+                    continue;
+                }
+                first[len++] = id;
+                // It shared this term with a merged node, so its row
+                // loses that pair whatever the term becomes.
+                if (changed_stamp_[id] != stamp_) {
+                    changed_stamp_[id] = stamp_;
+                    changed_.push_back(id);
+                }
+            }
+            if (present & 1) {
+                for (uint32_t i = 0; i < len; ++i)
+                    adjAdd(first[i], parent, mult);
+                cnt1_[parent] += mult;
+                first[len++] = parent;
+            }
+            len_[t] = len;
+            mult_[t] = 0;
+            if (len == 0)
+                continue; // fully settled: contributes no further weight
+            if (dedupInsert(t, mult) && (present & 1))
+                inv_[parent].push_back(t);
+            // When folded into an existing term, that term already has
+            // inverted index entries for exactly this support.
         }
-        inv_[id].clear(); // a, b, c never become active again
+        inv_[merged].clear(); // a, b, c never become active again
     }
 
-    for (uint32_t t : scratch_terms_) {
-        const int64_t mult = mult_[t];
-        maskIds(t, scratch_ids_);
-        removeCounts(scratch_ids_, mult);
-        // Each id here shared a term with a, b or c, so its adjacency
-        // row loses that entry: it changes whatever the term becomes.
-        for (int id : scratch_ids_) {
-            if (changed_stamp_[id] != stamp_ && id != a && id != b &&
-                id != c) {
-                changed_stamp_[id] = stamp_;
-                changed_.push_back(id);
-            }
-        }
-        dedup_.erase(t);
-        --live_terms_;
-        mult_[t] = 0;
-
-        // Seed reduction rule: drop a/b/c, append parent iff odd count.
-        uint64_t *m = maskOf(t);
-        int present = 0;
-        for (int id : {a, b, c}) {
-            uint64_t bit = 1ULL << (id % kWordBits);
-            if (m[id / kWordBits] & bit) {
-                ++present;
-                m[id / kWordBits] &= ~bit;
-            }
-        }
-        assert(present > 0);
-        if (present & 1)
-            m[parent / kWordBits] |= 1ULL << (parent % kWordBits);
-
-        bool empty = true;
-        for (uint32_t w = 0; w < words_ && empty; ++w)
-            empty = m[w] == 0;
-        if (empty)
-            continue; // fully settled: contributes no further weight
-
-        hash_[t] = maskHash(t);
-        const bool kept = dedupInsert(t, mult);
-        maskIds(t, scratch_ids_);
-        addCounts(scratch_ids_, mult);
-        if (kept && (present & 1))
-            inv_[parent].push_back(t);
-        // When folded into an existing term, that term already has inverted
-        // index entries for exactly this support.
+    // Every term holding a, b or c was reduced above, so their pairs and
+    // cnt1 are gone entirely.
+    for (size_t i = 1; i < changed_.size(); ++i)
+        for (int merged : {a, b, c})
+            adj_[changed_[i]].erase(merged);
+    for (int merged : {a, b, c}) {
+        adj_[merged].clear();
+        cnt1_[merged] = 0;
     }
     return changed_;
 }
@@ -234,12 +159,11 @@ std::vector<std::pair<std::vector<int>, int64_t>>
 TermCounts::snapshot() const
 {
     std::vector<std::pair<std::vector<int>, int64_t>> out;
-    std::vector<int> ids;
     for (uint32_t t = 0; t < mult_.size(); ++t) {
         if (mult_[t] == 0)
             continue;
-        maskIds(t, ids);
-        out.emplace_back(ids, mult_[t]);
+        const std::span<const int> s = support(t);
+        out.emplace_back(std::vector<int>(s.begin(), s.end()), mult_[t]);
     }
     std::sort(out.begin(), out.end());
     return out;

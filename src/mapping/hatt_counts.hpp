@@ -3,29 +3,30 @@
 
 /**
  * @file
- * Packed-support term multiset with incremental occurrence counts — the
- * data engine behind buildHattMapping's candidate scans.
+ * The reduced Hamiltonian with incremental occurrence counts — the data
+ * engine behind buildHattMapping's candidate scans.
  *
- * The reduced Hamiltonian is a multiset of node-support sets over ids
- * 0 .. max_id-1 (leaves + internal nodes). The seed implementation keyed a
- * hash map by sorted std::vector<int> supports and re-accumulated dense
- * O(max_id^2) pair-count tables from scratch at every merge step; this
- * version stores each support as a fixed-width uint64_t bit mask in a flat
- * arena (stride = word count, i.e. a single inline word for <= 64 active
- * ids — no per-term allocation at any size), hashes masks with a
- * splitmix64 mix, and maintains the counts incrementally:
+ * The reduced Hamiltonian is a multiset of node supports over ids
+ * 0 .. max_id-1 (leaves + internal nodes). Each support is an ascending
+ * id span in one flat arena, an offset and a length per term (the
+ * layout MajoranaPolynomial uses); equal supports are folded through a
+ * hash set keyed by the span. The counts are kept incrementally:
  *
  *  - cnt1[id]: summed multiplicity of terms containing id;
  *  - pair counts, stored sparsely as per-id adjacency hash maps (memory
- *    O(nnz) instead of O(max_id^2)), with zero entries erased eagerly so
- *    every stored count is strictly positive;
- *  - an id -> term-index inverted index (lazily cleaned) so a merge only
- *    touches terms whose support intersects the merged triple.
+ *    O(nnz) instead of O(max_id^2)), every stored count strictly
+ *    positive;
+ *  - an id -> term inverted index, so a merge touches only the terms
+ *    whose support holds a merged node.
  *
- * merge(a, b, c, parent) applies exactly the seed's reduction rule: drop
- * a/b/c from each intersecting support, append parent iff an odd number
- * were present, fold equal supports together, drop emptied terms — and
- * applies the matching count deltas for only those terms.
+ * merge(a, b, c, parent) applies the seed's reduction rule: drop a/b/c
+ * from each support holding one of them, append parent iff an odd
+ * number were present, fold equal supports, drop emptied terms. A
+ * support is compacted in place; parent is larger than every live id,
+ * so appending it keeps the span sorted. The counts get only the
+ * deltas of that rule: survivors keep their cnt1 and their pairs with
+ * each other, gain a pair with parent from each odd term, and lose
+ * their pairs with a, b and c, whose rows and cnt1 go to zero.
  */
 
 #include <cstddef>
@@ -38,7 +39,7 @@
 
 namespace hatt::detail {
 
-/** splitmix64 finalizer; the mask hash chains it across words. */
+/** splitmix64 finalizer; the support hash chains it across ids. */
 inline uint64_t
 splitmix64(uint64_t x)
 {
@@ -48,14 +49,14 @@ splitmix64(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Term multiset over packed supports with incremental counts. */
+/** Term multiset over sorted id spans with incremental counts. */
 class TermCounts
 {
   public:
     explicit TermCounts(uint32_t max_id);
-
-    uint32_t maxId() const { return max_id_; }
-    uint32_t words() const { return words_; }
+    // The dedup set's hasher and comparator point back at this object.
+    TermCounts(const TermCounts &) = delete;
+    TermCounts &operator=(const TermCounts &) = delete;
 
     /** Add one initial term (ascending ids); call before finalize(). */
     void addTerm(std::span<const uint32_t> support, int64_t mult = 1);
@@ -94,72 +95,52 @@ class TermCounts
         return adj_[id];
     }
 
-    /** Number of live terms (distinct supports with mult > 0). */
-    size_t liveTerms() const { return live_terms_; }
-
     /** Sorted (support, mult) snapshot, for tests and debugging. */
     std::vector<std::pair<std::vector<int>, int64_t>> snapshot() const;
 
   private:
-    uint64_t maskHash(uint32_t term) const;
-    bool masksEqual(uint32_t lhs, uint32_t rhs) const;
-    uint64_t *maskOf(uint32_t term) { return bits_.data() + size_t{term} * words_; }
-    const uint64_t *
-    maskOf(uint32_t term) const
+    std::span<const int>
+    support(uint32_t term) const
     {
-        return bits_.data() + size_t{term} * words_;
+        return {ids_.data() + off_[term], len_[term]};
     }
 
-    /** Collect the set bit ids of @p term into @p out (cleared first). */
-    void maskIds(uint32_t term, std::vector<int> &out) const;
-
-    void addCounts(const std::vector<int> &ids, int64_t mult);
-    void removeCounts(const std::vector<int> &ids, int64_t mult);
     void adjAdd(int a, int b, int64_t mult);
 
     /**
-     * Dedup-insert the mask already written at term slot @p term: either
-     * keeps it (returns true) or folds its @p mult into an equal live term
-     * and kills the slot (returns false).
+     * Dedup-insert the support already written at term slot @p term:
+     * either keeps it (returns true) or folds its @p mult into an equal
+     * live term and kills the slot (returns false).
      */
     bool dedupInsert(uint32_t term, int64_t mult);
 
-    struct MaskSetHash
+    // Not noexcept, so the set caches each node's hash and growing it
+    // never walks a support again.
+    struct SupportHash
     {
         const TermCounts *owner;
-        size_t operator()(uint32_t t) const { return owner->hash_[t]; }
+        size_t operator()(uint32_t t) const;
     };
-    struct MaskSetEq
+    struct SupportEq
     {
         const TermCounts *owner;
-        bool
-        operator()(uint32_t a, uint32_t b) const
-        {
-            return owner->masksEqual(a, b);
-        }
+        bool operator()(uint32_t a, uint32_t b) const;
     };
 
-    uint32_t max_id_;
-    uint32_t words_;
-    size_t live_terms_ = 0;
+    std::vector<int> ids_;      //!< supports: term t is ids_[off_[t], +len_[t])
+    std::vector<size_t> off_;   //!< per-term span offset into ids_
+    std::vector<uint32_t> len_; //!< per-term span length
+    std::vector<int64_t> mult_; //!< per-term multiplicity; 0 = dead
 
-    std::vector<uint64_t> bits_; //!< term masks, arena of stride words_
-    std::vector<int64_t> mult_;  //!< per-term multiplicity; 0 = dead
-    std::vector<uint64_t> hash_; //!< cached mask hash per term
-
-    std::unordered_set<uint32_t, MaskSetHash, MaskSetEq> dedup_;
+    std::unordered_set<uint32_t, SupportHash, SupportEq> dedup_;
 
     std::vector<int64_t> cnt1_;
     std::vector<std::unordered_map<int, int64_t>> adj_;
     std::vector<std::vector<uint32_t>> inv_; //!< id -> term ids (lazy)
 
-    std::vector<uint32_t> touch_stamp_; //!< per-term stamp for merge dedup
     uint32_t stamp_ = 0;
     std::vector<uint32_t> changed_stamp_; //!< per-id stamp for changed_
     std::vector<int> changed_;
-
-    std::vector<int> scratch_ids_;
-    std::vector<uint32_t> scratch_terms_;
 };
 
 } // namespace hatt::detail

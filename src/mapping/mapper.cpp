@@ -66,12 +66,13 @@ class FormulaMapper final : public Mapper
 class HattMapper final : public Mapper
 {
   public:
-    HattMapper(std::string name, std::string summary, bool vacuum_pairing)
-        : name_(std::move(name)), vacuumPairing_(vacuum_pairing)
+    HattMapper(std::string name, std::string summary,
+               HattAlgorithm algorithm)
+        : name_(std::move(name)), algorithm_(algorithm)
     {
         caps_.needsHamiltonian = true;
         caps_.producesTree = true;
-        caps_.vacuumPreserving = vacuum_pairing;
+        caps_.vacuumPreserving = algorithm != HattAlgorithm::Unpaired;
         caps_.summary = std::move(summary);
     }
 
@@ -82,8 +83,7 @@ class HattMapper final : public Mapper
     build(const MappingRequest &req) const override
     {
         HattOptions hopt;
-        hopt.vacuumPairing = vacuumPairing_;
-        hopt.descCache = vacuumPairing_;
+        hopt.algorithm = algorithm_;
         hopt.deadline = req.deadline;
         HattResult res = buildHattMapping(*req.poly, hopt);
         MappingResult out;
@@ -99,7 +99,7 @@ class HattMapper final : public Mapper
   private:
     std::string name_;
     MapperCapabilities caps_;
-    bool vacuumPairing_;
+    HattAlgorithm algorithm_;
 };
 
 /**
@@ -183,11 +183,11 @@ registerBuiltinMappers(MapperRegistry &reg)
     reg.add(std::make_unique<HattMapper>(
         "hatt",
         "Hamiltonian-adaptive ternary tree (Alg. 2+3), vacuum-preserving",
-        true));
+        HattAlgorithm::Cached));
     reg.add(std::make_unique<HattMapper>(
         "hatt-unopt",
         "Hamiltonian-adaptive ternary tree (Alg. 1), free triples",
-        false));
+        HattAlgorithm::Unpaired));
     reg.add(std::make_unique<SearchMapper>(
         "fh-exact",
         "exhaustive tree search (FH-optimal stand-in), factorial cost",

@@ -33,6 +33,9 @@
 namespace hatt {
 namespace {
 
+constexpr HattAlgorithm kAllAlgorithms[] = {
+    HattAlgorithm::Unpaired, HattAlgorithm::Walked, HattAlgorithm::Cached};
+
 /** Paper Eq. (3): H = a†0 a0 + 2 a†1 a†2 a1 a2 on 3 modes. */
 FermionHamiltonian
 paperExample()
@@ -67,14 +70,11 @@ TEST(Hatt, PredictedWeightMatchesMappedHamiltonian)
     // weight of the final mapped Hamiltonian exactly.
     for (uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
         MajoranaPolynomial poly = randomMajoranaPolynomial(6, 14, seed);
-        for (bool pairing : {false, true}) {
-            HattOptions opt;
-            opt.vacuumPairing = pairing;
-            opt.descCache = pairing;
-            HattResult res = buildHattMapping(poly, opt);
+        for (HattAlgorithm alg : kAllAlgorithms) {
+            HattResult res = buildHattMapping(poly, {alg});
             PauliSum mapped = mapToQubits(poly, res.mapping);
             EXPECT_EQ(res.stats.predictedWeight, mapped.pauliWeight())
-                << "seed=" << seed << " pairing=" << pairing;
+                << "seed=" << seed << " algorithm=" << static_cast<int>(alg);
         }
     }
 }
@@ -83,11 +83,8 @@ TEST(Hatt, ValidMappingAllVariants)
 {
     MajoranaPolynomial poly =
         MajoranaPolynomial::fromFermion(hubbardModel({2, 2, 1.0, 4.0}));
-    for (bool pairing : {false, true}) {
-        HattOptions opt;
-        opt.vacuumPairing = pairing;
-        opt.descCache = pairing;
-        HattResult res = buildHattMapping(poly, opt);
+    for (HattAlgorithm alg : kAllAlgorithms) {
+        HattResult res = buildHattMapping(poly, {alg});
         MappingCheck check = verifyMapping(res.mapping);
         EXPECT_TRUE(check.valid) << check.reason;
         EXPECT_TRUE(res.tree.isCompleteTree());
@@ -109,25 +106,14 @@ TEST(Hatt, CacheAndWalkVariantsIdentical)
     // string for string.
     for (uint64_t seed : {10ull, 20ull, 30ull}) {
         MajoranaPolynomial poly = randomMajoranaPolynomial(7, 20, seed);
-        HattOptions cached{true, true};
-        HattOptions walked{true, false};
-        HattResult a = buildHattMapping(poly, cached);
-        HattResult b = buildHattMapping(poly, walked);
+        HattResult a = buildHattMapping(poly, {HattAlgorithm::Cached});
+        HattResult b = buildHattMapping(poly, {HattAlgorithm::Walked});
         ASSERT_EQ(a.mapping.majorana.size(), b.mapping.majorana.size());
         for (size_t i = 0; i < a.mapping.majorana.size(); ++i)
             EXPECT_EQ(a.mapping.majorana[i].string,
                       b.mapping.majorana[i].string)
                 << "seed=" << seed << " i=" << i;
     }
-}
-
-TEST(Hatt, RejectsCacheWithoutPairing)
-{
-    MajoranaPolynomial poly = majoranaChain(3);
-    HattOptions bad;
-    bad.vacuumPairing = false;
-    bad.descCache = true;
-    EXPECT_THROW(buildHattMapping(poly, bad), std::invalid_argument);
 }
 
 TEST(Hatt, BeatsOrMatchesBttOnStructuredModels)
@@ -216,26 +202,20 @@ TEST(Hatt, MotivationExampleBeatsBalancedTree)
         poly, balancedTernaryTreeMapping(3, BttAssignment::Natural));
     EXPECT_EQ(viaBtt.pauliWeight(), 6u);
 
-    HattOptions unopt;
-    unopt.vacuumPairing = false;
-    unopt.descCache = false;
-    HattResult res = buildHattMapping(poly, unopt);
+    HattResult res = buildHattMapping(poly, {HattAlgorithm::Unpaired});
     PauliSum viaHatt = mapToQubits(poly, res.mapping);
     EXPECT_LE(viaHatt.pauliWeight(), 3u);
 }
 
 // ---------------------------------------------------------------- deadline
 
-TEST(Hatt, ExpiredDeadlineThrowsForBothVariants)
+TEST(Hatt, ExpiredDeadlineThrowsForEveryAlgorithm)
 {
     MajoranaPolynomial poly = randomMajoranaPolynomial(8, 40, 7);
-    for (bool pairing : {true, false}) {
-        HattOptions opt;
-        opt.vacuumPairing = pairing;
-        opt.descCache = pairing;
-        opt.deadline = Deadline::after(0.0);
-        EXPECT_THROW(buildHattMapping(poly, opt), DeadlineExceededError)
-            << (pairing ? "hatt" : "hatt-unopt");
+    for (HattAlgorithm alg : kAllAlgorithms) {
+        EXPECT_THROW(buildHattMapping(poly, {alg, Deadline::after(0.0)}),
+                     DeadlineExceededError)
+            << "algorithm=" << static_cast<int>(alg);
     }
 }
 
@@ -470,9 +450,9 @@ TEST(Hatt, PairingScanMatchesFullScanReference)
             expectSameHattResult(buildHattMapping(poly),
                                  referencePairingHatt(poly, true), tag);
             if (poly.numModes() <= 60)
-                expectSameHattResult(buildHattMapping(poly, {true, false}),
-                                     referencePairingHatt(poly, false),
-                                     tag + " walked");
+                expectSameHattResult(
+                    buildHattMapping(poly, {HattAlgorithm::Walked}),
+                    referencePairingHatt(poly, false), tag + " walked");
         }
     }
     setParallelThreads(0);

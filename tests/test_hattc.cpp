@@ -400,7 +400,9 @@ TEST(Hattc, BatchReportDeterministicAcrossThreadsAndAllHitsWhenWarm)
     // The acceptance pin: `hattc batch` over examples/data is
     // deterministic across HATT_THREADS ∈ {1, 4} — byte-identical
     // batch_report.json — and a warm second run is 100% cache hits
-    // with, again, the byte-identical report.
+    // with, again, the byte-identical report. The CLI is a shell over
+    // CompilationService: compiling the corpus through the service
+    // directly (no argv, no cache) gives the byte-identical report too.
     fs::path dir = scratchDir("batch");
     const std::string cache = (dir / "cache").string();
 
@@ -408,6 +410,16 @@ TEST(Hattc, BatchReportDeterministicAcrossThreadsAndAllHitsWhenWarm)
     ASSERT_EQ(run({"batch", dataDir(), "--cache", cache, "-o",
                    (dir / "t1").string()}),
               0);
+    {
+        io::CompilationService service;
+        io::BatchOptions bopt;
+        bopt.request.outDir = (dir / "svc").string();
+        StatusOr<io::BatchOutcome> outcome =
+            service.compileBatch(dataDir(), bopt);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+        io::saveJsonFile((dir / "svc_report.json").string(),
+                         outcome->report);
+    }
     setParallelThreads(4);
     ASSERT_EQ(run({"batch", dataDir(), "--cache", (dir / "c4").string(),
                    "-o", (dir / "t4").string()}),
@@ -422,6 +434,7 @@ TEST(Hattc, BatchReportDeterministicAcrossThreadsAndAllHitsWhenWarm)
     EXPECT_FALSE(report.empty());
     EXPECT_EQ(report, slurp(dir / "t4/batch_report.json"));
     EXPECT_EQ(report, slurp(dir / "warm/batch_report.json"));
+    EXPECT_EQ(report, slurp(dir / "svc_report.json"));
 
     // Cold run: zero hits; warm run: every input hits.
     JsonValue cold =

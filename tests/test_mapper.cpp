@@ -140,11 +140,9 @@ TEST(MapperRegistry, BuildsBitIdenticalToDirectConstruction)
         EXPECT_EQ(hatt.tree->node(static_cast<int>(id)).child,
                   direct.tree.node(static_cast<int>(id)).child);
 
-    HattOptions unopt;
-    unopt.vacuumPairing = false;
-    unopt.descCache = false;
     EXPECT_EQ(stringsHash(via_registry("hatt-unopt").mapping),
-              stringsHash(buildHattMapping(poly, unopt).mapping));
+              stringsHash(
+                  buildHattMapping(poly, {HattAlgorithm::Unpaired}).mapping));
 }
 
 TEST(MapperRegistry, ModesOnlyMappersReadOnlyTheModeCount)

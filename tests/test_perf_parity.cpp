@@ -1,6 +1,6 @@
 /**
  * @file
- * Guards for the high-throughput construction engine: the packed-support /
+ * Guards for the high-throughput construction engine: the sorted-span /
  * incremental-count / delta-evaluation hot paths must agree EXACTLY with
  * naive full re-evaluation references and with recorded seed outputs.
  *
@@ -253,10 +253,9 @@ TEST(PerfParity, MatchesSeedReferenceOnRandomPolynomials)
     for (uint64_t seed : {101ull, 202ull, 303ull, 404ull}) {
         MajoranaPolynomial poly = randomMajoranaPolynomial(6, 17, seed);
         for (bool pairing : {false, true}) {
-            HattOptions opt;
-            opt.vacuumPairing = pairing;
-            opt.descCache = pairing;
-            HattResult fast = buildHattMapping(poly, opt);
+            HattResult fast = buildHattMapping(
+                poly, {pairing ? HattAlgorithm::Cached
+                               : HattAlgorithm::Unpaired});
             RefResult ref = refBuildHatt(poly, pairing);
 
             ASSERT_EQ(fast.stats.stepWeights, ref.stepWeights)
@@ -311,10 +310,9 @@ TEST(PerfParity, MatchesRecordedSeedOutputs)
     };
     for (const Case &c : cases) {
         MajoranaPolynomial poly = build(c.name);
-        HattOptions opt;
-        opt.vacuumPairing = c.pairing;
-        opt.descCache = c.pairing;
-        HattResult res = buildHattMapping(poly, opt);
+        HattResult res = buildHattMapping(
+            poly,
+            {c.pairing ? HattAlgorithm::Cached : HattAlgorithm::Unpaired});
         EXPECT_EQ(res.stats.predictedWeight, c.predicted) << c.name;
         EXPECT_EQ(res.stats.candidatesEvaluated, c.candidates) << c.name;
         EXPECT_EQ(stringsHash(res.mapping), c.strhash) << c.name;
@@ -367,80 +365,114 @@ TEST(PerfParity, RegistryBuildReproducesRecordedSeedOutputs)
 
 TEST(PerfParity, TermCountsMatchNaiveRecountThroughMerges)
 {
-    for (uint64_t seed : {7ull, 8ull, 9ull}) {
-        Rng rng(seed);
-        const uint32_t n = 6;
-        const uint32_t max_id = 3 * n + 1;
+    // Supports draw each of the first `pool` leaves with probability p.
+    // n = 40 puts ids past 64; a 5-leaf pool repeats supports, so equal
+    // supports fold both when added and when a merge reduces them.
+    struct Case
+    {
+        uint32_t n, terms, pool;
+        double p;
+        bool folds;
+    };
+    const Case cases[] = {{6, 30, 12, 0.3, false},
+                          {40, 200, 80, 0.05, false},
+                          {8, 60, 5, 0.4, true}};
+    for (const Case &c : cases) {
+        for (uint64_t seed : {7ull, 8ull, 9ull}) {
+            SCOPED_TRACE("n=" + std::to_string(c.n) +
+                         " pool=" + std::to_string(c.pool) +
+                         " seed=" + std::to_string(seed));
+            Rng rng(seed);
+            const uint32_t n = c.n;
+            const uint32_t max_id = 3 * n + 1;
 
-        // Random initial supports over the 2N+1 leaves.
-        detail::TermCounts counts(max_id);
-        RefSupportMap ref;
-        for (int t = 0; t < 30; ++t) {
-            std::vector<uint32_t> support;
-            for (uint32_t id = 0; id < 2 * n; ++id)
-                if (rng.chance(0.3))
-                    support.push_back(id);
-            if (support.empty())
-                support.push_back(
-                    static_cast<uint32_t>(rng.nextInt(2 * n)));
-            counts.addTerm(support);
-            ref[std::vector<int>(support.begin(), support.end())] += 1;
-        }
-        counts.finalize();
+            // Random initial supports over the 2N+1 leaves.
+            detail::TermCounts counts(max_id);
+            RefSupportMap ref;
+            for (uint32_t t = 0; t < c.terms; ++t) {
+                std::vector<uint32_t> support;
+                for (uint32_t id = 0; id < c.pool; ++id)
+                    if (rng.chance(c.p))
+                        support.push_back(id);
+                if (support.empty())
+                    support.push_back(
+                        static_cast<uint32_t>(rng.nextInt(c.pool)));
+                counts.addTerm(support);
+                ref[std::vector<int>(support.begin(), support.end())] += 1;
+            }
+            counts.finalize();
 
-        std::vector<int> active(2 * n + 1);
-        std::iota(active.begin(), active.end(), 0);
+            std::vector<int> active(2 * n + 1);
+            std::iota(active.begin(), active.end(), 0);
 
-        auto check = [&]() {
-            // Snapshot must equal the reference multiset...
-            auto snap = counts.snapshot();
-            std::vector<std::pair<std::vector<int>, int64_t>> want(
-                ref.begin(), ref.end());
-            ASSERT_EQ(snap, want);
-            // ...and incremental counts must equal recounting it.
-            RefCounts rc(max_id);
-            rc.accumulate(ref);
-            for (uint32_t a = 0; a < max_id; ++a) {
-                ASSERT_EQ(counts.count1(a), rc.cnt1[a]) << "id " << a;
-                for (uint32_t b = a + 1; b < max_id; ++b)
-                    ASSERT_EQ(counts.pairCount(a, b), rc.pair(a, b))
-                        << a << "," << b;
-            }
-        };
+            auto check = [&]() {
+                // Snapshot must equal the reference multiset...
+                auto snap = counts.snapshot();
+                std::vector<std::pair<std::vector<int>, int64_t>> want(
+                    ref.begin(), ref.end());
+                ASSERT_EQ(snap, want);
+                // ...and incremental counts must equal recounting it, for
+                // every id, merged ones included.
+                RefCounts rc(max_id);
+                rc.accumulate(ref);
+                for (uint32_t a = 0; a < max_id; ++a) {
+                    ASSERT_EQ(counts.count1(a), rc.cnt1[a]) << "id " << a;
+                    for (uint32_t b = a + 1; b < max_id; ++b)
+                        ASSERT_EQ(counts.pairCount(a, b), rc.pair(a, b))
+                            << a << "," << b;
+                }
+            };
 
-        check();
-        int parent = static_cast<int>(2 * n + 1);
-        while (active.size() > 1) {
-            // Merge a random triple, as the construction loop would.
-            std::vector<int> picked;
-            for (int k = 0; k < 3; ++k) {
-                size_t idx = rng.nextInt(active.size());
-                picked.push_back(active[idx]);
-                active.erase(active.begin() + static_cast<long>(idx));
-            }
-            std::sort(picked.begin(), picked.end());
-            std::vector<int64_t> cnt1_before(max_id);
-            std::vector<std::unordered_map<int, int64_t>> rows_before;
-            for (uint32_t id = 0; id < max_id; ++id) {
-                cnt1_before[id] = counts.count1(static_cast<int>(id));
-                rows_before.push_back(counts.adjacency(static_cast<int>(id)));
-            }
-            const std::vector<int> &reported =
-                counts.merge(picked[0], picked[1], picked[2], parent);
-            // The report is the parent plus exactly the surviving ids
-            // whose row changed; no surviving count1 moves.
-            std::set<int> want_changed{parent};
-            for (int id : active) {
-                EXPECT_EQ(counts.count1(id), cnt1_before[id]) << "id " << id;
-                if (counts.adjacency(id) != rows_before[id])
-                    want_changed.insert(id);
-            }
-            EXPECT_EQ(reported.size(), want_changed.size());
-            EXPECT_EQ(std::set<int>(reported.begin(), reported.end()),
-                      want_changed);
-            ref = refReduce(ref, picked[0], picked[1], picked[2], parent);
-            active.push_back(parent++);
             check();
+            int parent = static_cast<int>(2 * n + 1);
+            size_t folds = 0;
+            while (active.size() > 1) {
+                // Merge a random triple, as the construction loop would.
+                std::vector<int> picked;
+                for (int k = 0; k < 3; ++k) {
+                    size_t idx = rng.nextInt(active.size());
+                    picked.push_back(active[idx]);
+                    active.erase(active.begin() + static_cast<long>(idx));
+                }
+                std::sort(picked.begin(), picked.end());
+                std::vector<int64_t> cnt1_before(max_id);
+                std::vector<std::unordered_map<int, int64_t>> rows_before;
+                for (uint32_t id = 0; id < max_id; ++id) {
+                    cnt1_before[id] = counts.count1(static_cast<int>(id));
+                    rows_before.push_back(
+                        counts.adjacency(static_cast<int>(id)));
+                }
+                const std::vector<int> &reported =
+                    counts.merge(picked[0], picked[1], picked[2], parent);
+                // The report is the parent plus exactly the surviving ids
+                // whose row changed; no surviving count1 moves.
+                std::set<int> want_changed{parent};
+                for (int id : active) {
+                    EXPECT_EQ(counts.count1(id), cnt1_before[id])
+                        << "id " << id;
+                    if (counts.adjacency(id) != rows_before[id])
+                        want_changed.insert(id);
+                }
+                EXPECT_EQ(reported.size(), want_changed.size());
+                EXPECT_EQ(std::set<int>(reported.begin(), reported.end()),
+                          want_changed);
+                // A support empties only when it is two of the picked ids;
+                // every other one survives, alone or folded into another.
+                size_t survivors = 0;
+                for (const auto &entry : ref) {
+                    const std::vector<int> &s = entry.first;
+                    survivors += !(s.size() == 2 &&
+                                   std::includes(picked.begin(), picked.end(),
+                                                 s.begin(), s.end()));
+                }
+                ref = refReduce(ref, picked[0], picked[1], picked[2], parent);
+                folds += survivors - ref.size();
+                active.push_back(parent++);
+                check();
+            }
+            if (c.folds) {
+                EXPECT_GT(folds, 0u);
+            }
         }
     }
 }

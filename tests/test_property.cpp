@@ -88,12 +88,8 @@ buildKind(MappingKind kind, const MajoranaPolynomial &poly)
       case MappingKind::Hatt:
         return buildHattMapping(poly).mapping;
       case MappingKind::HattUnoptimized:
-      default: {
-        HattOptions opt;
-        opt.vacuumPairing = false;
-        opt.descCache = false;
-        return buildHattMapping(poly, opt).mapping;
-      }
+      default:
+        return buildHattMapping(poly, {HattAlgorithm::Unpaired}).mapping;
     }
 }
 
@@ -218,8 +214,8 @@ TEST_P(HattSeedSweep, NeverWorseThanWorstBaselineByMuch)
 TEST_P(HattSeedSweep, WalkAndCacheAgree)
 {
     MajoranaPolynomial poly = randomMajoranaPolynomial(6, 15, GetParam());
-    HattResult cached = buildHattMapping(poly, HattOptions{true, true});
-    HattResult walked = buildHattMapping(poly, HattOptions{true, false});
+    HattResult cached = buildHattMapping(poly, {HattAlgorithm::Cached});
+    HattResult walked = buildHattMapping(poly, {HattAlgorithm::Walked});
     ASSERT_EQ(cached.mapping.majorana.size(),
               walked.mapping.majorana.size());
     for (size_t i = 0; i < cached.mapping.majorana.size(); ++i)

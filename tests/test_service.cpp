@@ -7,11 +7,8 @@
  * surviving disk GC, quarantine pass-through, tier attribution, and the
  * headline acceptance — a warm in-process batch serving 100% memory
  * hits while its batch_report.json stays byte-identical to the cold run
- * for HATT_THREADS ∈ {1, 4}.
- *
- * The CI batch-smoke job also runs BatchReportFileForCiCompare with
- * HATT_SERVICE_REPORT_OUT set and byte-compares the written report
- * against the one the `hattc batch` CLI produced for the same corpus.
+ * for HATT_THREADS ∈ {1, 4}. That a direct compileBatch writes the
+ * byte-identical report `hattc batch` writes is pinned in test_hattc.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +19,6 @@
 
 #include <barrier>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -888,31 +884,6 @@ TEST(Service, BatchRejectsBadSourceAsStatus)
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), Status::Code::InvalidArgument);
     EXPECT_NE(bad.status().message().find("line 1"), std::string::npos);
-    fs::remove_all(dir);
-}
-
-/**
- * CI hook: compile the sample corpus through the service (no CLI, no
- * argv) and write batch_report.json where HATT_SERVICE_REPORT_OUT
- * points; the batch-smoke job byte-compares it against the CLI's
- * report for the same corpus. Without the env var the report lands in
- * the scratch dir and the test just asserts it was written.
- */
-TEST(Service, BatchReportFileForCiCompare)
-{
-    fs::path dir = scratchDir("cireport");
-    CompilationService service(ServiceConfig{});
-    BatchOptions bopt;
-    bopt.request.outDir = (dir / "out").string();
-    StatusOr<BatchOutcome> outcome = service.compileBatch(dataDir(), bopt);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-    EXPECT_EQ(outcome->failed, 0u);
-
-    const char *env = std::getenv("HATT_SERVICE_REPORT_OUT");
-    const std::string path =
-        env ? std::string(env) : (dir / "batch_report.json").string();
-    io::saveJsonFile(path, outcome->report);
-    EXPECT_TRUE(fs::exists(path));
     fs::remove_all(dir);
 }
 
