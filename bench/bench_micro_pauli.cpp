@@ -1,20 +1,28 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the hot substrate operations:
- * Pauli string products, Majorana preprocessing, Hamiltonian mapping,
- * and HATT construction.
+ * Pauli string products, Majorana preprocessing (Hubbard terms and
+ * FCIDUMP integrals), Hamiltonian mapping, and HATT construction.
  * Also emits BENCH_micro_pauli.json (fixed-repetition wall times for the
  * headline kernels) so the perf trajectory is tracked across PRs.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 #include "bench_common.hpp"
+#include "chem/molecule.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "fermion/majorana.hpp"
 #include "ham/qubit_hamiltonian.hpp"
+#include "io/driver.hpp"
+#include "io/fcidump.hpp"
 #include "mapping/hatt.hpp"
 #include "mapping/jordan_wigner.hpp"
 #include "mapping/search.hpp"
@@ -150,6 +158,31 @@ writeJsonLog()
         benchmark::DoNotOptimize(monomials);
         json.add("majorana_preprocess_hub22x22_x" + std::to_string(reps),
                  t.seconds());
+    }
+
+    {
+        // The parse + preprocess layers of a molecule request: CH4
+        // STO-3G (18 modes) written once with writeFcidump, then loaded
+        // by loadProblem (read, integrals -> Majorana monomials, finish,
+        // content hash) on every pass.
+        const std::filesystem::path path =
+            std::filesystem::temp_directory_path() /
+            ("hatt_bench_ch4_" + std::to_string(::getpid()) + ".fcidump");
+        {
+            std::ofstream out(path);
+            io::writeFcidump(
+                out, buildMolecule({"CH4", BasisSet::Sto3g, false, 0})
+                         .integrals);
+        }
+        constexpr int reps = 20;
+        size_t monomials = 0;
+        Timer t;
+        for (int i = 0; i < reps; ++i)
+            monomials += io::loadProblem(path.string()).poly.size();
+        benchmark::DoNotOptimize(monomials);
+        json.add("fcidump_preprocess_ch4_x" + std::to_string(reps),
+                 t.seconds());
+        std::filesystem::remove(path);
     }
 
     for (uint32_t n : {64u, 128u}) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace hatt {
 
@@ -101,6 +102,7 @@ buildMolecule(const MoleculeSpec &spec)
     out.nuclearRepulsion = ints.nuclearRepulsion;
     out.scfEnergy = scf.totalEnergy;
     out.scfConverged = scf.converged;
+    out.integrals = std::move(mo);
     return out;
 }
 

@@ -31,6 +31,7 @@ struct MolecularProblem
 {
     std::string label;          //!< e.g. "LiH sto3g frz"
     FermionHamiltonian hamiltonian;
+    MoIntegrals integrals;      //!< what hamiltonian second-quantizes
     uint32_t numModes = 0;      //!< spin orbitals
     uint32_t numElectrons = 0;  //!< in the (possibly reduced) space
     double nuclearRepulsion = 0.0;

@@ -7,12 +7,16 @@
  * frozen-core folding (occupied core orbitals absorbed into an effective
  * one-body term and a constant) and an active-space window. Used by the
  * "frz" benchmark variants to reproduce the paper's mode counts.
+ * Also the two ways from MO integrals to a Hamiltonian: secondQuantize
+ * builds the fermionic terms, and addIntegralMonomials folds the same
+ * operator's Majorana form straight into an accumulator.
  */
 
-#include <functional>
+#include <cstddef>
 
 #include "chem/scf.hpp"
 #include "fermion/fermion_op.hpp"
+#include "fermion/majorana.hpp"
 
 namespace hatt {
 
@@ -39,12 +43,31 @@ MoIntegrals freezeCore(const MoIntegrals &mo, uint32_t num_frozen,
 FermionHamiltonian secondQuantize(const MoIntegrals &mo,
                                   double coeff_tol = 1e-10);
 
-/** secondQuantize()'s terms handed to @p emit one at a time, in the
-    same order, without building the Hamiltonian (2 * numOrbitals
-    modes). The term passed to @p emit is reused for the next one. */
-void secondQuantizeInto(const MoIntegrals &mo,
-                        const std::function<void(const FermionTerm &)> &emit,
-                        double coeff_tol = 1e-10);
+/**
+ * Fold the Majorana form of secondQuantize(mo, coeff_tol) into @p acc
+ * (2 * numOrbitals modes) without building a fermionic term. With
+ * x_P = M_2P, y_P = M_2P+1 on spin-orbital P = p + spin * numOrbitals,
+ * the operator is, exactly,
+ *
+ *   H = c + (i/2) sum_{spin} sum_{pr} F_pr x_P y_R
+ *         - 1/8 sum_{spins} sum'_{pqrs} (pr|qs) x_P y_R x_Q y_S,
+ *   F_pr = h_pr + sum_q [(pr|qq) - (pq|qr)/2],
+ *   c    = E_core + sum_p h_pp + sum_pq [(pp|qq)/2 - (pq|qp)/4],
+ *
+ * where sum' keeps the products of four distinct Majoranas (P, R share
+ * a spin, as do Q, S); the products with a repeated one cancel or fold
+ * into c. Each unique integral of an 8-fold class is visited once per
+ * spin case. The monomial set matches
+ * MajoranaPolynomial::fromFermion(secondQuantize(mo, coeff_tol)) and
+ * the coefficients agree to rounding; the monomial order differs.
+ *
+ * Requires real-orbital symmetry: h_pq = h_qp and the 8-fold (pq|rs)
+ * symmetry, as parseFcidump writes them for every accepted file.
+ * @return the number of terms secondQuantize(mo, coeff_tol) holds.
+ */
+size_t addIntegralMonomials(const MoIntegrals &mo,
+                            StreamingMajoranaAccumulator &acc,
+                            double coeff_tol = 1e-10);
 
 } // namespace hatt
 

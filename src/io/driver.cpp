@@ -120,16 +120,10 @@ loadProblem(const std::string &path, InputFormat format,
             problem.fermionTerms = info.numTerms;
         } else {
             problem.format = "fcidump";
-            const MoIntegrals mo = parseFcidump(in, limits);
-            size_t terms = 0;
-            secondQuantizeInto(mo, [&](const FermionTerm &term) {
-                acc.add(term);
-                ++terms;
-            });
-            acc.ensureModes(2 * mo.numOrbitals);
+            problem.fermionTerms =
+                addIntegralMonomials(parseFcidump(in, limits), acc);
             metrics::add("parse.fcidump_files");
-            metrics::add("parse.fcidump_terms", terms);
-            problem.fermionTerms = terms;
+            metrics::add("parse.fcidump_terms", problem.fermionTerms);
         }
     } catch (const std::invalid_argument &e) {
         // Data-shape violations from the Majorana expansion (e.g. a term

@@ -36,16 +36,18 @@ struct LoadedProblem
     std::string stem;        //!< input file name without dir/extension
     std::string format;      //!< "ops" | "fcidump"
     uint32_t numModes = 0;
-    size_t fermionTerms = 0; //!< terms streamed out of the file
+    size_t fermionTerms = 0; //!< .ops terms read; FCIDUMP: see loadProblem
     uint64_t contentHash = 0;
     MajoranaPolynomial poly;
 };
 
 /**
- * Parse @p path and preprocess into Majorana form: every term is
- * expanded and folded into one serial StreamingMajoranaAccumulator as
- * it is read (.ops) or second-quantized from the FCIDUMP integrals, so
- * the term list is never buffered. The path is opened exactly once
+ * Parse @p path and preprocess into Majorana form, folded into one
+ * serial StreamingMajoranaAccumulator so no term list is buffered:
+ * each .ops term is expanded as it is read, and FCIDUMP integrals go
+ * straight to their monomials (addIntegralMonomials) without building a
+ * fermionic term. fermionTerms counts the terms read, or for FCIDUMP
+ * the spin-orbital terms the integrals define. The path is opened exactly once
  * (non-blocking, so a FIFO cannot stall the open); type, size and
  * content all come from that one descriptor. The size is checked
  * against ParseLimits::maxFileBytes before a byte is parsed; the

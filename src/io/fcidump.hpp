@@ -12,9 +12,12 @@
  *   value i j 0 0   one-electron integral h_ij (symmetric)
  *   value 0 0 0 0   core (nuclear repulsion) energy
  *
- * The result is an MoIntegrals, so the existing chem/transform
- * secondQuantize() path produces the fermionic Hamiltonian with the same
- * block-spin convention as the built-in molecules.
+ * The result is an MoIntegrals with every symmetric copy written
+ * (h_ij = h_ji, all 8 permutations of each (ij|kl)), the precondition
+ * of chem/transform's addIntegralMonomials, which loadProblem uses to
+ * go straight to Majorana monomials. secondQuantize() builds the
+ * fermionic Hamiltonian instead, with the same block-spin convention as
+ * the built-in molecules.
  */
 
 #include <istream>
@@ -36,7 +39,8 @@ MoIntegrals parseFcidump(std::istream &in, const ParseLimits &limits);
 /** Load a file (throws ParseError, with the path, when unreadable). */
 MoIntegrals loadFcidumpFile(const std::string &path);
 
-/** Parse + second-quantize into a 2*NORB-mode fermionic Hamiltonian. */
+/** Parse + secondQuantize() into a 2*NORB-mode fermionic Hamiltonian
+    (e2ebench's replay; loadProblem never builds it). */
 FermionHamiltonian loadFcidumpHamiltonian(const std::string &path);
 
 /** Write @p mo in FCIDUMP format (unique integrals only). */

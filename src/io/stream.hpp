@@ -5,9 +5,11 @@
  * @file
  * The preprocessor name e2ebench/probe.cpp spells. Streaming Majorana
  * preprocessing is StreamingMajoranaAccumulator (fermion/majorana.hpp):
- * the file loaders fold each term into it as it is read, and
+ * the .ops loader folds each term into it as it is read, the FCIDUMP
+ * loader adds closed-form monomials to it, and
  * MajoranaPolynomial::fromFermion runs the same kernel and dedup table,
- * so streamed and batch polynomials are bit-identical by construction.
+ * so streamed and batch .ops polynomials are bit-identical by
+ * construction.
  */
 
 #include "fermion/majorana.hpp"

@@ -14,16 +14,29 @@
  *    (distinct monomials map to distinct strings).
  */
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <typeinfo>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "chem/transform.hpp"
+#include "common/rng.hpp"
 #include "ham/qubit_hamiltonian.hpp"
+#include "io/driver.hpp"
 #include "io/fcidump.hpp"
 #include "io/fermion_text.hpp"
 #include "io/json.hpp"
@@ -255,6 +268,88 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 7u, 9u,
                                            12u, 16u, 21u, 27u));
 
+// ------------------------------------------------ FCIDUMP preprocessing
+//
+// addIntegralMonomials (the FCIDUMP path of loadProblem) against the
+// general path it replaces, fromFermion(secondQuantize(mo)), on seeded
+// random real-orbital integrals.
+
+/** Seeded integrals with the FCIDUMP symmetries (h_pq = h_qp, the
+    8-fold (pq|rs) class written whole, as parseFcidump does). Values
+    mix exact zeros, a few repeated values, random ones and entries on
+    either side of the 1e-10 integral cutoff. */
+MoIntegrals
+randomIntegrals(uint32_t n, Rng &rng, bool diagonal_one_body, double core)
+{
+    const double pool[] = {0.0,     0.0,   0.25,  -0.375,
+                           0.5e-10, 2e-10, -2e-10};
+    auto draw = [&] {
+        const uint64_t k = rng.nextInt(std::size(pool) + 3);
+        return k < std::size(pool) ? pool[k] : rng.nextDouble() - 0.5;
+    };
+    MoIntegrals mo;
+    mo.numOrbitals = n;
+    mo.coreEnergy = core;
+    mo.oneBody = RealMatrix(n, n);
+    mo.twoBody = EriTensor(n);
+    for (uint32_t p = 0; p < n; ++p)
+        for (uint32_t q = 0; q <= p; ++q)
+            if (p == q || !diagonal_one_body)
+                mo.oneBody(p, q) = mo.oneBody(q, p) = draw();
+    for (uint32_t i = 0; i < n; ++i)
+        for (uint32_t j = 0; j < n; ++j)
+            for (uint32_t k = 0; k < n; ++k)
+                for (uint32_t l = 0; l < n; ++l) {
+                    if (i < j || k < l ||
+                        std::pair(i, j) < std::pair(k, l))
+                        continue; // one representative per class
+                    const double v = draw();
+                    for (auto [a, b, c, d] :
+                         {std::array{i, j, k, l}, std::array{j, i, k, l},
+                          std::array{i, j, l, k}, std::array{j, i, l, k},
+                          std::array{k, l, i, j}, std::array{l, k, i, j},
+                          std::array{k, l, j, i}, std::array{l, k, j, i}})
+                        mo.twoBody.at(a, b, c, d) = v;
+                }
+    return mo;
+}
+
+TEST(FcidumpPreprocess, RandomIntegralsMatchSecondQuantizeOracle)
+{
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        Rng rng(seed);
+        const uint32_t n = 1 + static_cast<uint32_t>(seed % 5);
+        const bool diagonal = seed % 4 == 0;
+        const double core = seed % 3 == 0 ? 0.0 : rng.nextDouble() - 0.5;
+        const MoIntegrals mo = randomIntegrals(n, rng, diagonal, core);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+
+        StreamingMajoranaAccumulator acc;
+        const size_t terms = addIntegralMonomials(mo, acc);
+        const MajoranaPolynomial got = acc.finish();
+        const FermionHamiltonian hf = secondQuantize(mo);
+        const MajoranaPolynomial want = MajoranaPolynomial::fromFermion(hf);
+
+        EXPECT_EQ(terms, hf.size());
+        EXPECT_EQ(got.numModes(), 2 * n);
+        ASSERT_EQ(got.size(), want.size());
+        std::map<std::vector<uint32_t>, cplx> coeffs;
+        for (const MajoranaMonomial &t : want)
+            coeffs.emplace(std::vector<uint32_t>(t.indices.begin(),
+                                                 t.indices.end()),
+                           t.coeff);
+        for (const MajoranaMonomial &t : got) {
+            auto it = coeffs.find(
+                std::vector<uint32_t>(t.indices.begin(), t.indices.end()));
+            ASSERT_NE(it, coeffs.end()) << t.toString();
+            EXPECT_NEAR(t.coeff.real(), it->second.real(), 1e-14)
+                << t.toString();
+            EXPECT_NEAR(t.coeff.imag(), it->second.imag(), 1e-14)
+                << t.toString();
+        }
+    }
+}
+
 // ------------------------------------------------------------------ fuzz
 //
 // Property-based corruption tests for the three input readers: take a
@@ -414,10 +509,43 @@ TEST(FuzzReaders, FcidumpReaderRejectsCorruptionCleanly)
         std::istringstream in(valid);
         EXPECT_EQ(io::parseFcidump(in, fuzzLimits()).numOrbitals, 2u);
     }
-    fuzzLoop(0xFC1DULL, valid, [](const std::string &mutated) {
+    // Every accepted corruption also goes through loadProblem, so the
+    // integral-to-monomial fold sees hostile integrals too; on small
+    // files it is checked against the secondQuantize oracle. A spliced
+    // digit can make an integral ~1e9, where the oracle's cancellations
+    // leave ~1e-8 residues the closed form does not have, so monomial
+    // sets are compared above a threshold relative to the largest
+    // coefficient.
+    auto significant = [](const MajoranaPolynomial &poly) {
+        double scale = 1.0;
+        for (const MajoranaMonomial &t : poly)
+            scale = std::max(scale, std::abs(t.coeff));
+        std::set<std::vector<uint32_t>> out;
+        for (const MajoranaMonomial &t : poly)
+            if (std::abs(t.coeff) > 1e-9 * scale)
+                out.emplace(t.indices.begin(), t.indices.end());
+        return out;
+    };
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("hatt_fuzz_" + std::to_string(::getpid()) + ".fcidump");
+    fuzzLoop(0xFC1DULL, valid, [&](const std::string &mutated) {
         std::istringstream in(mutated);
-        io::parseFcidump(in, fuzzLimits());
+        const MoIntegrals mo = io::parseFcidump(in, fuzzLimits());
+        std::ofstream(path) << mutated;
+        const io::LoadedProblem loaded =
+            io::loadProblem(path.string(), io::InputFormat::Fcidump,
+                            fuzzLimits());
+        EXPECT_EQ(loaded.numModes, 2 * mo.numOrbitals);
+        if (mo.numOrbitals <= 4) {
+            const FermionHamiltonian hf = secondQuantize(mo);
+            EXPECT_EQ(loaded.fermionTerms, hf.size());
+            EXPECT_EQ(significant(loaded.poly),
+                      significant(MajoranaPolynomial::fromFermion(hf)))
+                << mutated;
+        }
     });
+    std::filesystem::remove(path);
 }
 
 TEST(FuzzReaders, JsonReaderRejectsCorruptionCleanly)
