@@ -729,6 +729,123 @@ TEST(Hattc, BatchForcedFormatOnlyAppliesToExtensionlessInputs)
     fs::remove_all(dir);
 }
 
+TEST(Hattc, MappingsListingMatchesGolden)
+{
+    // The listing, byte for byte: every registered kind with its
+    // summary and capability bits, in the text and JSON forms.
+    const std::string golden_text = R"golden(bk
+    Bravyi-Kitaev over the Fenwick tree, O(log N) weight
+    modes-only, vacuum-preserving
+bonsai
+    device-grown ternary tree (Bonsai), every tree edge a coupling edge (options: device=<name>)
+    modes-only, produces tree, vacuum-preserving, device-aware
+btt
+    balanced ternary tree, ceil(log3(2N+1)) weight
+    modes-only, vacuum-preserving
+fh-exact
+    exhaustive tree search (FH-optimal stand-in), factorial cost
+    hamiltonian-adaptive
+fh-stoch
+    stochastic tree search (FH-approximate stand-in), seeded restarts
+    hamiltonian-adaptive
+hatt
+    Hamiltonian-adaptive ternary tree (Alg. 2+3), vacuum-preserving
+    hamiltonian-adaptive, produces tree, vacuum-preserving
+hatt-unopt
+    Hamiltonian-adaptive ternary tree (Alg. 1), free triples
+    hamiltonian-adaptive, produces tree
+jw
+    Jordan-Wigner, linear-weight Z chains
+    modes-only, vacuum-preserving
+treespilation
+    architecture-optimised tree selection (Treespilation) over HATT/Bonsai/BTT candidates (options: device=<name>)
+    hamiltonian-adaptive, produces tree, vacuum-preserving, device-aware
+)golden";
+    const std::string golden_json = R"golden({
+  "mappings": [
+    {
+      "name": "bk",
+      "needs_hamiltonian": false,
+      "produces_tree": false,
+      "vacuum_preserving": true,
+      "device_aware": false,
+      "summary": "Bravyi-Kitaev over the Fenwick tree, O(log N) weight"
+    },
+    {
+      "name": "bonsai",
+      "needs_hamiltonian": false,
+      "produces_tree": true,
+      "vacuum_preserving": true,
+      "device_aware": true,
+      "summary": "device-grown ternary tree (Bonsai), every tree edge a coupling edge (options: device=<name>)"
+    },
+    {
+      "name": "btt",
+      "needs_hamiltonian": false,
+      "produces_tree": false,
+      "vacuum_preserving": true,
+      "device_aware": false,
+      "summary": "balanced ternary tree, ceil(log3(2N+1)) weight"
+    },
+    {
+      "name": "fh-exact",
+      "needs_hamiltonian": true,
+      "produces_tree": false,
+      "vacuum_preserving": false,
+      "device_aware": false,
+      "summary": "exhaustive tree search (FH-optimal stand-in), factorial cost"
+    },
+    {
+      "name": "fh-stoch",
+      "needs_hamiltonian": true,
+      "produces_tree": false,
+      "vacuum_preserving": false,
+      "device_aware": false,
+      "summary": "stochastic tree search (FH-approximate stand-in), seeded restarts"
+    },
+    {
+      "name": "hatt",
+      "needs_hamiltonian": true,
+      "produces_tree": true,
+      "vacuum_preserving": true,
+      "device_aware": false,
+      "summary": "Hamiltonian-adaptive ternary tree (Alg. 2+3), vacuum-preserving"
+    },
+    {
+      "name": "hatt-unopt",
+      "needs_hamiltonian": true,
+      "produces_tree": true,
+      "vacuum_preserving": false,
+      "device_aware": false,
+      "summary": "Hamiltonian-adaptive ternary tree (Alg. 1), free triples"
+    },
+    {
+      "name": "jw",
+      "needs_hamiltonian": false,
+      "produces_tree": false,
+      "vacuum_preserving": true,
+      "device_aware": false,
+      "summary": "Jordan-Wigner, linear-weight Z chains"
+    },
+    {
+      "name": "treespilation",
+      "needs_hamiltonian": true,
+      "produces_tree": true,
+      "vacuum_preserving": true,
+      "device_aware": true,
+      "summary": "architecture-optimised tree selection (Treespilation) over HATT/Bonsai/BTT candidates (options: device=<name>)"
+    }
+  ]
+}
+
+)golden";
+    std::string text;
+    ASSERT_EQ(run({"mappings"}, &text), 0);
+    EXPECT_EQ(text, golden_text);
+    ASSERT_EQ(run({"mappings", "--json"}, &text), 0);
+    EXPECT_EQ(text, golden_json);
+}
+
 TEST(Hattc, MappingsSubcommandListsTheRegistry)
 {
     // `hattc mappings`, --mapping and the unknown-kind diagnostic all
