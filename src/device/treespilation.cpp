@@ -10,7 +10,7 @@
 
 namespace hatt::device {
 
-StatusOr<TreespilationResult>
+StatusOr<MappingResult>
 buildTreespilationMapping(const MajoranaPolynomial &poly,
                           const CouplingMap &device,
                           const Deadline &deadline)
@@ -31,7 +31,6 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
 
     struct Candidate
     {
-        std::string label;
         TernaryTree tree;
         FermionQubitMapping mapping;
     };
@@ -44,22 +43,20 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
     {
         HattResult hatt =
             buildHattMapping(poly, {HattAlgorithm::Cached, deadline});
-        candidates.push_back(
-            {"hatt", std::move(hatt.tree), std::move(hatt.mapping)});
+        candidates.push_back({std::move(hatt.tree), std::move(hatt.mapping)});
     }
     if (StatusOr<BonsaiResult> bonsai = growBonsaiTree(num_modes, device);
         bonsai.ok()) {
         FermionQubitMapping map =
             mappingFromTree(bonsai->tree, "Treespilation",
                             vacuumPairingAssignment(bonsai->tree));
-        candidates.push_back(
-            {"bonsai", std::move(bonsai->tree), std::move(map)});
+        candidates.push_back({std::move(bonsai->tree), std::move(map)});
     }
     candidates.push_back(
-        {"btt", TernaryTree::balanced(num_modes),
+        {TernaryTree::balanced(num_modes),
          balancedTernaryTreeMapping(num_modes, BttAssignment::Paired)});
 
-    TreespilationResult out;
+    MappingResult out;
     uint64_t best_cost = UINT64_MAX;
     for (Candidate &cand : candidates) {
         deadline.check();
@@ -72,16 +69,14 @@ buildTreespilationMapping(const MajoranaPolynomial &poly,
         StatusOr<HardwareCost> hw = evaluateHardwareCost(poly, map, device);
         if (!hw.ok())
             return hw.status();
-        const uint64_t cost = hw->cnots;
-        ++out.candidatesEvaluated;
-        if (cost < best_cost) {
-            best_cost = cost;
+        if (hw->cnots < best_cost) {
+            best_cost = hw->cnots;
             out.mapping = std::move(map);
             out.tree = std::move(cand.tree);
-            out.chosen = cand.label;
         }
     }
-    out.estimatedCost = best_cost;
+    out.metrics.candidates = candidates.size();
+    out.metrics.counters["estimated_cost"] = best_cost;
     return out;
 }
 

@@ -13,36 +13,22 @@
  * tie-break: earlier candidate wins).
  */
 
-#include <cstdint>
-#include <string>
-
 #include "common/deadline.hpp"
 #include "fermion/majorana.hpp"
 #include "mapping/mapper.hpp"
-#include "mapping/mapping.hpp"
 #include "route/coupling_map.hpp"
-#include "tree/ternary_tree.hpp"
 
 namespace hatt::device {
 
-/** The winning candidate plus selection provenance. */
-struct TreespilationResult
-{
-    FermionQubitMapping mapping;
-    TernaryTree tree;
-    uint64_t candidatesEvaluated = 0;
-    uint64_t estimatedCost = 0;  //!< the winner's tournament score
-                                 //!< (routed CNOTs)
-    std::string chosen;          //!< "hatt" | "bonsai" | "btt"
-};
-
 /**
- * Run the candidate tournament for @p poly on @p device.
+ * Run the candidate tournament for @p poly on @p device: the winner's
+ * mapping and tree, with metrics.candidates the number scored and
+ * counters["estimated_cost"] its tournament score (routed CNOTs).
  * InvalidArgument when the device is disconnected or smaller than the
  * mode count (checked up front, naming the device); Internal when
  * routing a candidate fails past that check.
  */
-StatusOr<TreespilationResult>
+StatusOr<MappingResult>
 buildTreespilationMapping(const MajoranaPolynomial &poly,
                           const CouplingMap &device,
                           const Deadline &deadline);

@@ -714,17 +714,6 @@ exitCodeForStatus(Status::Code code)
     return 70;
 }
 
-const std::vector<std::string> &
-hattcMappingKinds()
-{
-    // Snapshot of the registry's kinds at first use: the CLI's --mapping
-    // validation, the usage diagnostics and `hattc mappings` all read
-    // the same MapperRegistry.
-    static const std::vector<std::string> kinds =
-        MapperRegistry::instance().kinds();
-    return kinds;
-}
-
 int
 runHattc(const std::vector<std::string> &args, std::ostream &out,
          std::ostream &err)

@@ -86,14 +86,6 @@ int exitCodeForStatus(Status::Code code);
 int runHattc(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err);
 
-/**
- * Canonical mapping kind strings accepted by --mapping: a snapshot of
- * MapperRegistry::instance().kinds() taken on first use. `hattc
- * mappings` lists the same registry, so the CLI surface has exactly one
- * source of truth.
- */
-const std::vector<std::string> &hattcMappingKinds();
-
 } // namespace hatt::io
 
 #endif // HATT_IO_CLI_HPP

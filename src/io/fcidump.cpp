@@ -16,8 +16,6 @@ namespace hatt::io {
 
 namespace {
 
-constexpr long kMaxNorb = 4096;
-
 [[noreturn]] void
 fail(size_t line, const std::string &msg)
 {
@@ -79,9 +77,9 @@ parseHeader(std::istream &in, size_t &line_no, long &norb, long &nelec)
     };
     norb = field("NORB");
     nelec = field("NELEC");
-    if (norb <= 0 || norb > kMaxNorb)
+    if (norb <= 0)
         fail(line_no, "NORB out of range");
-    if (nelec < 0 || nelec > 2 * norb)
+    if (nelec < 0)
         fail(line_no, "NELEC out of range");
 }
 
@@ -99,6 +97,19 @@ parseFcidump(std::istream &in, const ParseLimits &limits)
     size_t line_no = 0;
     long norb = 0, nelec = 0;
     parseHeader(in, line_no, norb, nelec);
+    // The dense one- and two-body tables are sized from the header
+    // alone, so bound their bytes by the input byte cap before
+    // allocating: a 29-byte header cannot ask for NORB^4 doubles
+    // (NORB <= 0xffff keeps NORB^4 inside 64 bits).
+    const uint64_t n = static_cast<uint64_t>(norb);
+    const uint64_t cap =
+        limits.maxFileBytes != 0 ? limits.maxFileBytes : UINT64_MAX;
+    if (n > 0xffff || (n * n * n * n + n * n) > cap / sizeof(double))
+        fail(line_no, "NORB " + std::to_string(norb) +
+                          " needs dense integral tables larger than the " +
+                          std::to_string(cap) + "-byte input cap");
+    if (nelec > 2 * norb)
+        fail(line_no, "NELEC out of range");
     // FCIDUMP is spatial-orbital data; second quantization doubles the
     // mode count, so the --max-modes cap applies to 2*NORB.
     if (limits.maxModes != 0 &&

@@ -8,7 +8,9 @@
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "device/device_mappers.hpp"
+#include "device/bonsai.hpp"
+#include "device/device.hpp"
+#include "device/treespilation.hpp"
 #include "mapping/balanced_tree.hpp"
 #include "mapping/bravyi_kitaev.hpp"
 #include "mapping/hatt.hpp"
@@ -28,128 +30,51 @@ lowered(const std::string &s)
     return out;
 }
 
-// ------------------------------------------------------ builtin mappers
+// --------------------------------------------------------- builtin kinds
 
-/** Modes-only closed-form constructions (JW, BK, BTT). */
-class FormulaMapper final : public Mapper
+/** A closed form over the mode count: the mapping alone. */
+StatusOr<MappingResult>
+modesOnly(FermionQubitMapping mapping)
 {
-  public:
-    using Builder = FermionQubitMapping (*)(uint32_t);
+    MappingResult out;
+    out.mapping = std::move(mapping);
+    return out;
+}
 
-    FormulaMapper(std::string name, std::string summary, Builder builder)
-        : name_(std::move(name)), builder_(builder)
-    {
-        caps_.needsHamiltonian = false;
-        caps_.producesTree = false;
-        caps_.vacuumPreserving = true;
-        caps_.summary = std::move(summary);
-    }
-
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        MappingResult out;
-        out.mapping = builder_(req.poly->numModes());
-        return out;
-    }
-
-  private:
-    std::string name_;
-    MapperCapabilities caps_;
-    Builder builder_;
-};
-
-/** The HATT family: Hamiltonian-adaptive, tree-producing, stats-rich. */
-class HattMapper final : public Mapper
+/** The HATT family: Hamiltonian-adaptive, tree-producing. */
+StatusOr<MappingResult>
+buildHatt(const MappingRequest &req, HattAlgorithm algorithm)
 {
-  public:
-    HattMapper(std::string name, std::string summary,
-               HattAlgorithm algorithm)
-        : name_(std::move(name)), algorithm_(algorithm)
-    {
-        caps_.needsHamiltonian = true;
-        caps_.producesTree = true;
-        caps_.vacuumPreserving = algorithm != HattAlgorithm::Unpaired;
-        caps_.summary = std::move(summary);
-    }
-
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        HattOptions hopt;
-        hopt.algorithm = algorithm_;
-        hopt.deadline = req.deadline;
-        HattResult res = buildHattMapping(*req.poly, hopt);
-        MappingResult out;
-        out.mapping = std::move(res.mapping);
-        out.tree = std::move(res.tree);
-        out.metrics.candidates = res.stats.candidatesEvaluated;
-        out.metrics.counters["predicted_weight"] = res.stats.predictedWeight;
-        out.metrics.counters["steps"] =
-            static_cast<uint64_t>(res.stats.stepWeights.size());
-        return out;
-    }
-
-  private:
-    std::string name_;
-    MapperCapabilities caps_;
-    HattAlgorithm algorithm_;
-};
+    HattResult res = buildHattMapping(*req.poly, {algorithm, req.deadline});
+    MappingResult out;
+    out.mapping = std::move(res.mapping);
+    out.tree = std::move(res.tree);
+    out.metrics.candidates = res.stats.candidatesEvaluated;
+    out.metrics.counters["predicted_weight"] = res.stats.predictedWeight;
+    return out;
+}
 
 /**
- * The Fermihedral stand-ins as registry kinds, so searches participate
+ * The Fermihedral stand-ins are registry kinds, so searches take part
  * in the compiler/batch/cache paths — and so a deadline can bound their
  * factorial walks. "fh-exact" is the exact minimum over all complete
  * ternary trees x leaf assignments (cost explodes factorially, so more
  * than kFhExactMaxModes modes is rejected up front), "fh-stoch" is the
  * seeded random-restart hill climb.
  */
-class SearchMapper final : public Mapper
+StatusOr<MappingResult>
+searched(SearchResult res)
 {
-  public:
-    using Search = StatusOr<SearchResult> (*)(const MappingRequest &);
-
-    SearchMapper(std::string name, std::string summary, Search search)
-        : name_(std::move(name)), search_(search)
-    {
-        caps_.needsHamiltonian = true;
-        caps_.producesTree = false;
-        caps_.vacuumPreserving = false;
-        caps_.summary = std::move(summary);
-    }
-
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        StatusOr<SearchResult> res = search_(req);
-        if (!res.ok())
-            return res.status();
-        MappingResult out;
-        out.mapping = std::move(res->mapping);
-        out.metrics.candidates = res->evaluated;
-        out.metrics.counters["weight"] = res->weight;
-        return out;
-    }
-
-  private:
-    std::string name_;
-    MapperCapabilities caps_;
-    Search search_;
-};
+    MappingResult out;
+    out.mapping = std::move(res.mapping);
+    out.metrics.candidates = res.evaluated;
+    return out;
+}
 
 constexpr uint32_t kFhExactMaxModes = 6;
 
-StatusOr<SearchResult>
-fhExactSearch(const MappingRequest &req)
+StatusOr<MappingResult>
+buildFhExact(const MappingRequest &req)
 {
     std::optional<SearchResult> res =
         exhaustiveTreeSearch(*req.poly, kFhExactMaxModes, req.deadline);
@@ -158,45 +83,121 @@ fhExactSearch(const MappingRequest &req)
             "mapping 'fh-exact': " + std::to_string(req.poly->numModes()) +
             " modes exceed the exhaustive-search ceiling (" +
             std::to_string(kFhExactMaxModes) + "); use fh-stoch");
-    return std::move(*res);
+    return searched(std::move(*res));
 }
 
-StatusOr<SearchResult>
-fhStochSearch(const MappingRequest &req)
+/** Resolve the required "device" option of a device-aware request. */
+StatusOr<CouplingMap>
+requestDevice(const MappingRequest &req)
 {
-    return stochasticTreeSearch(*req.poly, /*restarts=*/8, /*sweeps=*/30,
-                                1234, req.deadline);
+    auto it = req.options.find("device");
+    if (it == req.options.end())
+        return Status::invalidArgument(
+            "mapping '" + req.kind +
+            "' is device-aware: the request must carry a device option "
+            "(e.g. device=montreal, device=line:8)");
+    return device::resolveDevice(it->second);
 }
 
+StatusOr<MappingResult>
+buildBonsai(const MappingRequest &req)
+{
+    StatusOr<CouplingMap> dev = requestDevice(req);
+    if (!dev.ok())
+        return dev.status();
+    StatusOr<device::BonsaiResult> grown =
+        device::growBonsaiTree(req.poly->numModes(), dev.value());
+    if (!grown.ok())
+        return grown.status();
+    MappingResult out;
+    out.mapping = mappingFromTree(grown->tree, "Bonsai",
+                                  vacuumPairingAssignment(grown->tree));
+    out.tree = std::move(grown->tree);
+    return out;
+}
+
+StatusOr<MappingResult>
+buildTreespilation(const MappingRequest &req)
+{
+    StatusOr<CouplingMap> dev = requestDevice(req);
+    if (!dev.ok())
+        return dev.status();
+    return device::buildTreespilationMapping(*req.poly, dev.value(),
+                                             req.deadline);
+}
+
+/** Every built-in kind, one row each: name, capabilities, build. */
 void
 registerBuiltinMappers(MapperRegistry &reg)
 {
+    Mapper rows[] = {
+        {"jw",
+         {.summary = "Jordan-Wigner, linear-weight Z chains"},
+         [](const MappingRequest &req) {
+             return modesOnly(jordanWignerMapping(req.poly->numModes()));
+         }},
+        {"bk",
+         {.summary = "Bravyi-Kitaev over the Fenwick tree, O(log N) weight"},
+         [](const MappingRequest &req) {
+             return modesOnly(bravyiKitaevMapping(req.poly->numModes()));
+         }},
+        {"btt",
+         {.summary = "balanced ternary tree, ceil(log3(2N+1)) weight"},
+         [](const MappingRequest &req) {
+             return modesOnly(
+                 balancedTernaryTreeMapping(req.poly->numModes()));
+         }},
+        {"hatt",
+         {.needsHamiltonian = true,
+          .producesTree = true,
+          .summary = "Hamiltonian-adaptive ternary tree (Alg. 2+3), "
+                     "vacuum-preserving"},
+         [](const MappingRequest &req) {
+             return buildHatt(req, HattAlgorithm::Cached);
+         }},
+        {"hatt-unopt",
+         {.needsHamiltonian = true,
+          .producesTree = true,
+          .vacuumPreserving = false,
+          .summary = "Hamiltonian-adaptive ternary tree (Alg. 1), free "
+                     "triples"},
+         [](const MappingRequest &req) {
+             return buildHatt(req, HattAlgorithm::Unpaired);
+         }},
+        {"fh-exact",
+         {.needsHamiltonian = true,
+          .vacuumPreserving = false,
+          .summary = "exhaustive tree search (FH-optimal stand-in), "
+                     "factorial cost"},
+         buildFhExact},
+        {"fh-stoch",
+         {.needsHamiltonian = true,
+          .vacuumPreserving = false,
+          .summary = "stochastic tree search (FH-approximate stand-in), "
+                     "seeded restarts"},
+         [](const MappingRequest &req) {
+             return searched(stochasticTreeSearch(
+                 *req.poly, /*restarts=*/8, /*sweeps=*/30, 1234,
+                 req.deadline));
+         }},
+        {"bonsai",
+         {.producesTree = true,
+          .deviceAware = true,
+          .summary = "device-grown ternary tree (Bonsai), every tree edge "
+                     "a coupling edge (options: device=<name>)"},
+         buildBonsai},
+        {"treespilation",
+         {.needsHamiltonian = true,
+          .producesTree = true,
+          .deviceAware = true,
+          .summary = "architecture-optimised tree selection "
+                     "(Treespilation) over HATT/Bonsai/BTT candidates "
+                     "(options: device=<name>)"},
+         buildTreespilation},
+    };
     // Registration failures here are programming errors (fixed names).
-    reg.add(std::make_unique<FormulaMapper>(
-        "jw", "Jordan-Wigner, linear-weight Z chains", jordanWignerMapping));
-    reg.add(std::make_unique<FormulaMapper>(
-        "bk", "Bravyi-Kitaev over the Fenwick tree, O(log N) weight",
-        bravyiKitaevMapping));
-    reg.add(std::make_unique<FormulaMapper>(
-        "btt", "balanced ternary tree, ceil(log3(2N+1)) weight",
-        [](uint32_t n) { return balancedTernaryTreeMapping(n); }));
-    reg.add(std::make_unique<HattMapper>(
-        "hatt",
-        "Hamiltonian-adaptive ternary tree (Alg. 2+3), vacuum-preserving",
-        HattAlgorithm::Cached));
-    reg.add(std::make_unique<HattMapper>(
-        "hatt-unopt",
-        "Hamiltonian-adaptive ternary tree (Alg. 1), free triples",
-        HattAlgorithm::Unpaired));
-    reg.add(std::make_unique<SearchMapper>(
-        "fh-exact",
-        "exhaustive tree search (FH-optimal stand-in), factorial cost",
-        fhExactSearch));
-    reg.add(std::make_unique<SearchMapper>(
-        "fh-stoch",
-        "stochastic tree search (FH-approximate stand-in), seeded restarts",
-        fhStochSearch));
-    device::registerDeviceMappers(reg); // bonsai + treespilation
+    for (Mapper &row : rows)
+        reg.add(std::move(row));
 }
 
 /** splitmix64 finalizer: decorrelates the folded option-bag hash. */
@@ -256,11 +257,9 @@ MapperRegistry::instance()
 }
 
 Status
-MapperRegistry::add(std::unique_ptr<Mapper> mapper)
+MapperRegistry::add(Mapper mapper)
 {
-    if (!mapper)
-        return Status::invalidArgument("cannot register a null mapper");
-    const std::string key = lowered(mapper->name());
+    const std::string key = lowered(mapper.name());
     if (key.empty())
         return Status::invalidArgument("mapper name must be non-empty");
     std::lock_guard<std::mutex> lock(mutex_);
@@ -276,7 +275,7 @@ MapperRegistry::find(const std::string &kind) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = mappers_.find(lowered(kind));
-    return it == mappers_.end() ? nullptr : it->second.get();
+    return it == mappers_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string>
@@ -286,7 +285,7 @@ MapperRegistry::kinds() const
     std::vector<std::string> out;
     out.reserve(mappers_.size());
     for (const auto &[key, mapper] : mappers_)
-        out.push_back(mapper->name());
+        out.push_back(mapper.name());
     // Map order is already sorted by (lowercased) key.
     return out;
 }

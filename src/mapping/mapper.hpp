@@ -14,17 +14,18 @@
  *   req.options["device"] = "montreal";  // read by device-aware kinds
  *   StatusOr<MappingResult> built = MapperRegistry::instance().build(req);
  *
- * A `Mapper` is a polymorphic strategy: it names itself, declares its
- * capabilities (reads the Hamiltonian's terms or only its mode count,
- * produces a tree, vacuum-preserving, device-aware), and builds a
+ * A `Mapper` is one row: a name, its capabilities (reads the
+ * Hamiltonian's terms or only its mode count, produces a tree,
+ * vacuum-preserving, device-aware) and a function that builds a
  * `MappingResult` from a `MappingRequest`. The capabilities hold for
  * every request. Every mapper is deterministic and cacheable. The
- * process-wide `MapperRegistry` owns one instance per kind,
- * self-registers the built-ins, dispatches by (case-insensitive) kind
- * string, and layers content-addressed caching over every mapper
- * through the `MappingStore` hook — so the compiler driver, the batch
- * service and the benchmarks all share one construction, validation
- * and caching path.
+ * built-in kinds are one table in mapper.cpp; the process-wide
+ * `MapperRegistry` holds one row per kind, is pre-loaded with that
+ * table, dispatches by (case-insensitive) kind string, and layers
+ * content-addressed caching over every mapper through the
+ * `MappingStore` hook — so the compiler driver, the batch service and
+ * the benchmarks all share one construction, validation and caching
+ * path.
  *
  * Errors are Status/StatusOr values (common/status.hpp, included here),
  * not exceptions: an unknown kind, a missing Hamiltonian, or an option
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -128,24 +128,37 @@ struct MapperCapabilities
     std::string summary;           //!< one line for `hattc mappings`
 };
 
-/** A fermion-to-qubit construction strategy. */
+/**
+ * A fermion-to-qubit construction: a registry row of name, declared
+ * capabilities and build function. The function sees a request the
+ * registry has already validated (kind resolves here, poly present
+ * with at least one mode, no option but "device"); device-aware kinds
+ * validate the device value.
+ */
 class Mapper
 {
   public:
-    virtual ~Mapper() = default;
+    using BuildFn = StatusOr<MappingResult> (*)(const MappingRequest &);
+
+    Mapper(std::string name, MapperCapabilities caps, BuildFn build)
+        : name_(std::move(name)), caps_(std::move(caps)), build_(build)
+    {
+    }
 
     /** Canonical registry key (lowercase, e.g. "hatt-unopt"). */
-    virtual const std::string &name() const = 0;
+    const std::string &name() const { return name_; }
 
-    virtual const MapperCapabilities &capabilities() const = 0;
+    const MapperCapabilities &capabilities() const { return caps_; }
 
-    /**
-     * Build a mapping. The registry has already validated the request
-     * shape (kind resolves here, poly present with at least one mode,
-     * no option but "device"); device-aware implementations validate
-     * the device value.
-     */
-    virtual StatusOr<MappingResult> build(const MappingRequest &req) const = 0;
+    StatusOr<MappingResult> build(const MappingRequest &req) const
+    {
+        return build_(req);
+    }
+
+  private:
+    std::string name_;
+    MapperCapabilities caps_;
+    BuildFn build_;
 };
 
 // ------------------------------------------------------------------ store
@@ -213,7 +226,7 @@ class MapperRegistry
     static MapperRegistry &instance();
 
     /** Register @p mapper under its name(); AlreadyExists on collision. */
-    Status add(std::unique_ptr<Mapper> mapper);
+    Status add(Mapper mapper);
 
     /** Find by kind, case-insensitively; nullptr when absent. */
     const Mapper *find(const std::string &kind) const;
@@ -245,7 +258,7 @@ class MapperRegistry
 
   private:
     mutable std::mutex mutex_;
-    std::map<std::string, std::unique_ptr<Mapper>> mappers_;
+    std::map<std::string, Mapper> mappers_;
 };
 
 } // namespace hatt

@@ -35,19 +35,6 @@ struct FermionQubitMapping
     std::vector<PauliTerm> creationOperator(uint32_t mode) const;
 };
 
-/** Identifier for the built-in mapping families. */
-enum class MappingKind
-{
-    JordanWigner,
-    BravyiKitaev,
-    BalancedTernaryTree,
-    Hatt,
-    HattUnoptimized,
-};
-
-/** Human-readable name used in benchmark tables. */
-std::string mappingKindName(MappingKind kind);
-
 /**
  * Derive the mapping of a complete ternary tree: Majorana i -> the path
  * string of leaf @p leaf_of_majorana[i] (leaf i when the assignment is

@@ -519,16 +519,16 @@ TEST(Treespilation, PicksTheCandidateThatRoutesCheapest)
     CouplingMap dev = device::resolveDevice("montreal").value();
     MajoranaPolynomial poly = testPoly(8);
     Deadline deadline;
-    StatusOr<device::TreespilationResult> res =
+    StatusOr<MappingResult> res =
         device::buildTreespilationMapping(poly, dev, deadline);
     ASSERT_TRUE(res.ok()) << res.status().message();
-    EXPECT_GE(res->candidatesEvaluated, 2u);
-    EXPECT_FALSE(res->chosen.empty());
+    EXPECT_GE(res->metrics.candidates.value_or(0), 2u);
+    EXPECT_TRUE(res->tree.has_value());
 
     StatusOr<device::HardwareCost> winner =
         device::evaluateHardwareCost(poly, res->mapping, dev);
     ASSERT_TRUE(winner.ok());
-    EXPECT_EQ(winner->cnots, res->estimatedCost);
+    EXPECT_EQ(winner->cnots, res->metrics.counters.at("estimated_cost"));
 
     // No candidate the tournament saw routes cheaper than the winner.
     MappingRequest hatt_req = deviceRequest("hatt", poly, "");

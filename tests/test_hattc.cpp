@@ -33,6 +33,7 @@
 #include "io/serialize.hpp"
 #include "io/service.hpp"
 #include "mapping/hatt.hpp"
+#include "mapping/mapper.hpp"
 #include "mapping/verify.hpp"
 
 namespace hatt {
@@ -848,44 +849,24 @@ treespilation
 
 TEST(Hattc, MappingsSubcommandListsTheRegistry)
 {
-    // `hattc mappings`, --mapping and the unknown-kind diagnostic all
-    // read the same MapperRegistry — the CLI's single source of truth.
-    const std::vector<std::string> expected = {
-        "bk",   "bonsai",     "btt", "fh-exact", "fh-stoch",
-        "hatt", "hatt-unopt", "jw",  "treespilation"};
-    EXPECT_EQ(io::hattcMappingKinds(), expected);
-    std::string text;
-    ASSERT_EQ(run({"mappings"}, &text), 0);
-    for (const std::string &kind : expected)
-        EXPECT_NE(text.find(kind + "\n"), std::string::npos) << kind;
-    EXPECT_NE(text.find("device-aware"), std::string::npos);
-
-    ASSERT_EQ(run({"mappings", "--json"}, &text), 0);
-    JsonValue doc = JsonValue::parse(text);
-    std::vector<std::string> names, device_aware;
-    for (const JsonValue &rec : doc.at("mappings").asArray()) {
-        const std::string name = rec.at("name").asString();
-        names.push_back(name);
-        if (rec.at("device_aware").asBool())
-            device_aware.push_back(name);
-        // Capability spot checks: hatt is Hamiltonian-adaptive and
-        // emits a tree; jw is modes-only; hatt-unopt breaks the vacuum.
-        if (name == "hatt") {
-            EXPECT_TRUE(rec.at("needs_hamiltonian").asBool());
-            EXPECT_TRUE(rec.at("produces_tree").asBool());
-            EXPECT_TRUE(rec.at("vacuum_preserving").asBool());
-        } else if (name == "jw") {
-            EXPECT_FALSE(rec.at("needs_hamiltonian").asBool());
-        } else if (name == "hatt-unopt") {
-            EXPECT_FALSE(rec.at("vacuum_preserving").asBool());
-        }
-    }
-    EXPECT_EQ(names, expected);
+    // `hattc mappings` (pinned by MappingsListingMatchesGolden),
+    // --mapping and the unknown-kind diagnostic all read the same
+    // MapperRegistry — the CLI's single source of truth.
+    const MapperRegistry &registry = MapperRegistry::instance();
+    const std::vector<std::string> names = registry.kinds();
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "bk", "bonsai", "btt", "fh-exact", "fh-stoch",
+                         "hatt", "hatt-unopt", "jw", "treespilation"}));
+    std::vector<std::string> device_aware;
+    for (const std::string &kind : names)
+        if (registry.find(kind)->capabilities().deviceAware)
+            device_aware.push_back(kind);
     EXPECT_EQ(device_aware,
               (std::vector<std::string>{"bonsai", "treespilation"}));
 
     // Every listed kind maps a real input (device-aware kinds onto a
     // line), and an unknown kind is a usage error naming all of them.
+    std::string text;
     fs::path dir = scratchDir("kinds");
     for (const std::string &kind : names) {
         std::vector<std::string> args = {"map", dataFile("eq3.ops"),
@@ -1104,6 +1085,16 @@ TEST(Hattc, InputCapsRejectOversizedInputs)
     EXPECT_EQ(run({"stats", fci, "--max-modes", "2"}, &text), 65);
     EXPECT_NE(text.find("mode cap"), std::string::npos) << text;
     EXPECT_EQ(run({"stats", fci, "--max-terms", "2"}, &text), 65);
+    // A header alone cannot size the dense integral tables past the
+    // input byte cap (NORB^4 doubles here).
+    {
+        const fs::path dir = scratchDir("hugenorb");
+        const std::string huge = (dir / "huge.fcidump").string();
+        std::ofstream(huge) << "&FCI NORB=4096,NELEC=2,&END";
+        EXPECT_EQ(run({"stats", huge}, &text), 65);
+        EXPECT_NE(text.find("NORB 4096"), std::string::npos) << text;
+        fs::remove_all(dir);
+    }
     // Generous caps pass untouched.
     EXPECT_EQ(run({"stats", eq3, "--max-terms", "100000", "--max-modes",
                    "64"},
@@ -1187,7 +1178,7 @@ TEST(Hattc, ReportsUsageAndInputErrors)
     // Unknown mapping kinds name the registry's full kind list, so the
     // CLI diagnostic and `hattc mappings` cannot drift apart.
     EXPECT_EQ(run({"map", "in.ops", "--mapping", "nope"}, &text), 64);
-    for (const std::string &kind : io::hattcMappingKinds())
+    for (const std::string &kind : MapperRegistry::instance().kinds())
         EXPECT_NE(text.find(kind), std::string::npos) << kind;
     // Registry lookup is case-insensitive, so display labels work too.
     EXPECT_EQ(run({"map", "/nonexistent/input.ops", "--mapping", "JW"},

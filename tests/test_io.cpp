@@ -362,6 +362,7 @@ TEST(Fcidump, RejectsMalformedInput)
         "&FCI NORB=2,NELEC=2,\n",                    // no &END
         "&FCI NELEC=2, &END\n",                      // missing NORB
         "&FCI NORB=0,NELEC=0, &END\n",               // NORB out of range
+        "&FCI NORB=4096,NELEC=2,&END",               // NORB^4 past byte cap
         "&FCI NORB=2,NELEC=9, &END\n",               // NELEC out of range
         "&FCI NORB=2,NELEC=2, &END\n 0.5 1 1 1\n",   // truncated line
         "&FCI NORB=2,NELEC=2, &END\n 0.5 3 1 1 1\n", // index > NORB

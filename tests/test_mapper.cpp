@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,42 +330,31 @@ TEST(MapperRegistry, ExpiredDeadlineIsRejectedBeforeTheStore)
 
 // --------------------------------------------------------------- custom
 
-/** A deliberately misdeclaring mapper for negative conformance tests. */
-class LyingMapper final : public Mapper
+/** A deliberately misdeclaring row for negative conformance tests. */
+Mapper
+lyingMapper()
 {
-  public:
-    LyingMapper()
-    {
-        caps_.needsHamiltonian = false;
-        caps_.producesTree = true;     // lie: build() returns no tree
-        caps_.vacuumPreserving = true; // lie: natural BTT breaks vacuum
-        caps_.summary = "misdeclares its capabilities (test only)";
-    }
-    const std::string &name() const override { return name_; }
-    const MapperCapabilities &capabilities() const override { return caps_; }
-    StatusOr<MappingResult>
-    build(const MappingRequest &req) const override
-    {
-        MappingResult out;
-        out.mapping = balancedTernaryTreeMapping(req.poly->numModes(),
-                                                 BttAssignment::Natural);
-        return out;
-    }
-
-  private:
-    std::string name_ = "liar";
-    MapperCapabilities caps_;
-};
+    return {"liar",
+            {.producesTree = true,     // lie: build() returns no tree
+             .vacuumPreserving = true, // lie: natural BTT breaks vacuum
+             .summary = "misdeclares its capabilities (test only)"},
+            [](const MappingRequest &req) -> StatusOr<MappingResult> {
+                MappingResult out;
+                out.mapping = balancedTernaryTreeMapping(
+                    req.poly->numModes(), BttAssignment::Natural);
+                return out;
+            }};
+}
 
 TEST(MapperRegistry, CustomMappersRegisterAndCollide)
 {
     MapperRegistry reg; // private registry: no builtins, no global state
     EXPECT_TRUE(reg.kinds().empty());
-    ASSERT_TRUE(reg.add(std::make_unique<LyingMapper>()).ok());
+    ASSERT_TRUE(reg.add(lyingMapper()).ok());
     EXPECT_NE(reg.find("liar"), nullptr);
     EXPECT_NE(reg.find("LIAR"), nullptr);
 
-    Status dup = reg.add(std::make_unique<LyingMapper>());
+    Status dup = reg.add(lyingMapper());
     ASSERT_FALSE(dup.ok());
     EXPECT_EQ(dup.code(), Status::Code::AlreadyExists);
     EXPECT_EQ(reg.kinds(), std::vector<std::string>{"liar"});
@@ -385,23 +373,14 @@ TEST(MapperRegistry, CustomMappersRegisterAndCollide)
 
 TEST(MapperRegistry, ThrowingMapperSurfacesAsInternalStatus)
 {
-    struct ThrowingMapper final : Mapper
-    {
-        std::string name_ = "boom";
-        MapperCapabilities caps_;
-        const std::string &name() const override { return name_; }
-        const MapperCapabilities &capabilities() const override
-        {
-            return caps_;
-        }
-        StatusOr<MappingResult>
-        build(const MappingRequest &) const override
-        {
-            throw std::runtime_error("exploded mid-construction");
-        }
-    };
     MapperRegistry reg;
-    ASSERT_TRUE(reg.add(std::make_unique<ThrowingMapper>()).ok());
+    ASSERT_TRUE(reg.add({"boom", {},
+                         [](const MappingRequest &)
+                             -> StatusOr<MappingResult> {
+                             throw std::runtime_error(
+                                 "exploded mid-construction");
+                         }})
+                    .ok());
     const MajoranaPolynomial poly(2);
     StatusOr<MappingResult> built = reg.build(requestFor("boom", poly));
     ASSERT_FALSE(built.ok());
