@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <clocale>
 #include <cmath>
@@ -29,6 +30,7 @@
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <thread>
 
 #include "chem/molecule.hpp"
 #include "common/json_writer.hpp"
@@ -1374,6 +1376,70 @@ TEST(Cache, GcHonorsInjectedNowForAgePolicies)
     EXPECT_EQ(cache.gc(future).evicted, 1u);
     EXPECT_FALSE(cache.load(hash, "hatt").has_value());
     EXPECT_TRUE(cache.scanEntries().empty());
+    fs::remove_all(dir);
+}
+
+TEST(Cache, ConcurrentWritersLeaveLoadableEntries)
+{
+    // Writers share nothing but the directory: each publishes through
+    // its own temp file and an atomic rename, so concurrent stores of
+    // one key (and loads racing them) only ever see whole entries.
+    fs::path dir = scratchDir("cache_concurrent");
+    io::MappingCache first(dir.string());
+    io::MappingCache second(dir.string());
+    const auto bytes = [](const FermionQubitMapping &m) {
+        return streamed(2, [&](JsonWriter &w) { io::writeMappingJson(w, m); });
+    };
+    constexpr uint64_t kShared = 0x5eed;
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 12;
+    const FermionQubitMapping shared = jordanWignerMapping(6);
+    const std::string shared_bytes = bytes(shared);
+
+    std::atomic<int> failures{0};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            io::MappingCache &cache = t % 2 == 0 ? first : second;
+            const FermionQubitMapping own = jordanWignerMapping(2 + t);
+            const std::string own_bytes = bytes(own);
+            for (int round = 0; round < kRounds; ++round) {
+                try {
+                    cache.store(kShared, "jw", shared);
+                    cache.store(kShared + 1 + t, "jw", own);
+                } catch (const std::exception &) {
+                    ++failures;
+                }
+                auto hit = cache.load(kShared, "jw");
+                if (!hit || bytes(hit->mapping) != shared_bytes)
+                    ++mismatches;
+                hit = cache.load(kShared + 1 + t, "jw");
+                if (!hit || bytes(hit->mapping) != own_bytes)
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+
+    io::MappingCache fresh(dir.string());
+    auto hit = fresh.load(kShared, "jw");
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(bytes(hit->mapping), shared_bytes);
+    for (int t = 0; t < kThreads; ++t) {
+        hit = fresh.load(kShared + 1 + t, "jw");
+        ASSERT_TRUE(hit.has_value()) << "thread " << t;
+        EXPECT_EQ(bytes(hit->mapping), bytes(jordanWignerMapping(2 + t)));
+    }
+    EXPECT_EQ(fresh.scanEntries().size(), size_t{kThreads + 1});
+    for (const fs::directory_entry &de : fs::directory_iterator(dir))
+        EXPECT_EQ(de.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << de.path();
+    EXPECT_EQ(first.quarantinedCount(), 0u);
     fs::remove_all(dir);
 }
 

@@ -17,6 +17,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_writer.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "fermion/fermion_op.hpp"
@@ -752,6 +754,62 @@ TEST(TieredStore, QuarantinePassThroughRepopulatesMemory)
     EXPECT_EQ(hit->tier, "memory");
     ASSERT_TRUE(cache.load(7, "jw"));
     fs::remove_all(dir);
+}
+
+/** A mapping's artifact bytes: the equality loads are judged by. */
+std::string
+mappingBytes(const FermionQubitMapping &mapping)
+{
+    JsonWriter w(2);
+    io::writeMappingJson(w, mapping);
+    w.finish();
+    return w.take();
+}
+
+TEST(TieredStore, ConcurrentSavesAndLoadsKeepOneEntryPerKey)
+{
+    // Threads save and load keys they share and keys of their own;
+    // every key ends up resident exactly once, and every load returns
+    // what was saved under it.
+    TieredMappingStore tiered;
+    constexpr int kThreads = 8;
+    constexpr int kShared = 4;
+    constexpr int kRounds = 200;
+    std::vector<MappingStore::Entry> entries;
+    std::vector<std::string> expected;
+    for (int i = 0; i < kShared + kThreads; ++i) {
+        entries.push_back(sampleEntry(2 + i));
+        expected.push_back(mappingBytes(entries.back().mapping));
+    }
+
+    std::atomic<int> mismatches{0};
+    const auto check = [&](int key) {
+        std::optional<MappingStore::Entry> hit = tiered.load(key, "jw");
+        if (!hit || hit->tier != "memory" ||
+            mappingBytes(hit->mapping) != expected[key] ||
+            hit->candidates != entries[key].candidates)
+            ++mismatches;
+    };
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            const int own = kShared + t;
+            for (int round = 0; round < kRounds; ++round) {
+                const int shared = (round + t) % kShared;
+                tiered.save(shared, "jw", entries[shared]);
+                tiered.save(own, "jw", entries[own]);
+                check(shared);
+                check(own);
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(tiered.entryCount(), size_t{kShared + kThreads});
+    for (int key = 0; key < kShared + kThreads; ++key)
+        check(key);
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(TieredStore, RegistryReportsServingTier)

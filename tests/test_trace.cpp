@@ -168,6 +168,58 @@ TEST(Trace, SpanOpenAcrossFlushIsDroppedWhole)
     fs::remove_all(dir);
 }
 
+/** Open @p depth nested spans on this thread and close them. */
+void
+nestSpans(int depth)
+{
+    if (depth == 0)
+        return;
+    trace::Span span("test", "nested");
+    nestSpans(depth - 1);
+}
+
+TEST(Trace, ConcurrentSpansStayBalanced)
+{
+    fs::path dir = scratchDir("concurrent");
+    const std::string file = (dir / "trace.json").string();
+    constexpr int kThreads = 8;
+    constexpr int kDepth = 40;
+    {
+        TraceScope scope(file);
+        std::vector<std::thread> workers;
+        for (int t = 0; t < kThreads; ++t)
+            workers.emplace_back([] { nestSpans(kDepth); });
+        for (std::thread &w : workers)
+            w.join();
+        // Every worker has exited: its spans still reach the file.
+        ASSERT_TRUE(trace::flush());
+    }
+
+    JsonValue doc = io::loadJsonFile(file);
+    std::map<double, int> depth_by_tid;
+    size_t begins = 0, ends = 0;
+    for (const JsonValue &e : doc.at("traceEvents").asArray()) {
+        ASSERT_EQ(e.at("name").asString(), "nested");
+        int &depth = depth_by_tid[e.at("tid").asNumber()];
+        if (e.at("ph").asString() == "B") {
+            ++begins;
+            ++depth;
+        } else {
+            ASSERT_EQ(e.at("ph").asString(), "E");
+            ++ends;
+            // Sorted by time, each thread's events nest properly.
+            ASSERT_GT(depth, 0);
+            --depth;
+        }
+    }
+    EXPECT_EQ(begins, size_t{kThreads * kDepth});
+    EXPECT_EQ(ends, size_t{kThreads * kDepth});
+    EXPECT_EQ(depth_by_tid.size(), size_t{kThreads});
+    for (const auto &[tid, depth] : depth_by_tid)
+        EXPECT_EQ(depth, 0) << "tid " << tid;
+    fs::remove_all(dir);
+}
+
 TEST(Trace, HattcTraceCompileEmitsDriverSpans)
 {
     fs::path dir = scratchDir("hattc");
