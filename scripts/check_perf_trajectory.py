@@ -163,10 +163,19 @@ def validate_metrics(path):
     return failures
 
 
+# The committed baselines beside this script, whatever the working
+# directory.
+DEFAULT_BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.realpath(__file__))),
+    "bench", "baselines")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("fresh", nargs="+", help="freshly emitted BENCH_*.json")
-    ap.add_argument("--baseline-dir", default="bench/baselines")
+    ap.add_argument("--baseline-dir", default=DEFAULT_BASELINE_DIR,
+                    help="committed baselines (default: this "
+                         "repository's bench/baselines)")
     ap.add_argument("--ratio", type=float, default=5.0,
                     help="max allowed seconds slowdown factor")
     ap.add_argument("--floor", type=float, default=0.1,

@@ -12,30 +12,11 @@ namespace hatt::fault {
 
 namespace {
 
-uint64_t
-splitmix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-uint64_t
-hashString(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s)
-        h = (h ^ c) * 0x100000001b3ULL;
-    return h;
-}
-
 struct Rule
 {
     Action action = Action::None;
     uint64_t n = 0;       //!< 0 = every arrival
     bool fromNOn = false; //!< "@N+": every arrival >= n
-    double prob = 1.0;    //!< "~P" gate
     uint64_t arrivals = 0;
 };
 
@@ -43,7 +24,6 @@ struct Registry
 {
     std::mutex mutex;
     std::unordered_map<std::string, Rule> rules;
-    uint64_t seed = 1;
 };
 
 // 0 = uninitialized (env not yet consulted), 1 = disarmed, 2 = armed.
@@ -56,7 +36,7 @@ registry()
     return reg;
 }
 
-/** Parse one "point=action[@N[+]][~P]" rule into (point, rule). */
+/** Parse one "point=action[@N[+]]" rule into (point, rule). */
 std::string
 parseRule(const std::string &text, std::string &point, Rule &rule)
 {
@@ -65,18 +45,6 @@ parseRule(const std::string &text, std::string &point, Rule &rule)
         return "fault rule \"" + text + "\": expected point=action";
     point = text.substr(0, eq);
     std::string rest = text.substr(eq + 1);
-
-    const size_t tilde = rest.find('~');
-    if (tilde != std::string::npos) {
-        const std::string p = rest.substr(tilde + 1);
-        char *end = nullptr;
-        rule.prob = std::strtod(p.c_str(), &end);
-        if (p.empty() || end == nullptr || *end != '\0' ||
-            rule.prob < 0.0 || rule.prob > 1.0)
-            return "fault rule \"" + text +
-                   "\": probability must be in [0,1]";
-        rest = rest.substr(0, tilde);
-    }
 
     const size_t atp = rest.find('@');
     if (atp != std::string::npos) {
@@ -106,10 +74,9 @@ parseRule(const std::string &text, std::string &point, Rule &rule)
 }
 
 std::string
-configureLocked(Registry &reg, const std::string &spec, uint64_t seed)
+configureLocked(Registry &reg, const std::string &spec)
 {
     reg.rules.clear();
-    reg.seed = seed;
     if (spec.empty()) {
         g_state.store(1, std::memory_order_release);
         return {};
@@ -146,11 +113,7 @@ initFromEnv()
     if (g_state.load(std::memory_order_acquire) != 0)
         return; // raced with another initializer / configure()
     const char *spec = std::getenv("HATT_FAULTS");
-    const char *seed_env = std::getenv("HATT_FAULTS_SEED");
-    uint64_t seed = 1;
-    if (seed_env != nullptr && *seed_env != '\0')
-        seed = std::strtoull(seed_env, nullptr, 10);
-    configureLocked(reg, spec != nullptr ? spec : "", seed);
+    configureLocked(reg, spec != nullptr ? spec : "");
 }
 
 } // namespace
@@ -177,16 +140,8 @@ at(const char *point)
     if (rule.n != 0 &&
         (rule.fromNOn ? arrival < rule.n : arrival != rule.n))
         return Action::None;
-    if (rule.prob < 1.0) {
-        const uint64_t h = splitmix64(
-            splitmix64(reg.seed ^ hashString(it->first)) ^ arrival);
-        const double u =
-            static_cast<double>(h >> 11) * 0x1.0p-53; // [0,1)
-        if (u >= rule.prob)
-            return Action::None;
-    }
-    // Deterministic by construction: the arrival filter and the seeded
-    // probability gate decide firings, never the clock or a thread id.
+    // Deterministic by construction: the arrival filter alone decides
+    // firings, never the clock or a thread id.
     metrics::add("fault.firings");
     return rule.action;
 }
@@ -203,11 +158,11 @@ active()
 }
 
 std::string
-configure(const std::string &spec, uint64_t seed)
+configure(const std::string &spec)
 {
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mutex);
-    return configureLocked(reg, spec, seed);
+    return configureLocked(reg, spec);
 }
 
 void

@@ -13,7 +13,7 @@
  *
  * Spec grammar (comma-separated rules):
  *
- *     point=action[@N[+]][~P]
+ *     point=action[@N[+]]
  *
  *  - point:   dotted site name (cache.write, cache.read, emit.write,
  *             parse.alloc, pool.dispatch, ...). Unknown names are legal — a rule
@@ -25,10 +25,9 @@
  *  - @N:      fire only on the N-th arrival at the point (1-based);
  *             "@N+" fires on every arrival from the N-th on. Without
  *             @N the rule fires on every arrival.
- *  - ~P:      probabilistic gate, P in [0,1]: an arrival that passes
- *             the @N filter fires with probability P, decided by a
- *             splitmix64 hash of (seed, point, arrival index) — fully
- *             deterministic for a given HATT_FAULTS_SEED (default 1).
+ *
+ * Firings depend only on the arrival count, so an armed run is as
+ * deterministic as an unarmed one.
  *
  * Cost when unset: a single relaxed atomic load per query — no locks,
  * no clock reads, no allocation. Arrival counters are only maintained
@@ -51,7 +50,7 @@ enum class Action {
 /**
  * Query the injection point @p point, counting this arrival. Returns
  * Action::None unless a spec armed the point. On the first query the
- * registry self-initializes from HATT_FAULTS / HATT_FAULTS_SEED.
+ * registry self-initializes from HATT_FAULTS.
  */
 Action at(const char *point);
 
@@ -63,7 +62,7 @@ bool active();
  * disarms it. Resets all arrival counters. Returns an empty string on
  * success, else a diagnostic describing the first bad rule.
  */
-std::string configure(const std::string &spec, uint64_t seed = 1);
+std::string configure(const std::string &spec);
 
 /** Disarm every rule and reset counters (tests' teardown). */
 void disable();

@@ -18,9 +18,8 @@
  *    is the subset mirrored into the byte-compared batch_report.json.
  *
  *  - **Volatile timings** (observe()): wall-clock observations — span
- *    durations, lock waits, dispatch latency — aggregated as
- *    count/total/min/max. Never byte-compared; never mixed into the
- *    deterministic section.
+ *    durations, dispatch latency — aggregated as count/total/min/max.
+ *    Never byte-compared; never mixed into the deterministic section.
  *
  * Counters are commutative additions under one registry mutex, so the
  * totals are independent of worker interleaving. Call sites are coarse

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -27,24 +26,15 @@ struct Event
     int tid;
 };
 
-/**
- * One per thread, owned jointly by the thread (thread_local
- * shared_ptr) and the registry, so events recorded by a worker that
- * has since exited still reach the next flush().
- */
-struct ThreadBuf
-{
-    std::mutex mutex;
-    std::vector<Event> events;
-    int tid = 0;
-};
-
 struct Registry
 {
     std::mutex mutex;
     std::string path;
     std::map<std::string, std::string> metadata;
-    std::vector<std::shared_ptr<ThreadBuf>> buffers;
+    /** Every thread's closed spans and instants, in record order. A
+        thread that has exited leaves its events here for the next
+        flush(). */
+    std::vector<Event> events;
     std::atomic<uint64_t> generation{1};
     std::atomic<int> nextTid{0};
     Clock::time_point epoch{};
@@ -68,18 +58,13 @@ nowUs(const Registry &r)
         .count();
 }
 
-ThreadBuf &
-threadBuf()
+/** This thread's dense id, assigned at its first recorded event. */
+int
+threadId()
 {
-    thread_local std::shared_ptr<ThreadBuf> buf;
-    if (!buf) {
-        buf = std::make_shared<ThreadBuf>();
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mutex);
-        buf->tid = r.nextTid.fetch_add(1, std::memory_order_relaxed);
-        r.buffers.push_back(buf);
-    }
-    return *buf;
+    thread_local const int tid =
+        registry().nextTid.fetch_add(1, std::memory_order_relaxed);
+    return tid;
 }
 
 /** Arm with @p path; registry mutex held by the caller. */
@@ -89,10 +74,7 @@ armLocked(Registry &r, const std::string &path)
     r.path = path;
     r.epoch = Clock::now();
     r.generation.fetch_add(1, std::memory_order_relaxed);
-    for (const std::shared_ptr<ThreadBuf> &buf : r.buffers) {
-        std::lock_guard<std::mutex> lock(buf->mutex);
-        buf->events.clear();
-    }
+    r.events.clear();
     g_state.store(2, std::memory_order_release);
 }
 
@@ -126,15 +108,6 @@ armedState()
     return state == 2;
 }
 
-void
-record(char phase, const char *category, std::string name, double ts_us)
-{
-    ThreadBuf &buf = threadBuf();
-    std::lock_guard<std::mutex> lock(buf.mutex);
-    buf.events.push_back(
-        Event{std::move(name), category, phase, ts_us, buf.tid});
-}
-
 } // namespace
 
 bool
@@ -152,10 +125,7 @@ configure(const std::string &path)
         r.path.clear();
         r.metadata.clear();
         r.generation.fetch_add(1, std::memory_order_relaxed);
-        for (const std::shared_ptr<ThreadBuf> &buf : r.buffers) {
-            std::lock_guard<std::mutex> buf_lock(buf->mutex);
-            buf->events.clear();
-        }
+        r.events.clear();
         g_state.store(1, std::memory_order_release);
         return;
     }
@@ -188,38 +158,36 @@ flush()
     if (!armedState())
         return false;
     Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    if (g_state.load(std::memory_order_relaxed) != 2)
-        return false;
-    // Invalidate open spans first: a span closing mid-flush sees the
-    // new generation and drops its B/E pair whole, so the file below
-    // cannot contain an unbalanced half.
-    r.generation.fetch_add(1, std::memory_order_relaxed);
+    std::string path;
     std::vector<Event> events;
-    for (const std::shared_ptr<ThreadBuf> &buf : r.buffers) {
-        std::lock_guard<std::mutex> buf_lock(buf->mutex);
-        events.insert(events.end(),
-                      std::make_move_iterator(buf->events.begin()),
-                      std::make_move_iterator(buf->events.end()));
-        buf->events.clear();
+    std::map<std::string, std::string> meta;
+    {
+        std::lock_guard<std::mutex> lock(r.mutex);
+        if (g_state.load(std::memory_order_relaxed) != 2)
+            return false;
+        // Invalidate open spans: one closing after this point sees the
+        // new generation and drops its B/E pair whole, so the window
+        // taken here cannot hold an unbalanced half.
+        r.generation.fetch_add(1, std::memory_order_relaxed);
+        events.swap(r.events);
+        path = r.path;
+        meta = r.metadata;
     }
+    // The file is written outside the lock: spans closing meanwhile
+    // record into the next window without waiting on file I/O.
     std::stable_sort(events.begin(), events.end(),
                      [](const Event &a, const Event &b) {
                          return a.tsUs < b.tsUs;
                      });
-
-    std::map<std::string, std::string> meta;
-    meta["git_sha"] = buildinfo::kGitSha;
-    meta["compiler"] = buildinfo::kCompiler;
-    meta["build_type"] = buildinfo::kBuildType;
-    meta["flags"] = buildinfo::kFlags;
-    for (const auto &[key, value] : r.metadata)
-        meta[key] = value;
+    meta.insert({{"git_sha", buildinfo::kGitSha},
+                  {"compiler", buildinfo::kCompiler},
+                  {"build_type", buildinfo::kBuildType},
+                  {"flags", buildinfo::kFlags}});
 
     // One event per line: a compact layout of its own, written through
     // the JsonWriter's top-level values.
     try {
-        writeJsonFile(r.path, -1, /*durable=*/false, [&](JsonWriter &w) {
+        writeJsonFile(path, -1, /*durable=*/false, [&](JsonWriter &w) {
             w.raw("{\n\"traceEvents\": [");
             bool first = true;
             for (const Event &e : events) {
@@ -261,7 +229,11 @@ instant(const char *category, const std::string &name)
 {
     if (!armedState())
         return;
-    record('i', category, name, nowUs(registry()));
+    Registry &r = registry();
+    const double ts_us = nowUs(r);
+    const int tid = threadId();
+    std::lock_guard<std::mutex> lock(r.mutex);
+    r.events.push_back(Event{name, category, 'i', ts_us, tid});
 }
 
 Span::Span(const char *category, const char *name)
@@ -299,15 +271,17 @@ Span::~Span()
     if (!armed_)
         return;
     Registry &r = registry();
+    const double end_us = nowUs(r);
+    std::string name = literal_ != nullptr ? std::string(literal_)
+                                           : std::move(name_);
+    const int tid = threadId();
+    std::lock_guard<std::mutex> lock(r.mutex);
     // A flush()/configure() between open and close invalidated this
     // span: drop the whole pair rather than emit an orphan half.
     if (r.generation.load(std::memory_order_relaxed) != generation_)
         return;
-    const double end_us = nowUs(r);
-    std::string name = literal_ != nullptr ? std::string(literal_)
-                                           : std::move(name_);
-    record('B', category_, name, startUs_);
-    record('E', category_, std::move(name), end_us);
+    r.events.push_back(Event{name, category_, 'B', startUs_, tid});
+    r.events.push_back(Event{std::move(name), category_, 'E', end_us, tid});
 }
 
 } // namespace hatt::trace

@@ -4,8 +4,8 @@
 /**
  * @file
  * Process-wide execution tracing: RAII scoped spans and instant events
- * collected into per-thread buffers and flushed as one Chrome
- * trace-event JSON file (load it in chrome://tracing or
+ * collected into one event buffer under one mutex and flushed as one
+ * Chrome trace-event JSON file (load it in chrome://tracing or
  * https://ui.perfetto.dev).
  *
  * Arming:
@@ -20,10 +20,10 @@
  * fault.hpp, proven within baseline noise on the PauliString multiply
  * hot path by the `pauli_multiply_64q_span_*` bench record.
  *
- * Span begin/end ("B"/"E") events are enqueued together when the span
- * closes, so a flushed trace always holds balanced B/E pairs; a span
- * still open when flush() runs is dropped whole (its generation is
- * invalidated), never emitted half. Events carry microsecond
+ * Span begin/end ("B"/"E") events are enqueued together, under the
+ * buffer's lock, when the span closes, so a flushed trace always holds
+ * balanced B/E pairs; a span still open when flush() runs is dropped
+ * whole (its generation is invalidated), never emitted half. Events carry microsecond
  * timestamps relative to arming time and a small dense thread id
  * assigned at first use per thread.
  */
@@ -53,10 +53,12 @@ std::string outputPath();
 void metadata(const std::string &key, const std::string &value);
 
 /**
- * Merge every thread's buffer, sort by timestamp and write the Chrome
- * trace JSON to the configured path, then clear the buffers for the
- * next window. Returns false when disarmed or the file cannot be
- * written. Spans still open across the flush are dropped whole.
+ * Take the buffered events (every thread's, exited threads included),
+ * sort them by timestamp and write the Chrome trace JSON to the
+ * configured path; the buffer starts the next window empty. The file
+ * is written outside the lock, so spans closing meanwhile never wait
+ * on it. Returns false when disarmed or the file cannot be written.
+ * Spans still open across the flush are dropped whole.
  */
 bool flush();
 

@@ -1,22 +1,18 @@
 #include "io/cache.hpp"
 
 #include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <ctime>
 #include <filesystem>
 #include <functional>
 #include <string>
 #include <system_error>
-#include <thread>
 
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
-#include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "io/serialize.hpp"
 
@@ -29,7 +25,6 @@ namespace {
 constexpr int kCacheVersion = 1;
 /** The usage index older builds kept; gc() removes it and its debris. */
 constexpr const char *kLegacyIndexFile = "index.json";
-constexpr const char *kLockFile = ".lock";
 constexpr const char *kQuarantineDir = "quarantine";
 /** Temp files from interrupted writers older than this are gc()'d. */
 constexpr int64_t kTmpMaxAgeSeconds = 3600;
@@ -120,59 +115,6 @@ isEntryFile(const std::string &name)
     // A non-empty kind between the dash and the extension.
     return name.size() - suffix_len > hex + 1;
 }
-
-/**
- * Advisory writer lock on <dir>/.lock: flock(LOCK_EX) with bounded
- * retry (8 attempts, 1 ms doubling to 128 ms). Exhausting the retries
- * is NOT an error — entry publication is an atomic rename, so the lock
- * only serializes writers to reduce tmp-file churn; a wedged or dead
- * lock holder must never stall compilation.
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string &path)
-    {
-        // The wait is pure scheduling noise, so it is a volatile
-        // timing, never a deterministic counter.
-        Timer wait;
-        fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-        if (fd_ < 0)
-            return; // unwritable dir: store() will surface the real error
-        int delay_ms = 1;
-        for (int attempt = 0; attempt < 8; ++attempt) {
-            if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) {
-                locked_ = true;
-                if (attempt > 0)
-                    trace::instant("cache", "lock_contended");
-                metrics::observe("cache.lock_wait_seconds",
-                                 wait.seconds());
-                return;
-            }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(delay_ms));
-            delay_ms *= 2;
-        }
-        trace::instant("cache", "lock_timeout");
-        metrics::observe("cache.lock_wait_seconds", wait.seconds());
-    }
-
-    ~FileLock()
-    {
-        if (fd_ < 0)
-            return;
-        if (locked_)
-            ::flock(fd_, LOCK_UN);
-        ::close(fd_);
-    }
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-  private:
-    int fd_ = -1;
-    bool locked_ = false;
-};
 
 /**
  * Stream @p body into @p path and fsync it before returning, so the
@@ -339,16 +281,12 @@ MappingCache::store(uint64_t content_hash, const std::string &kind,
         throw ParseError("cannot create cache directory " + dir_ + ": " +
                          ec.message());
 
-    // Serialize concurrent writers (advisory, best-effort on
-    // contention — see FileLock).
-    FileLock lock((fs::path(dir_) / kLockFile).string());
-
     // Atomic, durable publish: write a writer-unique temp file in the
     // same directory, fsync it, rename over the entry, fsync the
     // directory — concurrent writers of the same key each publish a
-    // complete file, last rename wins, and a power cut can only leave
-    // the old entry or the new one, never a torn file under the live
-    // name.
+    // complete file, last rename wins (no lock needed: writers share
+    // no file until the rename), and a power cut can only leave the
+    // old entry or the new one, never a torn file under the live name.
     const std::string path = entryPath(content_hash, kind);
     const std::string tmp = tmpPathFor(path);
     // Injection point: Throw dies before touching disk; Fail dies

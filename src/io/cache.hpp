@@ -19,12 +19,12 @@
  * touches the file (best effort — a read-only cache still serves hits).
  *
  * Robustness: entry writes are power-loss-safe (the temp file is
- * fsync'd before the rename, and the directory after), writers take an
- * advisory flock on <dir>/.lock with bounded exponential backoff
- * (proceeding best-effort when contended — rename publication stays
- * atomic either way), and a corrupt entry discovered by load() is
- * moved aside into <dir>/quarantine/ instead of being silently
- * re-read every run; quarantined files are purged by gc().
+ * fsync'd before the rename, and the directory after); concurrent
+ * writers need no lock, since each writes its own temp file
+ * (<entry>.tmp.<pid>.<n>) and the rename publishes it whole, last
+ * writer wins. A corrupt entry discovered by load() is moved aside
+ * into <dir>/quarantine/ instead of being silently re-read every run;
+ * quarantined files are purged by gc().
  */
 
 #include <cstdint>

@@ -197,7 +197,7 @@ struct ServiceConfig
  * The compilation core. Owns the store stack, runs the compile
  * pipeline, and reports outcomes as Status values. Thread
  * compatibility matches the underlying stores: concurrent compile()
- * calls are safe (the tier map is sharded-mutex, the disk cache is
+ * calls are safe (the tier map is under one mutex, the disk cache is
  * rename-atomic), and a single service instance is intended to live as
  * long as the process (CLI run, daemon lifetime).
  */

@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Two-tier MappingStore: a thread-safe in-memory tier (sharded mutex
- * map) layered in front of an optional durable backing store (the
+ * Two-tier MappingStore: a thread-safe in-memory tier (one ordered map
+ * under one mutex) layered in front of an optional durable backing store (the
  * on-disk io::MappingCache in the shipped stack). Implements the same
  * `MappingStore` interface the MapperRegistry consults, so every
  * mapper gets both tiers for free:
@@ -32,7 +32,6 @@
  * the pinned mapping.cache_hits/cache_misses semantics are untouched.
  */
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -71,24 +70,13 @@ class TieredMappingStore : public MappingStore
   private:
     using Key = std::pair<uint64_t, std::string>;
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::map<Key, Entry> entries;
-    };
-
-    static constexpr size_t kShards = 16;
-
-    Shard &shardFor(uint64_t content_hash, const std::string &kind);
-    const Shard &shardFor(uint64_t content_hash,
-                          const std::string &kind) const;
-
-    /** Publish @p entry under (hash, kind) in its shard (overwrites). */
+    /** Publish @p entry under (hash, kind) (overwrites). */
     void publish(uint64_t content_hash, const std::string &kind,
                  const Entry &entry);
 
     MappingStore *backing_;
-    std::array<Shard, kShards> shards_;
+    mutable std::mutex mutex_;
+    std::map<Key, Entry> entries_; //!< guarded by mutex_
 };
 
 } // namespace hatt

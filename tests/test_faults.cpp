@@ -4,7 +4,7 @@
  * inject — cache writes, cache reads, parser allocation, pool dispatch
  * — must surface as a clean Status / typed exception / isolated batch
  * item, never as a crash, a hang, or a corrupt cache entry. Also pins
- * the spec grammar (point=action[@N[+]][~P]) and the acceptance-
+ * the spec grammar (point=action[@N[+]]) and the acceptance-
  * criteria batch: a corpus with a hostile input, an induced
  * cache-write fault, and a deadline-expiring item completes with
  * pinned statuses, and its batch_report.json is byte-identical to the
@@ -48,14 +48,7 @@ class FaultTest : public ::testing::Test
 std::string
 dataFile(const std::string &name)
 {
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
+    return std::string(HATT_DATA_DIR) + "/" + name;
 }
 
 fs::path
@@ -136,8 +129,7 @@ TEST_F(FaultTest, SpecGrammarAcceptsAndRejects)
 {
     EXPECT_EQ(fault::configure("cache.write=fail"), "");
     EXPECT_TRUE(fault::active());
-    EXPECT_EQ(fault::configure("a.b=throw@3,c.d=fail@2+,e.f=fail~0.5"),
-              "");
+    EXPECT_EQ(fault::configure("a.b=throw@3,c.d=fail@2+"), "");
     EXPECT_EQ(fault::configure(""), "");
     EXPECT_FALSE(fault::active());
 
@@ -146,7 +138,9 @@ TEST_F(FaultTest, SpecGrammarAcceptsAndRejects)
     EXPECT_NE(fault::configure("p=explode"), "");
     EXPECT_NE(fault::configure("p=fail@0"), "");   // 1-based arrivals
     EXPECT_NE(fault::configure("p=fail@x"), "");
-    EXPECT_NE(fault::configure("p=fail~2"), "");   // P outside [0,1]
+    // There is no probabilistic gate.
+    EXPECT_NE(fault::configure("p=fail~0.5"), "");
+    EXPECT_NE(fault::configure("p=fail@2~1"), "");
     EXPECT_NE(fault::configure("p=fail~nope"), "");
     // A bad rule disarms everything — no partially-armed registry.
     EXPECT_FALSE(fault::active());
@@ -168,32 +162,6 @@ TEST_F(FaultTest, ArrivalFiltersAreExact)
     EXPECT_EQ(fault::at("p"), fault::Action::None);
     EXPECT_EQ(fault::at("p"), fault::Action::Throw);
     EXPECT_EQ(fault::at("p"), fault::Action::Throw);
-}
-
-TEST_F(FaultTest, ProbabilisticGateIsSeedDeterministic)
-{
-    auto sample = [](uint64_t seed) {
-        EXPECT_EQ(fault::configure("p=fail~0.5", seed), "");
-        std::string bits;
-        for (int i = 0; i < 64; ++i)
-            bits += fault::at("p") == fault::Action::Fail ? '1' : '0';
-        return bits;
-    };
-    const std::string a = sample(7);
-    const std::string b = sample(7);
-    const std::string c = sample(8);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a, c); // 2^-64 flake odds: a different seed reshuffles
-    EXPECT_NE(a.find('1'), std::string::npos);
-    EXPECT_NE(a.find('0'), std::string::npos);
-
-    // ~0 never fires, ~1 always does.
-    ASSERT_EQ(fault::configure("p=fail~0"), "");
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(fault::at("p"), fault::Action::None);
-    ASSERT_EQ(fault::configure("p=fail~1"), "");
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(fault::at("p"), fault::Action::Fail);
 }
 
 TEST_F(FaultTest, CacheWriteFailLeavesOnlyDebrisAndGcCleans)

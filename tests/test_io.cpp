@@ -92,18 +92,11 @@ sumHash(const PauliSum &sum)
     return h;
 }
 
-/** Locate a file under examples/data from the build/test working dir. */
+/** A file of the sample corpus (examples/data, compiled in). */
 std::string
 dataFile(const std::string &name)
 {
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
+    return std::string(HATT_DATA_DIR) + "/" + name;
 }
 
 /** Fresh scratch directory under the system temp dir. */

@@ -53,14 +53,7 @@ using io::ServiceConfig;
 std::string
 dataFile(const std::string &name)
 {
-    for (const char *prefix :
-         {"../examples/data/", "examples/data/", "../../examples/data/"}) {
-        std::string p = prefix + name;
-        if (std::ifstream(p).good())
-            return p;
-    }
-    ADD_FAILURE() << "cannot locate examples/data/" << name;
-    return name;
+    return std::string(HATT_DATA_DIR) + "/" + name;
 }
 
 std::string
